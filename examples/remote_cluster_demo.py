@@ -4,10 +4,10 @@
 Spins up a loopback "cluster" of two `ServiceServer` instances (each the
 equivalent of a `python -m repro serve` host), then protects a whole
 dataset through the `remote` executor: users are partitioned by the
-stable blake2b user-hash, each shard travels as `protect_request`
-batches over the versioned wire protocol, and the merged result is
-byte-identical to a purely local serial run — the distribution is
-transparent (docs/SERVICE.md).
+stable blake2b user-hash, each user travels as one `protect_request`
+over the versioned wire protocol to whichever server is free, and the
+merged result is byte-identical to a purely local serial run — the
+distribution is transparent (docs/SERVICE.md).
 
 Run:  python examples/remote_cluster_demo.py
 """

@@ -1,26 +1,28 @@
-"""Elastic work-stealing dispatch over a dynamic pool of endpoints.
+"""Cluster dispatch: work stealing over a pool of service endpoints.
 
-:class:`~repro.service.rpc.RemoteClusterClient` (PR 4/5) pins shard
-*s* to endpoint ``s % n`` over a *static* pool.  This module keeps its
-entire fault model — healthy → probation → retired rehabilitation,
-blame-deduped budgets, fatal-fast auth, and the never-replay rule — but
-replaces static pinning with **work stealing**: every ``(shard,
-request)`` pair sits in one shared queue and each live member runs
-``max_inflight`` worker loops that pull from it.  A member that joins
-mid-batch simply starts pulling; a member that departs stops pulling
-and its queued work flows to the others.
+This is the one dispatch loop behind the ``remote`` executor, whether
+its pool is a static ``endpoints`` list (fixed membership) or is
+discovered from a coordinator.  Every ``(shard, request)`` pair sits in
+one shared queue and each live member runs ``max_inflight`` worker
+loops that pull from it, so a busy member simply pulls less.
 
-**Why stealing cannot drift bytes.**  Which *endpoint* serves a request
-never touches the published bytes: users are placed into shards by
-stable blake2b hashing before dispatch (``_partition_items``), every
-request carries exactly one user's trace, and each endpoint derives
-pseudonyms and noise per-user from its own fresh session state.  The
-only way to drift is to *replay* a request whose frame may already have
-reached an endpoint — the serving side's pseudonym counter could have
-advanced — so the PR 5 rule is kept verbatim: a request that failed
-after its frame may have been sent is marked ``attempted`` on that
-member and is never offered to it again, while dial-phase failures
-(provably no frame sent) keep the member retryable.
+**The dispatch rule.**  Placement (user → shard) is content-addressed:
+users are placed into shards by stable blake2b hashing before dispatch
+(``_partition_items``), and byte identity rests on it.  Which endpoint
+serves a shard depends on load: every request carries exactly one
+user's trace and each endpoint derives pseudonyms and noise per user
+from its own fresh session state, so the endpoint never touches the
+published bytes.  A request whose frame may have reached an endpoint is
+never offered to that endpoint again — the serving side's pseudonym
+counter could have advanced, so a replay there could drift.  Dial-phase
+failures (provably no frame sent) keep the member retryable.
+
+**Fault policy.**  A transport fault (refused, reset, timed out,
+mid-frame EOF, corrupted reply) moves a member through its
+:class:`EndpointHealth` (healthy → probation → retired).  One dead
+connection costs one budget point however many requests it carried.
+An authentication failure is fatal for the whole batch and charges no
+budget: a wrong key fails identically everywhere.
 
 **Membership.**  Pass a
 :class:`~repro.cluster.membership.MembershipSubscription` and the
@@ -30,7 +32,8 @@ start stealing *not-yet-dispatched* work) and marking departed members
 so they take no new work while requests already in flight on them
 finish.  With a subscription active the client may even start with
 **zero** endpoints: requests wait up to ``join_grace_s`` for a member
-to appear before failing.
+to appear before failing.  Without one the membership is fixed and a
+request no member can serve fails at once.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import deque
+from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import (
@@ -57,9 +61,6 @@ from repro.service.rpc import (
     SUPPORTED_WIRE_VERSIONS,
     AsyncServiceClient,
     Endpoint,
-    EndpointHealth,
-    _DialFailed,
-    _EndpointUnavailable,
     parse_endpoint,
 )
 from repro.cluster.registry import STATE_LEFT
@@ -67,6 +68,42 @@ from repro.cluster.registry import STATE_LEFT
 #: How long queued requests wait for a member to appear (or rejoin)
 #: when a membership subscription is active before giving up.
 DEFAULT_JOIN_GRACE_S = 30.0
+
+
+class _EndpointUnavailable(Exception):
+    """Internal: the endpoint went on probation / got retired while this
+    coroutine was queued for its connection lock — re-evaluate, nothing
+    new to record."""
+
+
+class _DialFailed(Exception):
+    """Internal: connecting (or handshaking) failed before any request
+    frame was sent.  The failure is already recorded against the
+    endpoint; the request itself remains retryable there later."""
+
+
+@dataclass
+class EndpointHealth:
+    """Rehabilitation state for one endpoint (healthy → probation → retired).
+
+    * **healthy** — ``failures == 0``: serves requests normally.
+    * **probation** — after a fault the endpoint sits out until
+      ``available_at`` (exponential backoff per consecutive failure);
+      once the deadline passes, the member's worker probes it with a
+      fresh connection.  A served request resets the state to healthy —
+      a *flapping* endpoint rejoins.
+    * **retired** — more than ``retry_budget`` consecutive failures:
+      permanently out for this client's lifetime — a *dead* endpoint
+      stops being probed.
+    """
+
+    failures: int = 0
+    retired: bool = False
+    #: Monotonic deadline while on probation (0.0 = available now).
+    available_at: float = 0.0
+    #: Connections already blamed, so one poisoned connection that kills
+    #: many in-flight requests counts as ONE failure, not many.
+    blamed: List[Any] = field(default_factory=list)
 
 
 class _Item:
@@ -109,7 +146,7 @@ class _Member:
         self.source = source  # "seed" | "membership" | "manual"
         self.health = EndpointHealth()
         self.client: Optional[AsyncServiceClient] = None
-        # Created lazily inside the running loop (like RemoteClusterClient).
+        # asyncio primitives must be created inside the running loop.
         self.conn_lock: Optional[asyncio.Lock] = None
         self.departed = False
         self.workers: List["asyncio.Task"] = []
@@ -118,15 +155,15 @@ class _Member:
 
 
 class ElasticClusterClient:
-    """Work-stealing dispatch with dynamic membership.
+    """Work-stealing dispatch over a fixed or dynamic pool of endpoints.
 
-    Construction mirrors :class:`~repro.service.rpc.RemoteClusterClient`
-    (same timeout/backoff/budget/auth knobs), plus:
-
-    * ``membership`` — optional subscription to a coordinator's
-      registry; polled during :meth:`run`.
-    * ``join_grace_s`` — with a subscription, how long unservable
-      requests wait for a (re)join before failing.
+    ``run()`` takes ``(shard, request)`` pairs and returns the replies
+    positionally.  ``max_inflight`` is the number of worker loops (and
+    requests in flight) per member; ``retry_budget`` and ``backoff_*``
+    set the :class:`EndpointHealth` policy.  Without ``membership`` (a
+    coordinator subscription, polled during :meth:`run`) the pool is
+    fixed to ``endpoints``; with one, ``join_grace_s`` bounds how long
+    unservable requests wait for a (re)join before failing.
 
     :meth:`add_endpoint` / :meth:`mark_departed` are the programmatic
     membership surface (the subscription uses them too); during a run
@@ -261,7 +298,7 @@ class ElasticClusterClient:
             return "probation"
         return "healthy"
 
-    # -- health bookkeeping (same rules as RemoteClusterClient) ----------
+    # -- health bookkeeping ----------------------------------------------
 
     def _record_failure(self, member: _Member, client: Optional[Any]) -> None:
         health = member.health
@@ -328,17 +365,15 @@ class ElasticClusterClient:
             for m in self._members.values()
         )
 
-    def _fail_unservable_locked(self) -> None:
+    def _fail_unservable_locked(self, why: Optional[str] = None) -> None:
         for item in list(self._pending):
             if self._eligible(item):
                 continue
             self._pending.remove(item)
             if not item.future.done():
+                reason = why or f"all {len(self._members)} endpoints failed"
                 item.future.set_exception(
-                    TransportError(
-                        f"all {len(self._members)} endpoints failed; "
-                        f"last error: {item.last}"
-                    )
+                    TransportError(f"{reason}; last error: {item.last}")
                 )
 
     def _pop_locked(self, member: _Member) -> Optional[_Item]:
@@ -356,7 +391,7 @@ class ElasticClusterClient:
             if not item.future.done():
                 self._pending.append(item)
             if self._membership is None:
-                # Static pool: a request with nowhere left to go fails
+                # Fixed membership: a request with nowhere left to go fails
                 # now (and a retirement may strand other queued items).
                 self._fail_unservable_locked()
             self._cond.notify_all()
@@ -527,8 +562,8 @@ class ElasticClusterClient:
     async def _grace_loop(self) -> None:
         """Fail requests no live member can serve after ``join_grace_s``.
 
-        Only runs with a membership subscription: a static pool fails
-        unservable requests immediately (matching the static client).
+        Only runs with a membership subscription: a fixed pool fails
+        unservable requests immediately.
         """
         assert self._cond is not None
         tick = max(0.05, min(0.25, self.join_grace_s / 4))
@@ -546,18 +581,9 @@ class ElasticClusterClient:
                 if now - since < self.join_grace_s:
                     continue
                 since = None
-                for item in list(self._pending):
-                    if self._eligible(item):
-                        continue
-                    self._pending.remove(item)
-                    if not item.future.done():
-                        item.future.set_exception(
-                            TransportError(
-                                f"no servable cluster member for shard "
-                                f"{item.shard} within {self.join_grace_s}s; "
-                                f"last error: {item.last}"
-                            )
-                        )
+                self._fail_unservable_locked(
+                    f"no servable cluster member within {self.join_grace_s}s"
+                )
 
     # -- dispatch ---------------------------------------------------------
 
@@ -583,7 +609,7 @@ class ElasticClusterClient:
                 helpers.append(asyncio.ensure_future(self._grace_loop()))
             else:
                 async with self._cond:
-                    # A fully-retired static pool must fail, not hang.
+                    # A fully-retired fixed pool must fail, not hang.
                     self._fail_unservable_locked()
             results = await asyncio.gather(
                 *(item.future for item in self._items), return_exceptions=True
@@ -593,10 +619,15 @@ class ElasticClusterClient:
             tasks = helpers + [
                 w for m in self._members.values() for w in m.workers
             ]
-            for task in tasks:
-                task.cancel()
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
+            # Cancel until every task has stopped: before Python 3.12,
+            # asyncio.wait_for swallows a cancellation that lands just as
+            # its inner future completes, and the task would run on.
+            pending = set(tasks)
+            while pending:
+                for task in pending:
+                    task.cancel()
+                _, pending = await asyncio.wait(pending, timeout=0.1)
+            await asyncio.gather(*tasks, return_exceptions=True)
             for member in self._members.values():
                 member.workers = []
         for result in results:

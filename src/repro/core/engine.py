@@ -720,19 +720,21 @@ class RemoteExecutor:
     """Dispatch shards to remote ``repro serve`` instances over the wire.
 
     The multi-host sibling of :class:`ShardedExecutor`: items are
-    partitioned with the same blake2b user-hash (stable placement — the
-    same user lands on the same logical shard on every machine), but
-    each shard is served by a *remote* protection service instead of a
-    local process pool.  Shard ``s`` goes to endpoint ``s % len(endpoints)``
-    as a batch of ``protect_request`` frames pipelined on one connection
-    (``jobs`` caps the per-endpoint in-flight requests); an endpoint
-    that fails mid-batch is retired and its requests fail over to the
-    survivors; the merge is positional.  Because every draw derives from
-    the trace content and the codec round-trips floats exactly, the
-    published dataset is byte-identical to the serial backend — provided
-    each endpoint serves an equivalently-configured, equivalently-fitted
-    engine and a **fresh service session** (pseudonym counters are
-    session-scoped), and no two items share a ``user_id``.
+    partitioned with the same blake2b user-hash, but each item travels
+    as one ``protect_request`` frame to a *remote* protection service
+    instead of a local process pool.  Dispatch is the work stealing of
+    :class:`repro.cluster.elastic.ElasticClusterClient`: placement
+    (user → shard) is content-addressed, and byte identity rests on it;
+    which endpoint serves a shard depends on load (``jobs`` caps the
+    in-flight requests per endpoint); a request whose frame may have
+    reached an endpoint is never offered to that endpoint again, so a
+    failing endpoint's requests move to the others.  The merge is
+    positional.  Because every draw derives from the trace content and
+    the codec round-trips floats exactly, the published dataset is
+    byte-identical to the serial backend — provided each endpoint
+    serves an equivalently-configured, equivalently-fitted engine and a
+    **fresh service session** (pseudonym counters are session-scoped),
+    and no two items share a ``user_id``.
 
     Declaratively::
 
@@ -741,19 +743,18 @@ class RemoteExecutor:
          "auth_key_file": "/etc/mood/cluster.key"}
 
     With ``coordinator`` set (``"host:port"`` of any endpoint acting as
-    the membership registry), dispatch switches to the **elastic**
-    work-stealing client (:mod:`repro.cluster`): the endpoint pool may
-    grow and shrink mid-batch as workers ``cluster_join``/``leave``,
-    ``endpoints`` become optional seeds, and ``poll_s`` /
-    ``join_grace_s`` tune the membership subscription.  Placement and
-    published bytes are unchanged — see docs/CLUSTER.md.
+    the membership registry), the client also subscribes to the
+    registry: the endpoint pool may grow and shrink mid-batch as
+    workers ``cluster_join``/``leave``, ``endpoints`` become optional
+    seeds, and ``poll_s`` / ``join_grace_s`` tune the subscription.
+    Placement and published bytes are unchanged — see docs/CLUSTER.md.
 
     Endpoints accept ``"host:port"``, ``"unix:/path"``, or
     ``{"host": ..., "port": ...}`` dicts.  ``retry_budget`` and
     ``backoff`` tune endpoint rehabilitation (a flapping endpoint sits
     out an exponential-backoff probation and rejoins; one that exhausts
     the budget is retired — see
-    :class:`repro.service.rpc.RemoteClusterClient`); ``backoff`` is
+    :class:`repro.cluster.elastic.EndpointHealth`); ``backoff`` is
     either a number (the base delay in seconds) or a ``{"base", "factor",
     "max"}`` dict.  ``auth_key_file`` (a path; or ``auth_key``, the
     literal secret) authenticates every connection with the endpoints'
@@ -789,10 +790,6 @@ class RemoteExecutor:
         if float(poll_s) <= 0:
             raise ConfigurationError(f"poll_s must be positive, got {poll_s}")
         self.poll_s = float(poll_s)
-        if float(join_grace_s) <= 0:
-            raise ConfigurationError(
-                f"join_grace_s must be positive, got {join_grace_s}"
-            )
         self.join_grace_s = float(join_grace_s)
         if shards is None:
             shards = max(1, len(self.endpoints))
@@ -804,19 +801,7 @@ class RemoteExecutor:
         self.jobs = jobs
         self.timeout = float(timeout)
         self.retry_budget = int(retry_budget)
-        if self.retry_budget < 0:
-            raise ConfigurationError(
-                f"retry_budget must be >= 0, got {retry_budget}"
-            )
         self.backoff = self._parse_backoff(backoff)
-        if self.backoff["base"] <= 0 or self.backoff["max"] <= 0:
-            raise ConfigurationError(
-                f"backoff times must be positive, got {self.backoff}"
-            )
-        if self.backoff["factor"] < 1.0:
-            raise ConfigurationError(
-                f"backoff factor must be >= 1, got {self.backoff['factor']}"
-            )
         if auth_key is not None and auth_key_file is not None:
             raise ConfigurationError(
                 "give auth_key or auth_key_file, not both"
@@ -826,10 +811,13 @@ class RemoteExecutor:
         # Wire versions offered per connection (validated by the
         # clients); ``"wire": [1]`` pins a batch to v1 JSON framing.
         self.wire = None if wire is None else tuple(int(v) for v in wire)
+        # The dispatch client validates the remaining knobs; building
+        # one now rejects a bad spec before any request is sent.
+        self._cluster(auth_key=None)
 
     @staticmethod
     def _parse_backoff(spec: Any) -> Dict[str, float]:
-        """``backoff`` spec → RemoteClusterClient kwargs (validated there)."""
+        """``backoff`` spec → ElasticClusterClient kwargs (validated there)."""
         out = {"base": 0.05, "factor": 2.0, "max": 2.0}
         if spec is None:
             return out
@@ -860,6 +848,37 @@ class RemoteExecutor:
     #: Per-endpoint in-flight default when ``jobs`` is unset.
     DEFAULT_INFLIGHT = 4
 
+    def _cluster(self, auth_key: Optional[bytes]) -> Any:
+        """One batch's dispatch client: the configured endpoints as a
+        fixed membership, or members joining and leaving through the
+        ``coordinator``'s registry while the batch runs."""
+        from repro.cluster import ElasticClusterClient, MembershipSubscription
+        from repro.service.api import SUPPORTED_WIRE_VERSIONS
+
+        membership = None
+        if self.coordinator is not None:
+            membership = MembershipSubscription(
+                self.coordinator,
+                poll_s=self.poll_s,
+                timeout=self.timeout,
+                auth_key=auth_key,
+            )
+        return ElasticClusterClient(
+            self.endpoints,
+            membership=membership,
+            timeout=self.timeout,
+            max_inflight=int(self.jobs or self.DEFAULT_INFLIGHT),
+            retry_budget=self.retry_budget,
+            backoff_base=self.backoff["base"],
+            backoff_factor=self.backoff["factor"],
+            backoff_max=self.backoff["max"],
+            auth_key=auth_key,
+            join_grace_s=self.join_grace_s,
+            wire_versions=(
+                SUPPORTED_WIRE_VERSIONS if self.wire is None else self.wire
+            ),
+        )
+
     def map(
         self,
         engine: "ProtectionEngine",
@@ -871,7 +890,6 @@ class RemoteExecutor:
         # (service.api imports this module), so resolve lazily.
         from repro.errors import ProtocolError, ServiceError
         from repro.service.api import ErrorEnvelope, ProtectRequest, ProtectResponse
-        from repro.service.rpc import RemoteClusterClient
 
         if method == "protect":
             daily, chunk_s = False, DEFAULT_CHUNK_S
@@ -899,45 +917,10 @@ class RemoteExecutor:
             )
             for idx, item in enumerate(items)
         ]
-        inflight = int(self.jobs or self.DEFAULT_INFLIGHT)
-
         auth_key = self._resolve_auth_key()
 
         async def dispatch() -> List[Any]:
-            common = dict(
-                timeout=self.timeout,
-                max_inflight=inflight,
-                retry_budget=self.retry_budget,
-                backoff_base=self.backoff["base"],
-                backoff_factor=self.backoff["factor"],
-                backoff_max=self.backoff["max"],
-                auth_key=auth_key,
-            )
-            if self.wire is not None:
-                common["wire_versions"] = self.wire
-            if self.coordinator is not None:
-                # Elastic mode: subscribe to the coordinator's registry
-                # so endpoints can join/leave while this batch runs
-                # (work-stealing dispatch, same byte-identity rules —
-                # see docs/CLUSTER.md).
-                from repro.cluster import (
-                    ElasticClusterClient,
-                    MembershipSubscription,
-                )
-
-                cluster: Any = ElasticClusterClient(
-                    self.endpoints,
-                    membership=MembershipSubscription(
-                        self.coordinator,
-                        poll_s=self.poll_s,
-                        timeout=self.timeout,
-                        auth_key=auth_key,
-                    ),
-                    join_grace_s=self.join_grace_s,
-                    **common,
-                )
-            else:
-                cluster = RemoteClusterClient(self.endpoints, **common)
+            cluster = self._cluster(auth_key)
             try:
                 return await cluster.run(requests)
             finally:

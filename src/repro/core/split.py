@@ -16,7 +16,8 @@ the same API and is exercised by the ablation bench.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+import math
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -45,25 +46,50 @@ def split_in_half(trace: Trace) -> Tuple[Trace, Trace]:
     return (left, right)
 
 
+def fixed_window_end(t0: float, window_s: float, t: float) -> float:
+    """End of the fixed window ``[t0 + k·w, t0 + (k+1)·w)`` holding *t* (>= *t0*).
+
+    The one boundary rule of fixed-time chunking, shared by
+    :func:`split_fixed_time` and the streaming
+    :class:`~repro.stream.window.WindowAssembler` so both cut a trace
+    identically: boundary ``k`` is ``t0 + k * window_s``.  The float
+    quotient only seeds ``k`` and is then corrected against those
+    boundaries, so the cost does not grow with the number of empty
+    windows before *t*.
+    """
+    resolution = math.ulp(max(abs(t0), abs(t)))
+    if not window_s >= resolution:
+        # Boundaries finer than the float spacing of the timestamps
+        # collapse onto each other and cannot be told apart.
+        raise ConfigurationError(
+            f"window_s={window_s} is below the float resolution "
+            f"({resolution}) of timestamp {t}"
+        )
+    k = max(0, math.floor((t - t0) / window_s))
+    while k > 0 and t0 + k * window_s > t:
+        k -= 1
+    while t0 + (k + 1) * window_s <= t:
+        k += 1
+    return t0 + (k + 1) * window_s
+
+
 def split_fixed_time(trace: Trace, window_s: float) -> List[Trace]:
     """Cut *trace* into consecutive windows of *window_s* seconds.
 
-    Empty windows are skipped.  With ``window_s = 86 400`` this models
-    the daily-upload crowdsensing scenario of §4.2.
+    Windows are anchored at the first record (see
+    :func:`fixed_window_end`) and empty windows are skipped at no cost,
+    so the work grows with the records, not with the trace's span.
+    With ``window_s = 86 400`` this models the daily-upload
+    crowdsensing scenario of §4.2.
     """
     if window_s <= 0:
         raise ConfigurationError(f"window_s must be positive, got {window_s}")
-    if len(trace) == 0:
-        return []
-    chunks: List[Trace] = []
-    t0 = trace.start_time()
-    end = trace.end_time()
-    while t0 <= end:
-        chunk = trace.slice_time(t0, t0 + window_s)
-        if len(chunk) > 0:
-            chunks.append(chunk)
-        t0 += window_s
-    return chunks
+    t = trace.timestamps
+    bounds = [0]
+    while bounds[-1] < len(t):
+        end = fixed_window_end(float(t[0]), window_s, float(t[bounds[-1]]))
+        bounds.append(int(np.searchsorted(t, end, side="left")))
+    return _cut(trace, bounds)
 
 
 def split_on_gaps(trace: Trace, max_gap_s: float) -> List[Trace]:
@@ -76,16 +102,17 @@ def split_on_gaps(trace: Trace, max_gap_s: float) -> List[Trace]:
         raise ConfigurationError(f"max_gap_s must be positive, got {max_gap_s}")
     if len(trace) == 0:
         return []
-    t = trace.timestamps
-    breaks = np.nonzero(np.diff(t) > max_gap_s)[0] + 1
-    pieces: List[Trace] = []
-    start = 0
-    for b in list(breaks) + [len(trace)]:
-        pieces.append(
-            Trace(trace.user_id, t[start:b], trace.lats[start:b], trace.lngs[start:b])
-        )
-        start = b
-    return pieces
+    breaks = np.nonzero(np.diff(trace.timestamps) > max_gap_s)[0] + 1
+    return _cut(trace, [0, *breaks, len(trace)])
+
+
+def _cut(trace: Trace, bounds: Sequence[int]) -> List[Trace]:
+    """The pieces of *trace* between consecutive record indices in *bounds*."""
+    t, lat, lng = trace.timestamps, trace.lats, trace.lngs
+    return [
+        Trace(trace.user_id, t[a:b], lat[a:b], lng[a:b])
+        for a, b in zip(bounds, bounds[1:])
+    ]
 
 
 def most_active_window(trace: Trace, days: int = 30) -> Trace:

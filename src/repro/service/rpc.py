@@ -18,7 +18,7 @@ new lines and the kernel's TCP window pushes back on the clients.
 Untagged requests keep the v1 FIFO contract (handled inline, strictly
 in order), so old clients work unchanged.
 
-Three clients share the verb vocabulary:
+Two clients share the verb vocabulary:
 
 * :class:`ServiceClient` — synchronous, one request at a time; mobile
   client code and tests drive it like a function call.  Every request
@@ -29,11 +29,13 @@ Three clients share the verb vocabulary:
   :class:`~repro.errors.TransportError`) until :meth:`reconnect`.
 * :class:`AsyncServiceClient` — asyncio, many requests in flight on one
   connection, replies matched to futures by id.
-* :class:`RemoteClusterClient` — a pool of endpoints with shard-affine
-  dispatch, failover, and rehabilitation: a request whose endpoint dies
-  is retried on another endpoint; the failed endpoint sits out an
-  exponential-backoff probation and rejoins on its next successful
-  probe, or is retired for good once it exhausts its retry budget.
+
+Multi-endpoint dispatch lives in
+:class:`repro.cluster.elastic.ElasticClusterClient`, which pools
+:class:`AsyncServiceClient` connections: placement (user → shard) is
+content-addressed, which endpoint serves a shard depends on load, and a
+request whose frame may have reached an endpoint is never offered to
+that endpoint again.  This module holds only the transports.
 
 Servers and clients optionally authenticate with a shared-secret
 HMAC-blake2b challenge/response handshake (``ServiceServer(auth_key=...)``,
@@ -60,9 +62,8 @@ from __future__ import annotations
 import asyncio
 import socket
 import threading
-import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import (
     AuthenticationError,
@@ -98,7 +99,6 @@ from repro.service.api import (
     load_auth_key,
     materialize_frame,
     materialize_frame_v2,
-    MessageEncodeError,
     negotiate_wire_version,
     new_auth_nonce,
     parse_frame_envelope,
@@ -1457,293 +1457,3 @@ class AsyncServiceClient:
             self._reader_task = None
         self._poison("client closed")
 
-
-class _EndpointUnavailable(Exception):
-    """Internal: the endpoint went on probation / got retired while this
-    coroutine was queued for its connection lock — re-evaluate, nothing
-    new to record."""
-
-
-class _DialFailed(Exception):
-    """Internal: connecting (or handshaking) failed before any request
-    frame was sent.  The failure is already recorded against the
-    endpoint; the request itself remains retryable there later."""
-
-
-@dataclass
-class EndpointHealth:
-    """Rehabilitation state for one endpoint (healthy → probation → retired).
-
-    * **healthy** — ``failures == 0``: serves requests normally.
-    * **probation** — after a fault the endpoint sits out until
-      ``available_at`` (exponential backoff per consecutive failure);
-      the next request whose ring order reaches it after the deadline
-      probes it with a fresh connection.  A served request resets the
-      state to healthy — a *flapping* endpoint rejoins.
-    * **retired** — more than ``retry_budget`` consecutive failures:
-      permanently out for this client's lifetime — a *dead* endpoint
-      still fails over for good.
-    """
-
-    failures: int = 0
-    retired: bool = False
-    #: Monotonic deadline while on probation (0.0 = available now).
-    available_at: float = 0.0
-    #: Connections already blamed, so one poisoned connection that kills
-    #: many in-flight requests counts as ONE failure, not many.
-    blamed: List[Any] = field(default_factory=list)
-
-
-class RemoteClusterClient:
-    """Shard-affine dispatch over a pool of service endpoints.
-
-    ``run()`` takes ``(shard, request)`` pairs and returns the replies
-    positionally.  Shard *s* is served by endpoint ``s % n`` — the same
-    content-addressed placement every run, every host — and up to
-    ``max_inflight`` requests ride each connection concurrently.
-
-    **Fault handling** is a per-endpoint state machine
-    (:class:`EndpointHealth`): a transport fault (refused, reset, timed
-    out, mid-frame EOF, corrupted reply) puts the endpoint on
-    exponential-backoff probation and the affected requests fail over to
-    the other endpoints in deterministic ring order; once an endpoint
-    accumulates more than ``retry_budget`` consecutive failures it is
-    retired for good.  A flapping endpoint therefore rejoins mid-batch
-    (its next probe succeeds and resets the state), while a dead one
-    stops being probed after the budget is spent.
-
-    **Byte-identity across rehabilitation**: a request that failed on an
-    endpoint *after its frame may have been sent* is never retried on
-    that endpoint — the serving side's pseudonym counters could have
-    advanced for its user, and a replay there would publish different
-    ``user#k`` ids.  Failed-over requests go only to endpoints that have
-    never seen them (dial-phase failures, where no frame was sent, are
-    exempt), so the published bytes match serial on every path.
-
-    **Auth**: with ``auth_key`` set every connection authenticates
-    before dispatch.  An :class:`~repro.errors.AuthenticationError` is
-    *fatal* and propagates immediately — a misconfigured key fails
-    identically on every endpoint and every retry, so burning the retry
-    budget on it would only hide the real problem.
-    """
-
-    def __init__(
-        self,
-        endpoints: Sequence[Any],
-        timeout: float = 120.0,
-        max_inflight: int = 4,
-        retry_budget: int = 3,
-        backoff_base: float = 0.05,
-        backoff_factor: float = 2.0,
-        backoff_max: float = 2.0,
-        auth_key: Optional[bytes] = None,
-        wire_versions: Sequence[int] = SUPPORTED_WIRE_VERSIONS,
-    ) -> None:
-        self.endpoints = [parse_endpoint(e) for e in endpoints]
-        if not self.endpoints:
-            raise ConfigurationError("RemoteClusterClient needs >= 1 endpoint")
-        if int(max_inflight) < 1:
-            raise ConfigurationError(
-                f"max_inflight must be >= 1, got {max_inflight}"
-            )
-        if int(retry_budget) < 0:
-            raise ConfigurationError(
-                f"retry_budget must be >= 0, got {retry_budget}"
-            )
-        if float(backoff_base) <= 0 or float(backoff_max) <= 0:
-            raise ConfigurationError(
-                f"backoff times must be positive, got base={backoff_base}, "
-                f"max={backoff_max}"
-            )
-        if float(backoff_factor) < 1.0:
-            raise ConfigurationError(
-                f"backoff_factor must be >= 1, got {backoff_factor}"
-            )
-        self.timeout = float(timeout)
-        self.max_inflight = int(max_inflight)
-        self.retry_budget = int(retry_budget)
-        self.backoff_base = float(backoff_base)
-        self.backoff_factor = float(backoff_factor)
-        self.backoff_max = float(backoff_max)
-        self.auth_key = None if auth_key is None else bytes(auth_key)
-        # Validated by each AsyncServiceClient; per-connection outcomes
-        # may differ (a mixed cluster downgrades only its v1 endpoints).
-        self.wire_versions = tuple(sorted({int(v) for v in wire_versions}))
-        n = len(self.endpoints)
-        self._clients: List[Optional[AsyncServiceClient]] = [None] * n
-        self._health = [EndpointHealth() for _ in range(n)]
-        self._conn_locks: Optional[List[asyncio.Lock]] = None
-        self._slots: Optional[List[asyncio.Semaphore]] = None
-
-    def _lazy_sync(self) -> None:
-        # asyncio primitives must be created inside the running loop's
-        # context; run() is the first point we are guaranteed to have one.
-        if self._conn_locks is None:
-            n = len(self.endpoints)
-            self._conn_locks = [asyncio.Lock() for _ in range(n)]
-            self._slots = [
-                asyncio.Semaphore(self.max_inflight) for _ in range(n)
-            ]
-
-    def health(self) -> List[EndpointHealth]:
-        """Per-endpoint rehabilitation state (introspection for tests)."""
-        return list(self._health)
-
-    async def _client(self, index: int) -> AsyncServiceClient:
-        assert self._conn_locks is not None
-        async with self._conn_locks[index]:
-            client = self._clients[index]
-            if client is not None and client._broken is None:
-                return client
-            self._clients[index] = None
-            health = self._health[index]
-            if health.retired or health.available_at > time.monotonic():
-                # The endpoint's state moved while we queued for the
-                # lock (another request's dial failed first).
-                raise _EndpointUnavailable()
-            client = AsyncServiceClient(
-                self.endpoints[index],
-                timeout=self.timeout,
-                auth_key=self.auth_key,
-                wire_versions=self.wire_versions,
-            )
-            try:
-                await client.connect()
-            except AuthenticationError:
-                await client.close()
-                raise
-            except (TransportError, ProtocolError, ConnectionError, OSError) as exc:
-                await client.close()
-                # Recorded here, under the connection lock, so one down
-                # endpoint costs one budget point per actual dial — not
-                # one per request queued behind the dial.
-                self._record_failure(index, None)
-                raise _DialFailed() from exc
-            self._clients[index] = client
-            return client
-
-    def _record_failure(self, index: int, client: Optional[Any]) -> None:
-        health = self._health[index]
-        if client is not None:
-            if any(blamed is client for blamed in health.blamed):
-                return  # this connection's death was already counted
-            health.blamed.append(client)
-        health.failures += 1
-        if health.failures > self.retry_budget:
-            health.retired = True
-            return
-        backoff = min(
-            self.backoff_max,
-            self.backoff_base * self.backoff_factor ** (health.failures - 1),
-        )
-        health.available_at = time.monotonic() + backoff
-
-    def _record_success(self, index: int) -> None:
-        health = self._health[index]
-        health.failures = 0
-        health.available_at = 0.0
-        health.blamed.clear()
-
-    async def _request_with_failover(
-        self, shard: int, message: Message
-    ) -> Message:
-        n = len(self.endpoints)
-        last: Optional[Exception] = None
-        # Endpoints this request's frame may have reached: never retried
-        # there (see the byte-identity note in the class docstring).
-        attempted: set = set()
-        while True:
-            # Deterministic candidate order for this shard: primary
-            # first, then the others in ring order.
-            now = time.monotonic()
-            index: Optional[int] = None
-            wait_until: Optional[float] = None
-            for offset in range(n):
-                i = (shard + offset) % n
-                health = self._health[i]
-                if health.retired or i in attempted:
-                    continue
-                if health.available_at > now:
-                    # On probation: usable later, note the deadline.
-                    wait_until = (
-                        health.available_at
-                        if wait_until is None
-                        else min(wait_until, health.available_at)
-                    )
-                    continue
-                index = i
-                break
-            if index is None:
-                if wait_until is None:
-                    raise TransportError(
-                        f"all {n} endpoints failed; last error: {last}"
-                    )
-                await asyncio.sleep(max(0.0, wait_until - now) + 1e-3)
-                continue
-            assert self._slots is not None
-            try:
-                client = await self._client(index)
-            except _EndpointUnavailable:
-                continue  # state advanced under us; re-evaluate
-            except AuthenticationError:
-                raise  # fatal everywhere: do not burn the budget on it
-            except _DialFailed as exc:
-                # No frame was sent, so this endpoint stays retryable
-                # for THIS request once its probation expires.
-                last = exc.__cause__
-                continue
-            try:
-                async with self._slots[index]:
-                    if client._broken is not None:
-                        # The connection died while this request queued
-                        # for its in-flight slot: provably no frame of
-                        # OURS was sent, so the endpoint stays retryable
-                        # for this request (unlike the except branch
-                        # below, where the frame may have gone out).
-                        self._record_failure(index, client)  # dedup by blame
-                        last = TransportError(
-                            f"connection to {self.endpoints[index].label()} "
-                            f"broke while queued: {client._broken}"
-                        )
-                        continue
-                    reply = await client.request(message)
-            except AuthenticationError:
-                raise
-            except MessageEncodeError:
-                # Our own message is unencodable (e.g. a NaN coordinate),
-                # raised before any frame left this process: the caller's
-                # problem, deterministic on every endpoint — propagate
-                # without blaming the endpoint.
-                raise
-            except (TransportError, ProtocolError, ConnectionError, OSError) as exc:
-                self._record_failure(index, client)
-                attempted.add(index)
-                last = exc
-                continue
-            if isinstance(reply, ErrorEnvelope) and reply.code == "auth":
-                # A keyless client against a keyed server: every verb on
-                # every endpoint gets this envelope — fatal-fast, like a
-                # wrong key, instead of round-tripping the whole batch.
-                raise AuthenticationError(reply.message)
-            self._record_success(index)
-            return reply
-
-    async def run(
-        self, requests: Sequence[Tuple[int, Message]]
-    ) -> List[Message]:
-        """Dispatch every ``(shard, request)``; replies positionally."""
-        self._lazy_sync()
-        return list(
-            await asyncio.gather(
-                *(
-                    self._request_with_failover(shard, message)
-                    for shard, message in requests
-                )
-            )
-        )
-
-    async def close(self) -> None:
-        for client in self._clients:
-            if client is not None:
-                await client.close()
-        self._clients = [None] * len(self.endpoints)

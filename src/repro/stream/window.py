@@ -6,10 +6,11 @@ splitters:
 
 * ``tumbling`` — half-open ``[t0 + k·w, t0 + (k+1)·w)`` windows anchored
   at the first record's timestamp, empty windows skipped, exactly like
-  :func:`repro.core.split.split_fixed_time`.  Boundaries advance by
-  *repeated addition* (``end += window_s``), matching the batch
-  splitter's float accumulation, so a record near a boundary lands in
-  the same window on both paths.
+  :func:`repro.core.split.split_fixed_time`.  Both paths take each
+  boundary from the same helper,
+  :func:`repro.core.split.fixed_window_end`, so a record near a
+  boundary lands in the same window on both, and skipping any number
+  of empty windows costs O(1).
 * ``session`` — a new window starts whenever the inter-record gap
   exceeds ``gap_s``, exactly like
   :func:`repro.core.split.split_on_gaps`.
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.core.engine import DEFAULT_CHUNK_S
+from repro.core.split import fixed_window_end
 from repro.core.trace import Trace
 from repro.errors import ConfigurationError, StreamError
 
@@ -79,7 +81,9 @@ class WindowAssembler:
         self._t: List[float] = []
         self._lat: List[float] = []
         self._lng: List[float] = []
-        #: End of the current tumbling window (``None`` until anchored).
+        #: First timestamp of the tumbling windows (``None`` until the
+        #: first record) and end of the current window.
+        self._anchor: Optional[float] = None
         self._window_end: Optional[float] = None
 
     @property
@@ -108,16 +112,16 @@ class WindowAssembler:
             )
         closed: Optional[ClosedWindow] = None
         if self.kind == "tumbling":
-            if self._window_end is None:
-                self._window_end = t + self.window_s
+            if self._anchor is None:
+                self._anchor = t
+                self._window_end = fixed_window_end(t, self.window_s, t)
             elif t >= self._window_end:
                 closed = self._cut()
-                # Repeated addition (not multiplication) matches
-                # split_fixed_time's accumulated boundary exactly; empty
-                # windows are skipped without emitting anything.
-                self._window_end += self.window_s
-                while t >= self._window_end:
-                    self._window_end += self.window_s
+                # Empty windows in between are skipped without
+                # emitting anything.
+                self._window_end = fixed_window_end(
+                    self._anchor, self.window_s, t
+                )
         else:  # session
             if self._t and t - self._t[-1] > self.gap_s:
                 closed = self._cut()
@@ -138,6 +142,7 @@ class WindowAssembler:
         if not self._t:
             return None
         window = self._cut()
+        self._anchor = None
         self._window_end = None
         return window
 

@@ -6,6 +6,7 @@ import pytest
 from repro.core.dataset import MobilityDataset
 from repro.core.split import (
     SECONDS_PER_DAY,
+    fixed_window_end,
     most_active_window,
     split_fixed_time,
     split_in_half,
@@ -89,6 +90,21 @@ class TestSplitFixedTime:
         chunks = split_fixed_time(t, SECONDS_PER_DAY)
         assert len(chunks) == 2
         assert all(len(c) > 0 for c in chunks)
+
+    def test_boundary_k_is_t0_plus_k_times_window(self):
+        # A record sitting exactly on t0 + k*w opens window k.
+        t0, w = 0.3, 0.1
+        ts = [t0] + [t0 + k * w for k in (7, 8, 1000, 10**9)]
+        trace = Trace("edge", ts, np.full(5, 45.0), np.full(5, 4.0))
+        chunks = split_fixed_time(trace, w)
+        assert [c.start_time() for c in chunks] == ts
+        assert fixed_window_end(t0, w, ts[2]) == t0 + 9 * w
+
+    def test_window_below_timestamp_resolution_rejected(self):
+        # ulp(1e12) is ~1.2e-4 s: microsecond windows cannot be placed.
+        trace = Trace("far", [1e12, 1e12 + 1.0], [45.0, 45.0], [4.0, 4.0])
+        with pytest.raises(ConfigurationError, match="resolution"):
+            split_fixed_time(trace, 1e-6)
 
 
 class TestSplitOnGaps:

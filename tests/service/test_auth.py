@@ -14,6 +14,7 @@ import socket
 import numpy as np
 import pytest
 
+from repro.cluster import ElasticClusterClient
 from repro.core.engine import ProtectionEngine
 from repro.core.trace import Trace
 from repro.errors import AuthenticationError, ConfigurationError, TransportError
@@ -33,7 +34,6 @@ from repro.service.api import (
 )
 from repro.service.rpc import (
     AsyncServiceClient,
-    RemoteClusterClient,
     ServiceClient,
     ServiceServer,
     parse_endpoint,
@@ -324,7 +324,7 @@ class TestClusterAuth:
             host, port = server.address
 
             async def scenario():
-                cluster = RemoteClusterClient(
+                cluster = ElasticClusterClient(
                     [f"{host}:{port}"], auth_key=b"wrong", retry_budget=5
                 )
                 try:
@@ -333,7 +333,7 @@ class TestClusterAuth:
                     # The budget is untouched: no failure was recorded,
                     # the endpoint was neither put on probation nor
                     # retired — the key is the problem, not the host.
-                    (health,) = cluster.health()
+                    health = cluster.health()[f"{host}:{port}"]
                     assert health.failures == 0
                     assert not health.retired
                 finally:
@@ -348,7 +348,7 @@ class TestClusterAuth:
             host, port = server.address
 
             async def scenario():
-                cluster = RemoteClusterClient([f"{host}:{port}"])
+                cluster = ElasticClusterClient([f"{host}:{port}"])
                 try:
                     # No key -> the handshake never runs -> the first
                     # real request is answered with an auth envelope,
@@ -358,7 +358,7 @@ class TestClusterAuth:
                         AuthenticationError, match="authentication required"
                     ):
                         await cluster.run([(0, StatsRequest())])
-                    (health,) = cluster.health()
+                    health = cluster.health()[f"{host}:{port}"]
                     assert health.failures == 0
                     assert not health.retired
                 finally:
@@ -373,7 +373,7 @@ class TestClusterAuth:
             host, port = server.address
 
             async def scenario():
-                cluster = RemoteClusterClient([f"{host}:{port}"], auth_key=KEY)
+                cluster = ElasticClusterClient([f"{host}:{port}"], auth_key=KEY)
                 try:
                     replies = await cluster.run([(0, StatsRequest())])
                     assert not isinstance(replies[0], ErrorEnvelope)

@@ -21,13 +21,14 @@ import time
 import numpy as np
 import pytest
 
+from repro.cluster import ElasticClusterClient
 from repro.core.dataset import MobilityDataset
 from repro.core.engine import ProtectionEngine
 from repro.core.trace import Trace
 from repro.errors import TransportError
 from repro.lppm.base import LPPM
 from repro.service.api import LoopbackClient, ProtectionService, StatsRequest
-from repro.service.rpc import RemoteClusterClient, ServiceClient, ServiceServer
+from repro.service.rpc import ServiceClient, ServiceServer
 from repro.stream import StreamConfig
 from repro.datasets.io import to_csv_string
 
@@ -251,16 +252,21 @@ class TestFlapAndRejoin:
 class TestRehabilitationStateMachine:
     """healthy → probation → retired, pinned at the cluster-client level."""
 
+    @staticmethod
+    def only_member(cluster):
+        (member,) = cluster._members.values()
+        return member
+
     def test_budget_exhaustion_retires_dead_endpoint(self):
         async def scenario():
             # Nothing listens on port 1: every dial fails instantly.
-            cluster = RemoteClusterClient(
+            cluster = ElasticClusterClient(
                 ["127.0.0.1:1"], retry_budget=2, backoff_base=0.01, backoff_max=0.02
             )
             try:
                 with pytest.raises(TransportError, match="all 1 endpoints failed"):
                     await cluster.run([(0, StatsRequest())])
-                (health,) = cluster.health()
+                health = cluster.health()["127.0.0.1:1"]
                 assert health.retired
                 assert health.failures == 3  # budget 2 -> third strike retires
             finally:
@@ -269,17 +275,18 @@ class TestRehabilitationStateMachine:
         asyncio.run(scenario())
 
     def test_backoff_grows_exponentially_and_caps(self):
-        cluster = RemoteClusterClient(
+        cluster = ElasticClusterClient(
             ["127.0.0.1:1"],
             retry_budget=10,
             backoff_base=0.1,
             backoff_factor=2.0,
             backoff_max=0.5,
         )
-        (health,) = cluster.health()
+        member = self.only_member(cluster)
+        health = cluster.health()["127.0.0.1:1"]
         delays = []
         for _ in range(5):
-            cluster._record_failure(0, None)
+            cluster._record_failure(member, None)
             delays.append(health.available_at - time.monotonic())
         # ~0.1, 0.2, 0.4, then capped at 0.5.
         assert 0.05 < delays[0] < 0.15
@@ -290,17 +297,20 @@ class TestRehabilitationStateMachine:
         assert not health.retired
 
     def test_success_rehabilitates(self):
-        cluster = RemoteClusterClient(
+        cluster = ElasticClusterClient(
             ["127.0.0.1:1"], retry_budget=10, backoff_base=0.1
         )
-        cluster._record_failure(0, None)
-        cluster._record_failure(0, None)
-        (health,) = cluster.health()
+        member = self.only_member(cluster)
+        cluster._record_failure(member, None)
+        cluster._record_failure(member, None)
+        health = cluster.health()["127.0.0.1:1"]
         assert health.failures == 2
-        cluster._record_success(0)
+        assert cluster.member_stats()["127.0.0.1:1"]["state"] == "probation"
+        cluster._record_success(member)
         assert health.failures == 0
         assert health.available_at == 0.0
         assert not health.retired
+        assert cluster.member_stats()["127.0.0.1:1"]["state"] == "healthy"
 
     def test_one_dead_connection_counts_one_failure(self, servers):
         """Many in-flight requests on one poisoned connection must burn
@@ -309,8 +319,9 @@ class TestRehabilitationStateMachine:
         with ChaosProxy(host, port, fault="disconnect", after_replies=0) as proxy:
 
             async def scenario():
-                cluster = RemoteClusterClient(
+                cluster = ElasticClusterClient(
                     [proxy.endpoint],
+                    max_inflight=4,
                     retry_budget=3,
                     backoff_base=0.01,
                     wire_versions=(1,),
@@ -318,7 +329,7 @@ class TestRehabilitationStateMachine:
                 try:
                     with pytest.raises(TransportError):
                         await cluster.run([(0, StatsRequest()) for _ in range(4)])
-                    (health,) = cluster.health()
+                    health = cluster.health()[proxy.endpoint]
                     assert health.failures == 1
                     assert not health.retired
                 finally:
@@ -335,16 +346,17 @@ class TestRehabilitationStateMachine:
         from repro.service.api import ProtectRequest
 
         host, port = servers(ProtectionService(mk_engine()))
+        endpoint = f"{host}:{port}"
         poisoned = ProtectRequest(
             trace=Trace("nan-user", [0.0], [float("nan")], [4.0])
         )
 
         async def scenario():
-            cluster = RemoteClusterClient([f"{host}:{port}"], retry_budget=3)
+            cluster = ElasticClusterClient([endpoint], retry_budget=3)
             try:
                 with pytest.raises(ProtocolError, match="non-finite"):
                     await cluster.run([(0, poisoned)])
-                (health,) = cluster.health()
+                health = cluster.health()[endpoint]
                 assert health.failures == 0
                 assert not health.retired
             finally:
@@ -354,35 +366,41 @@ class TestRehabilitationStateMachine:
 
     def test_broken_while_queued_stays_retryable(self, servers):
         """Regression (review finding): a request whose connection died
-        while it was queued behind the in-flight slot provably sent no
-        frame — it must retry the endpoint after probation, not mark it
-        attempted and abort with 'all endpoints failed'."""
+        after the pool handed it out but before its frame was sent must
+        retry the endpoint after probation, not mark it attempted and
+        abort with 'all endpoints failed'."""
         from repro.service.api import ErrorEnvelope
 
         host, port = servers(ProtectionService(mk_engine()))
+        endpoint = f"{host}:{port}"
 
         async def scenario():
-            cluster = RemoteClusterClient(
-                [f"{host}:{port}"],
+            cluster = ElasticClusterClient(
+                [endpoint],
                 max_inflight=1,
                 retry_budget=5,
                 backoff_base=0.02,
             )
+            connect = cluster._connect
+            poisoned = []
+
+            async def connect_then_flap(member):
+                client = await connect(member)
+                if not poisoned:
+                    # The cached connection dies before the request's
+                    # frame goes out.
+                    client._poison("simulated mid-batch flap", None)
+                    poisoned.append(client)
+                return client
+
+            cluster._connect = connect_then_flap
             try:
-                cluster._lazy_sync()
-                client = await cluster._client(0)
-                # Hold the only slot so the request queues behind it...
-                await cluster._slots[0].acquire()
-                task = asyncio.ensure_future(
-                    cluster._request_with_failover(0, StatsRequest())
+                (reply,) = await asyncio.wait_for(
+                    cluster.run([(0, StatsRequest())]), 10.0
                 )
-                await asyncio.sleep(0.05)
-                # ...kill the connection while it is queued, then let go.
-                client._poison("simulated mid-batch flap", None)
-                cluster._slots[0].release()
-                reply = await asyncio.wait_for(task, 10.0)
                 assert not isinstance(reply, ErrorEnvelope)
-                (health,) = cluster.health()
+                assert len(poisoned) == 1
+                health = cluster.health()[endpoint]
                 assert not health.retired
                 assert health.failures == 0  # rehabilitated by the retry
             finally:
@@ -400,7 +418,7 @@ class TestRehabilitationStateMachine:
             timer.start()
 
             async def scenario():
-                cluster = RemoteClusterClient(
+                cluster = ElasticClusterClient(
                     [proxy.endpoint],
                     retry_budget=20,
                     backoff_base=0.05,
@@ -411,7 +429,7 @@ class TestRehabilitationStateMachine:
                 try:
                     replies = await cluster.run([(0, StatsRequest())])
                     assert len(replies) == 1
-                    (health,) = cluster.health()
+                    health = cluster.health()[proxy.endpoint]
                     assert health.failures == 0  # success reset the state
                     assert not health.retired
                 finally:

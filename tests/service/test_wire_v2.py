@@ -72,7 +72,6 @@ from repro.service.api import (
 from repro.service.rpc import (
     AsyncServiceClient,
     MAX_LINE_BYTES,
-    RemoteClusterClient,
     ServiceClient,
     ServiceServer,
     parse_endpoint,
@@ -851,18 +850,6 @@ class TestConfigEdges:
         )
         with pytest.raises(ConfigurationError):
             parse_endpoint({"hostname": "nope"})
-
-    def test_remote_cluster_client_validation(self):
-        with pytest.raises(ConfigurationError, match=">= 1 endpoint"):
-            RemoteClusterClient([])
-        with pytest.raises(ConfigurationError, match="max_inflight"):
-            RemoteClusterClient(["127.0.0.1:1"], max_inflight=0)
-        with pytest.raises(ConfigurationError, match="retry_budget"):
-            RemoteClusterClient(["127.0.0.1:1"], retry_budget=-1)
-        with pytest.raises(ConfigurationError, match="backoff times"):
-            RemoteClusterClient(["127.0.0.1:1"], backoff_base=0.0)
-        with pytest.raises(ConfigurationError, match="backoff_factor"):
-            RemoteClusterClient(["127.0.0.1:1"], backoff_factor=0.5)
 
     def test_base_client_is_abstract(self):
         with pytest.raises(NotImplementedError):

@@ -9,6 +9,8 @@ boundary behaviour and skipped-empty-window behaviour of the batch
 splitter.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,20 @@ class TestTumblingEquivalence:
             last - first + 1 == len(w)
             for (first, last), w in zip(spans, windows)
         )
+
+
+class TestTumblingCost:
+    def test_huge_span_costs_o_records_on_both_paths(self):
+        # Regression: both walkers stepped once per window between the
+        # first and last record (1e12 steps here), so one request could
+        # tie up a server thread for hours.
+        trace = Trace("far", [0.0, 1e12], [45.0, 45.1], [4.0, 4.1])
+        start = time.perf_counter()
+        chunks = split_fixed_time(trace, 1.0)
+        windows = stream_windows(trace, kind="tumbling", window_s=1.0)
+        assert time.perf_counter() - start < 0.5
+        assert len(chunks) == 2
+        assert_same_chunks(windows, chunks)
 
 
 class TestSessionEquivalence:

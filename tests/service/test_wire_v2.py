@@ -20,6 +20,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.cluster import ElasticClusterClient
 from repro.core.engine import ProtectionEngine
 from repro.core.trace import Trace
 from repro.errors import (
@@ -850,6 +851,20 @@ class TestConfigEdges:
         )
         with pytest.raises(ConfigurationError):
             parse_endpoint({"hostname": "nope"})
+
+    def test_remote_cluster_client_validation(self):
+        # Static endpoints are served by the elastic client's fixed
+        # membership; its knobs are checked at construction.
+        with pytest.raises(ConfigurationError, match=">= 1 endpoint"):
+            ElasticClusterClient([])
+        with pytest.raises(ConfigurationError, match="max_inflight"):
+            ElasticClusterClient(["127.0.0.1:1"], max_inflight=0)
+        with pytest.raises(ConfigurationError, match="retry_budget"):
+            ElasticClusterClient(["127.0.0.1:1"], retry_budget=-1)
+        with pytest.raises(ConfigurationError, match="backoff times"):
+            ElasticClusterClient(["127.0.0.1:1"], backoff_base=0.0)
+        with pytest.raises(ConfigurationError, match="backoff_factor"):
+            ElasticClusterClient(["127.0.0.1:1"], backoff_factor=0.5)
 
     def test_base_client_is_abstract(self):
         with pytest.raises(NotImplementedError):

@@ -6,25 +6,11 @@ anonymous trace is attributed to the known user whose heatmap minimises
 the Topsoe divergence.
 
 This is the hot path of MooD's composition search (every candidate
-composition is attacked), so the comparison is a *zero-copy* kernel: the
-divergence of the anonymous distribution against all stored profiles is
-computed directly on the columns of the profile matrix that the
-anonymous trace actually visits, plus a closed-form correction for the
-rest.  Writing the Topsoe sum per profile row ``p`` against the query
-``q`` as
-
-    T(p, q) = Σ_j [ p_j ln p_j + q_j ln(2 q_j) − (p_j+q_j) ln(p_j+q_j) ]
-              + ln 2 · (1 + q_out)                          (j ∈ supp(q)∩V)
-
-— where ``V`` is the profile cell vocabulary and ``q_out`` the anonymous
-mass outside it — every term outside the (small) support of ``q``
-collapses into the closed-form ``ln 2`` correction, because both
-distributions sum to one (the profile mass missing from ``supp(q)``
-contributes ``p_j ln 2`` each, which cancels exactly against the
-expansion of the overlap terms).  The ``p ln p`` entropy terms are
-precomputed at fit time, so a query touches only a ``(users × |supp(q)|)``
-slice instead of materialising the full padded ``(users × cells)``
-matrix that the previous implementation copied on every call.
+composition is attacked), so the profiles live in a fitted
+:class:`~repro.poi.heatmap.TopsoeIndex`: a query touches only the
+profile columns the anonymous trace actually visits, plus a closed-form
+correction for the rest (the decomposition is documented there).  HMC
+selects its confusion target with the same index.
 
 :meth:`ApAttack.top1` skips even the final sort: the ``is_protected``
 inner loop needs one argmin, not a ranking.
@@ -32,7 +18,6 @@ inner loop needs one argmin, not a ranking.
 
 from __future__ import annotations
 
-import bisect
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -41,11 +26,10 @@ from repro.attacks.base import Attack
 from repro.registry import register_attack
 from repro.core.dataset import MobilityDataset
 from repro.core.trace import Trace
-from repro.geo.grid import Cell, MetricGrid
-from repro.poi.heatmap import Heatmap, build_heatmap
+from repro.geo.grid import MetricGrid
+from repro.poi.heatmap import Heatmap, TopsoeIndex, build_heatmap
 
 _EPS = 1e-12
-_LN2 = float(np.log(2.0))
 
 
 @register_attack("ap")
@@ -57,93 +41,34 @@ class ApAttack(Attack):
     def __init__(self, cell_size_m: float = 800.0, ref_lat: float = 45.0) -> None:
         super().__init__()
         self.grid = MetricGrid(cell_size_m, ref_lat=ref_lat)
-        self._users: List[str] = []
-        self._cell_index: Dict[Cell, int] = {}
-        self._matrix = np.zeros((0, 0))
-        self._plogp = np.zeros((0, 0))
+        self._profiles: Dict[str, Heatmap] = {}
+        #: The fitted profile index.
+        self.index = TopsoeIndex({})
 
     def _build_profiles(self, background: MobilityDataset) -> None:
-        heatmaps = {}
-        vocabulary: Dict[Cell, int] = {}
-        for trace in background.traces():
-            if len(trace) == 0:
-                continue
-            hm = self._heatmap(trace)
-            heatmaps[trace.user_id] = hm
-            for cell in hm.cells():
-                vocabulary.setdefault(cell, len(vocabulary))
-        self._users = sorted(heatmaps)
-        self._cell_index = vocabulary
-        matrix = np.zeros((len(self._users), len(vocabulary)), dtype=np.float64)
-        for row, user in enumerate(self._users):
-            for cell, mass in heatmaps[user].items():
-                matrix[row, vocabulary[cell]] = mass
-        self._matrix = matrix
-        # Per-row entropy terms p·ln p, fixed for the attack's lifetime:
-        # the query-time kernel only gathers the columns it needs.
-        self._plogp = np.where(
-            matrix > 0.0, matrix * np.log(np.maximum(matrix, _EPS)), 0.0
-        )
+        self._profiles = {
+            t.user_id: self._heatmap(t) for t in background.traces() if len(t) > 0
+        }
+        self.index = TopsoeIndex(self._profiles)
 
     supports_refit = True
 
     def refit(self, delta: MobilityDataset) -> "ApAttack":
-        """Replace the profiles of *delta*'s users in the fitted state.
-
-        The Topsoe kernel's fit-time artefacts update in place: new
-        cells append to the vocabulary (column order may differ from a
-        fresh fit, but the query kernel gathers columns by *cell*, in
-        the anonymous heatmap's iteration order, so every divergence is
-        bit-identical), affected rows are rewritten and their ``p·ln p``
-        terms recomputed with the fit-time formula, and users whose
-        delta trace is empty are dropped — exactly what a full
-        :meth:`fit` on the updated background would build.
-        """
+        """Replace the profiles of *delta*'s users (dropping users whose
+        delta trace is empty) and rebuild the index from the updated
+        profiles: exactly what a full :meth:`fit` builds."""
         self._require_fitted()
-        heatmaps: Dict[str, Optional[Heatmap]] = {}
         for trace in delta.traces():
-            heatmaps[trace.user_id] = (
-                self._heatmap(trace) if len(trace) > 0 else None
-            )
-        vocabulary = self._cell_index
-        for hm in heatmaps.values():
-            if hm is None:
-                continue
-            for cell in hm.cells():
-                vocabulary.setdefault(cell, len(vocabulary))
-        matrix = self._matrix
-        plogp = self._plogp
-        grown = len(vocabulary) - matrix.shape[1]
-        if grown > 0:
-            matrix = np.pad(matrix, ((0, 0), (0, grown)))
-            plogp = np.pad(plogp, ((0, 0), (0, grown)))
-        users = list(self._users)
-        for user in sorted(heatmaps):
-            hm = heatmaps[user]
-            row = bisect.bisect_left(users, user)
-            present = row < len(users) and users[row] == user
-            if hm is None:
-                if present:
-                    users.pop(row)
-                    matrix = np.delete(matrix, row, axis=0)
-                    plogp = np.delete(plogp, row, axis=0)
-                continue
-            if not present:
-                users.insert(row, user)
-                matrix = np.insert(matrix, row, 0.0, axis=0)
-                plogp = np.insert(plogp, row, 0.0, axis=0)
+            if len(trace) > 0:
+                self._profiles[trace.user_id] = self._heatmap(trace)
             else:
-                matrix[row, :] = 0.0
-            for cell, mass in hm.items():
-                matrix[row, vocabulary[cell]] = mass
-            values = matrix[row]
-            plogp[row] = np.where(
-                values > 0.0, values * np.log(np.maximum(values, _EPS)), 0.0
-            )
-        self._users = users
-        self._matrix = matrix
-        self._plogp = plogp
+                self._profiles.pop(trace.user_id, None)
+        self.index = TopsoeIndex(self._profiles)
         return self
+
+    @property
+    def _users(self) -> Tuple[str, ...]:
+        return self.index.users
 
     def _heatmap(self, trace: Trace) -> Heatmap:
         return self._cached(
@@ -154,9 +79,9 @@ class ApAttack(Attack):
         )
 
     def profile_matrix(self) -> np.ndarray:
-        """Copy of the (users × cells) profile matrix, for analysis."""
+        """The (users × cells) profile matrix, columns in ``index.cells()`` order."""
         self._require_fitted()
-        return self._matrix.copy()
+        return self.index.dense()
 
     def _divergences(self, trace: Trace) -> Optional[np.ndarray]:
         """Topsoe divergence of *trace* against every profile row.
@@ -165,30 +90,9 @@ class ApAttack(Attack):
         profiles); otherwise one value per user of :attr:`_users`.
         """
         self._require_fitted()
-        if len(trace) == 0 or not self._users:
+        if len(trace) == 0 or not self.index.users:
             return None
-        anon = self._heatmap(trace)
-        cols: List[int] = []
-        qvals: List[float] = []
-        q_out = 0.0
-        cell_index = self._cell_index
-        for cell, mass in anon.items():
-            j = cell_index.get(cell)
-            if j is None:
-                q_out += mass
-            else:
-                cols.append(j)
-                qvals.append(mass)
-        div = np.full(len(self._users), _LN2 * (1.0 + q_out), dtype=np.float64)
-        if cols:
-            col_idx = np.asarray(cols, dtype=np.intp)
-            q = np.asarray(qvals, dtype=np.float64)
-            sub = self._matrix[:, col_idx]
-            m = sub + q[None, :]
-            # q > 0 on every selected column, so m > 0: no masking needed.
-            div += (self._plogp[:, col_idx] - m * np.log(m)).sum(axis=1)
-            div += float((q * np.log(2.0 * q)).sum())
-        return div
+        return self.index.divergences(self._heatmap(trace))
 
     def rank(self, trace: Trace) -> List[Tuple[str, float]]:
         divergences = self._divergences(trace)
@@ -200,15 +104,14 @@ class ApAttack(Attack):
     def top1(self, trace: Trace) -> Optional[Tuple[str, float]]:
         """Argmin fast path: no full sort, no ranking list.
 
-        ``argmin`` returns the first minimum and :attr:`_users` is
-        sorted, so ties break on the smallest user id — exactly like the
-        stable sort in :meth:`rank`.
+        The index returns the first minimum over users in sorted order, so
+        ties break on the smallest user id — exactly like the stable sort
+        in :meth:`rank`.
         """
-        divergences = self._divergences(trace)
-        if divergences is None:
+        self._require_fitted()
+        if len(trace) == 0:
             return None
-        i = int(np.argmin(divergences))
-        return (self._users[i], float(divergences[i]))
+        return self.index.nearest(self._heatmap(trace))
 
 
 def _topsoe_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -218,7 +121,7 @@ def _topsoe_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
     Retained as the scalar-reference kernel for the equivalence tests
     and benchmarks (see :mod:`repro.attacks.reference`); the query path
-    uses the zero-copy decomposition in :meth:`ApAttack._divergences`.
+    uses the decomposition in :class:`~repro.poi.heatmap.TopsoeIndex`.
     """
     m = p + q[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -1,7 +1,8 @@
 """Scalar reference implementations of the attack kernels.
 
-The vectorised hot paths (:meth:`ApAttack.rank`'s zero-copy Topsoe
-kernel, :meth:`PoiAttack.rank`'s packed pairwise kernel) replaced
+The vectorised hot paths (the :class:`~repro.poi.heatmap.TopsoeIndex`
+behind :meth:`ApAttack.rank` and HMC's target selection,
+:meth:`PoiAttack.rank`'s packed pairwise kernel) replaced
 straightforward implementations that are easy to audit against the
 papers.  Those originals live on here, byte-for-byte, as the ground
 truth for:
@@ -14,8 +15,8 @@ truth for:
   are measured against these functions, not against a remembered
   number.
 
-They take a *fitted* attack and reuse its profiles, so reference and
-fast path see identical training state.
+They take a *fitted* attack (or HMC) and reuse its profiles, so
+reference and fast path see identical training state.
 """
 
 from __future__ import annotations
@@ -29,11 +30,14 @@ from repro.attacks.ap_attack import ApAttack, _topsoe_rows
 from repro.attacks.poi_attack import PoiAttack
 from repro.core.trace import Trace
 from repro.geo.grid import Cell
+from repro.lppm.hmc import HeatmapConfusion
+from repro.metrics.divergence import topsoe
 from repro.poi.clustering import POI
-from repro.poi.heatmap import build_heatmap
+from repro.poi.heatmap import Heatmap, build_heatmap
 
 __all__ = [
     "ap_rank_reference",
+    "hmc_target_reference",
     "poi_set_distance_reference",
     "poi_rank_reference",
     "rankings_equivalent",
@@ -89,23 +93,48 @@ def ap_rank_reference(attack: ApAttack, trace: Trace) -> List[Tuple[str, float]]
     anonymous trace's out-of-vocabulary cells and run the dense Topsoe
     kernel over the full ``(users × width)`` copy."""
     attack._require_fitted()
-    if len(trace) == 0 or not attack._users:
+    users = attack.index.users
+    if len(trace) == 0 or not users:
         return []
     anon = build_heatmap(trace, attack.grid)
-    n_known = len(attack._cell_index)
+    cell_index = {cell: j for j, cell in enumerate(attack.index.cells())}
+    n_known = len(cell_index)
     extra: Dict[Cell, int] = {}
     for cell in anon.cells():
-        if cell not in attack._cell_index:
+        if cell not in cell_index:
             extra.setdefault(cell, n_known + len(extra))
     width = n_known + len(extra)
     q = np.zeros(width, dtype=np.float64)
     for cell, mass in anon.items():
-        q[attack._cell_index.get(cell, extra.get(cell))] = mass
-    p = np.zeros((len(attack._users), width), dtype=np.float64)
-    p[:, :n_known] = attack._matrix
+        q[cell_index.get(cell, extra.get(cell))] = mass
+    p = np.zeros((len(users), width), dtype=np.float64)
+    p[:, :n_known] = attack.profile_matrix()
     divergences = _topsoe_rows(p, q)
     order = np.argsort(divergences, kind="stable")
-    return [(attack._users[i], float(divergences[i])) for i in order]
+    return [(users[i], float(divergences[i])) for i in order]
+
+
+def _union_topsoe(a: Heatmap, b: Heatmap) -> float:
+    """Topsoe divergence between two heatmaps aligned on their union support."""
+    cells = sorted(a.support() | b.support())
+    p = np.array([a.mass(c) for c in cells])
+    q = np.array([b.mass(c) for c in cells])
+    return topsoe(p, q)
+
+
+def hmc_target_reference(hmc: HeatmapConfusion, trace: Trace) -> List[Tuple[str, float]]:
+    """The original HMC target selection, as a ranking: one scalar Topsoe
+    divergence per other user's profile over the union support, sorted by
+    ``(divergence, user)``.  Its head is the profile the original
+    per-profile loop picked (first strict minimum in user order)."""
+    own = build_heatmap(trace, hmc.grid)
+    scored = [
+        (user, _union_topsoe(own, profile))
+        for user, profile in hmc._profiles.items()
+        if user != trace.user_id
+    ]
+    scored.sort(key=lambda ud: (ud[1], ud[0]))
+    return scored
 
 
 def _directed_distance_reference(a: Sequence[POI], b: Sequence[POI]) -> float:

@@ -208,7 +208,7 @@ def bench_rank_at_scale(
     }
     out["meta"] = {
         "n_users": float(n_users),
-        "profile_cells": float(len(ap._cell_index)),
+        "profile_cells": float(len(ap.index.cells())),
         "profile_pois": float(len(poi._pw)),
         "probe_records": float(len(probe)),
     }

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 from repro.geo.geodesy import EARTH_RADIUS_M
 
@@ -37,8 +39,8 @@ class MetricGrid:
     """
 
     def __init__(self, cell_size_m: float, ref_lat: float = 45.0) -> None:
-        if cell_size_m <= 0:
-            raise ConfigurationError(f"cell_size_m must be positive, got {cell_size_m}")
+        if not (math.isfinite(cell_size_m) and cell_size_m > 0):
+            raise ConfigurationError(f"cell_size_m must be finite and positive, got {cell_size_m}")
         if not -89.0 <= ref_lat <= 89.0:
             raise ConfigurationError(f"ref_lat must be in [-89, 89], got {ref_lat}")
         self.cell_size_m = float(cell_size_m)
@@ -54,8 +56,18 @@ class MetricGrid:
 
     def center_of(self, cell: Cell) -> Tuple[float, float]:
         """``(lat, lng)`` of the centre of *cell*."""
-        lng = (cell.ix + 0.5) * self.cell_size_m / self._m_per_deg_lng
-        lat = (cell.iy + 0.5) * self.cell_size_m / self._m_per_deg_lat
+        return self.centers_of(cell.ix, cell.iy)
+
+    def cells_of(self, lats, lngs):
+        """Vectorised :meth:`cell_of`: int64 ``(ix, iy)`` arrays, same arithmetic."""
+        ix = np.floor(lngs * self._m_per_deg_lng / self.cell_size_m).astype(np.int64)
+        iy = np.floor(lats * self._m_per_deg_lat / self.cell_size_m).astype(np.int64)
+        return (ix, iy)
+
+    def centers_of(self, ix, iy):
+        """``(lat, lng)`` of the centres of cells *ix*, *iy* (scalars or arrays)."""
+        lng = (ix + 0.5) * self.cell_size_m / self._m_per_deg_lng
+        lat = (iy + 0.5) * self.cell_size_m / self._m_per_deg_lat
         return (lat, lng)
 
     def cell_distance_m(self, a: Cell, b: Cell) -> float:

@@ -3,7 +3,7 @@
 from repro.lppm.base import LPPM
 from repro.lppm.cloaking import SpatialCloaking
 from repro.lppm.geoi import GeoInd
-from repro.lppm.hmc import HeatmapConfusion, heatmap_divergence
+from repro.lppm.hmc import HeatmapConfusion
 from repro.lppm.hybrid import HybridLPPM, HybridResult, is_protected
 from repro.lppm.identity import Identity
 from repro.lppm.promesse import Promesse
@@ -15,7 +15,6 @@ __all__ = [
     "GeoInd",
     "Trilateration",
     "HeatmapConfusion",
-    "heatmap_divergence",
     "Promesse",
     "SpatialCloaking",
     "HybridLPPM",

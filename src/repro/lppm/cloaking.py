@@ -17,7 +17,6 @@ from typing import Optional
 import numpy as np
 
 from repro.core.trace import Trace
-from repro.errors import ConfigurationError
 from repro.geo.grid import MetricGrid
 from repro.lppm.base import LPPM, coerce_rng
 from repro.registry import register_lppm
@@ -36,22 +35,14 @@ class SpatialCloaking(LPPM):
         ref_lat: float = 45.0,
         jitter: bool = False,
     ) -> None:
-        if cell_size_m <= 0:
-            raise ConfigurationError(f"cell_size_m must be positive, got {cell_size_m}")
-        self.grid = MetricGrid(cell_size_m, ref_lat=ref_lat)
+        self.grid = MetricGrid(cell_size_m, ref_lat=ref_lat)  # validates cell_size_m
         self.jitter = bool(jitter)
 
     def apply(self, trace: Trace, rng: Optional[SeedLike] = None) -> Trace:
         if len(trace) == 0:
             return trace
         gen = coerce_rng(rng)
-        lats = np.empty(len(trace))
-        lngs = np.empty(len(trace))
-        for i in range(len(trace)):
-            cell = self.grid.cell_of(float(trace.lats[i]), float(trace.lngs[i]))
-            lat, lng = self.grid.center_of(cell)
-            lats[i] = lat
-            lngs[i] = lng
+        lats, lngs = self.grid.centers_of(*self.grid.cells_of(trace.lats, trace.lngs))
         if self.jitter:
             half_deg_lat = 0.5 * self.grid.cell_size_m / 111_320.0
             lats = lats + gen.uniform(-half_deg_lat, half_deg_lat, size=len(trace))

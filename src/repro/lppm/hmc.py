@@ -11,7 +11,9 @@ Implementation notes
   over the candidate pool (the protection side's own copy of users' past
   traces) — closeness keeps the spatial displacement, and therefore the
   utility loss, small, which is how the original paper obtains good
-  utility.
+  utility.  The pool is the AP-attack's :class:`~repro.poi.heatmap.TopsoeIndex`
+  (one argmin, own row masked); ties go to the smallest user id, so a trace
+  sharing no cell with any profile (all at ``2 ln 2``) gets the first other user.
 * Materialisation maps each source **cell** to a cell of the target's
   support chosen by a *mass-aware nearest* rule (distance minus a bonus
   for the target's popular cells), moving all of a cell's records
@@ -29,27 +31,18 @@ Implementation notes
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.core.dataset import MobilityDataset
 from repro.core.trace import Trace
 from repro.errors import ConfigurationError, NotFittedError
-from repro.geo.grid import Cell, MetricGrid
-from repro.lppm.base import LPPM, coerce_rng
+from repro.geo.grid import MetricGrid
+from repro.lppm.base import LPPM
 from repro.registry import register_lppm
-from repro.metrics.divergence import topsoe
-from repro.poi.heatmap import Heatmap, build_heatmap
+from repro.poi.heatmap import Heatmap, TopsoeIndex, build_heatmap, pack_cells, unpack_cells
 from repro.rng import SeedLike
-
-
-def heatmap_divergence(a: Heatmap, b: Heatmap) -> float:
-    """Topsoe divergence between two heatmaps aligned on their union support."""
-    cells = sorted(a.support() | b.support())
-    p = np.array([a.mass(c) for c in cells])
-    q = np.array([b.mass(c) for c in cells])
-    return topsoe(p, q)
 
 
 @register_lppm("hmc")
@@ -64,32 +57,31 @@ class HeatmapConfusion(LPPM):
         ref_lat: float = 45.0,
         popularity_weight: float = 1.0,
     ) -> None:
-        if cell_size_m <= 0:
-            raise ConfigurationError(f"cell_size_m must be positive, got {cell_size_m}")
-        if popularity_weight < 0:
+        if not (math.isfinite(popularity_weight) and popularity_weight >= 0):
             raise ConfigurationError(
-                f"popularity_weight must be >= 0, got {popularity_weight}"
+                f"popularity_weight must be finite and >= 0, got {popularity_weight}"
             )
-        self.grid = MetricGrid(cell_size_m, ref_lat=ref_lat)
+        self.grid = MetricGrid(cell_size_m, ref_lat=ref_lat)  # validates cell_size_m
         #: Strength of the bias toward the target's heavy cells, in cell
         #: units per decade of mass.  0 recovers pure nearest-cell mapping.
         self.popularity_weight = float(popularity_weight)
         self._profiles: Dict[str, Heatmap] = {}
+        #: The fitted candidate pool (``None`` before :meth:`fit`).
+        self.index: Optional[TopsoeIndex] = None
 
     # -- training --------------------------------------------------------
 
     def fit(self, past_traces: MobilityDataset) -> "HeatmapConfusion":
         """Learn the candidate target profiles from users' past traces."""
-        profiles: Dict[str, Heatmap] = {}
-        for trace in past_traces.traces():
-            if len(trace) == 0:
-                continue
-            profiles[trace.user_id] = build_heatmap(trace, self.grid)
+        profiles = {
+            t.user_id: build_heatmap(t, self.grid) for t in past_traces.traces() if len(t) > 0
+        }
         if len(profiles) < 2:
             raise ConfigurationError(
                 "HMC needs past traces of at least two users to confuse between"
             )
         self._profiles = profiles
+        self.index = TopsoeIndex(profiles)
         return self
 
     @property
@@ -99,24 +91,12 @@ class HeatmapConfusion(LPPM):
     # -- target selection ----------------------------------------------------
 
     def select_target(self, trace: Trace) -> Tuple[str, Heatmap]:
-        """Closest other-user profile by Topsoe divergence."""
+        """Closest other-user profile by Topsoe divergence (ties: smallest user id)."""
         if not self._profiles:
             raise NotFittedError("call HeatmapConfusion.fit() before apply()")
-        own = build_heatmap(trace, self.grid)
-        best_user: Optional[str] = None
-        best_div = math.inf
-        for user_id in sorted(self._profiles):
-            if user_id == trace.user_id:
-                continue
-            div = heatmap_divergence(own, self._profiles[user_id])
-            if div < best_div:
-                best_div = div
-                best_user = user_id
-        if best_user is None:
-            raise ConfigurationError(
-                f"no candidate target profile for user {trace.user_id!r}"
-            )
-        return (best_user, self._profiles[best_user])
+        # fit() keeps at least two users, so masking one leaves a candidate.
+        user, _ = self.index.nearest(build_heatmap(trace, self.grid), exclude=trace.user_id)
+        return (user, self._profiles[user])
 
     # -- obfuscation ------------------------------------------------------------
 
@@ -124,56 +104,33 @@ class HeatmapConfusion(LPPM):
         if len(trace) == 0:
             return trace
         _, target = self.select_target(trace)
-        target_cells = target.cells()
-        tc_centers = np.array([self.grid.center_of(c) for c in target_cells])
-        tc_bonus = self.popularity_weight * np.log10(
-            np.array([target.mass(c) for c in target_cells]) + 1e-12
+        grid = self.grid
+        t_keys, t_mass = target.packed()
+        t_lat, t_lng = grid.centers_of(*unpack_cells(t_keys))
+        bonus = self.popularity_weight * np.log10(t_mass + 1e-12)
+        record_keys = pack_cells(*grid.cells_of(trace.lats, trace.lngs))
+        keys, inverse = np.unique(record_keys, return_inverse=True)
+        s_lat, s_lng = grid.centers_of(*unpack_cells(keys))
+        # Map every source cell to its best target cell: distance in cell
+        # units (so the weight means "cells of detour per decade of target
+        # mass") minus the popularity bonus; ties keep the smallest cell.
+        cos_ref = math.cos(math.radians(grid.ref_lat))
+        d_cells = (
+            np.hypot(
+                (t_lat[None, :] - s_lat[:, None]) * 111_320.0,
+                (t_lng[None, :] - s_lng[:, None]) * 111_320.0 * cos_ref,
+            )
+            / grid.cell_size_m
         )
-        # Map every source cell to its best target cell: geometric
-        # proximity discounted by the target cell's popularity.
-        mapping: Dict[Cell, Cell] = {}
-        new_lats = np.array(trace.lats, copy=True)
-        new_lngs = np.array(trace.lngs, copy=True)
-        for i in range(len(trace)):
-            src = self.grid.cell_of(float(trace.lats[i]), float(trace.lngs[i]))
-            dst = mapping.get(src)
-            if dst is None:
-                dst = self._best_cell(src, target_cells, tc_centers, tc_bonus)
-                mapping[src] = dst
-            if dst != src:
-                src_lat, src_lng = self.grid.center_of(src)
-                dst_lat, dst_lng = self.grid.center_of(dst)
-                new_lats[i] += dst_lat - src_lat
-                new_lngs[i] += dst_lng - src_lng
+        best = np.argmin(d_cells - bonus[None, :], axis=1)
+        # Records move with their cell; records of unmoved cells keep their bytes.
+        moved = (t_keys[best] != keys)[inverse]
+        new_lats = np.where(moved, trace.lats + (t_lat[best] - s_lat)[inverse], trace.lats)
+        new_lngs = np.where(moved, trace.lngs + (t_lng[best] - s_lng)[inverse], trace.lngs)
         return trace.with_positions(
             np.clip(new_lats, -90.0, 90.0),
             (new_lngs + 540.0) % 360.0 - 180.0,
         )
-
-    def _best_cell(
-        self,
-        src: Cell,
-        candidates: List[Cell],
-        centers: np.ndarray,
-        bonus: np.ndarray,
-    ) -> Cell:
-        """Mass-aware nearest cell: minimise distance − popularity bonus.
-
-        Distances are measured in cell units so the popularity weight has
-        a grid-independent meaning ("how many cells of detour a decade of
-        target mass is worth").
-        """
-        src_lat, src_lng = self.grid.center_of(src)
-        cos_ref = math.cos(math.radians(self.grid.ref_lat))
-        m_per_deg = 111_320.0
-        d_cells = (
-            np.hypot(
-                (centers[:, 0] - src_lat) * m_per_deg,
-                (centers[:, 1] - src_lng) * m_per_deg * cos_ref,
-            )
-            / self.grid.cell_size_m
-        )
-        return candidates[int(np.argmin(d_cells - bonus))]
 
     def __repr__(self) -> str:
         return (

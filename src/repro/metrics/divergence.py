@@ -3,7 +3,7 @@
 The AP-attack compares heatmaps with the Topsoe divergence [13], a
 symmetrised Kullback-Leibler variant equal to twice the Jensen-Shannon
 divergence.  The functions here accept aligned probability vectors; the
-attack code aligns heatmaps over the union of their supports first.
+attacks use the sparse kernel :class:`repro.poi.heatmap.TopsoeIndex`.
 """
 
 from __future__ import annotations

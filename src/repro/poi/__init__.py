@@ -5,7 +5,7 @@ building blocks of the re-identification attacks and of the HMC LPPM.
 """
 
 from repro.poi.clustering import POI, extract_pois
-from repro.poi.heatmap import Heatmap, build_heatmap
+from repro.poi.heatmap import Heatmap, TopsoeIndex, build_heatmap
 from repro.poi.mmc import MarkovChain, build_mmc
 
 __all__ = [
@@ -13,6 +13,7 @@ __all__ = [
     "extract_pois",
     "Heatmap",
     "build_heatmap",
+    "TopsoeIndex",
     "MarkovChain",
     "build_mmc",
 ]

@@ -105,7 +105,7 @@ class TestApRefit:
         attack = ApAttack().fit(base)
         attack.refit(delta)
         assert "user2" not in attack._users
-        assert attack._matrix.shape[0] == len(attack._users)
+        assert attack.profile_matrix().shape[0] == len(attack.index.users)
 
     def test_refit_unfitted_raises(self):
         with pytest.raises(Exception):

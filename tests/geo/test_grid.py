@@ -24,6 +24,9 @@ class TestMetricGrid:
             MetricGrid(0.0)
         with pytest.raises(ConfigurationError):
             MetricGrid(-10.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                MetricGrid(bad)
 
     def test_invalid_ref_lat(self):
         with pytest.raises(ConfigurationError):

@@ -7,8 +7,8 @@ from repro.core.dataset import MobilityDataset
 from repro.core.trace import Trace
 from repro.errors import ConfigurationError, NotFittedError
 from repro.geo.grid import MetricGrid
-from repro.lppm.hmc import HeatmapConfusion, heatmap_divergence
-from repro.poi.heatmap import build_heatmap
+from repro.lppm.hmc import HeatmapConfusion
+from repro.poi.heatmap import TopsoeIndex, build_heatmap
 
 
 def cluster_trace(user, lat, lng, n=60, spread=0.002, seed=0):
@@ -17,6 +17,11 @@ def cluster_trace(user, lat, lng, n=60, spread=0.002, seed=0):
     lats = lat + rng.normal(0, spread, n)
     lngs = lng + rng.normal(0, spread, n)
     return Trace(user, np.arange(n) * 600.0, lats, lngs)
+
+
+def divergence(a, b):
+    """Topsoe divergence of heatmap *a* from *b*, through a one-row index."""
+    return float(TopsoeIndex({"b": b}).divergences(a)[0])
 
 
 @pytest.fixture
@@ -42,12 +47,16 @@ class TestFit:
 
     def test_fit_returns_self(self, past):
         hmc = HeatmapConfusion()
+        assert "profiles=0" in repr(hmc)
         assert hmc.fit(past) is hmc
         assert hmc.is_fitted
+        assert hmc.index.users == ("u1", "u2", "u3")
+        assert "profiles=3" in repr(hmc)
 
     def test_invalid_cell_size(self):
-        with pytest.raises(ConfigurationError):
-            HeatmapConfusion(cell_size_m=-1.0)
+        for cell_size_m in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                HeatmapConfusion(cell_size_m=cell_size_m)
 
 
 class TestTargetSelection:
@@ -86,15 +95,15 @@ class TestObfuscation:
             )
             assert near
 
-    def test_confuses_heatmap_divergence(self, past):
+    def test_confuses_topsoe_divergence(self, past):
         # After HMC, the trace's heatmap is closer to the target's than
         # the original was.
         hmc = HeatmapConfusion(ref_lat=45.0).fit(past)
         trace = cluster_trace("u1", 45.00, 4.00, seed=9)
         _, target_hm = hmc.select_target(trace)
-        before = heatmap_divergence(build_heatmap(trace, hmc.grid), target_hm)
+        before = divergence(build_heatmap(trace, hmc.grid), target_hm)
         out = hmc.apply(trace)
-        after = heatmap_divergence(build_heatmap(out, hmc.grid), target_hm)
+        after = divergence(build_heatmap(out, hmc.grid), target_hm)
         assert after <= before
 
     def test_preserves_timestamps_and_count(self, past):
@@ -135,8 +144,9 @@ class TestObfuscation:
             assert moved < 12 * hmc.grid.cell_size_m
 
     def test_invalid_popularity_weight(self):
-        with pytest.raises(ConfigurationError):
-            HeatmapConfusion(popularity_weight=-0.5)
+        for weight in (-0.5, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                HeatmapConfusion(popularity_weight=weight)
 
     def test_empty_passthrough(self, past):
         hmc = HeatmapConfusion(ref_lat=45.0).fit(past)
@@ -145,20 +155,22 @@ class TestObfuscation:
 
 
 class TestHeatmapDivergence:
+    """The Topsoe divergence HMC selects by, on one-row indexes."""
+
     def test_identical_heatmaps_zero(self, past):
         grid = MetricGrid(800.0, 45.0)
         hm = build_heatmap(past["u1"], grid)
-        assert heatmap_divergence(hm, hm) == pytest.approx(0.0, abs=1e-12)
+        assert divergence(hm, hm) == pytest.approx(0.0, abs=1e-12)
 
     def test_disjoint_heatmaps_max(self, past):
         grid = MetricGrid(800.0, 45.0)
         a = build_heatmap(past["u1"], grid)
         b = build_heatmap(past["u3"], grid)
         # Disjoint supports: Topsoe reaches its 2·ln2 bound.
-        assert heatmap_divergence(a, b) == pytest.approx(2 * np.log(2), rel=1e-6)
+        assert divergence(a, b) == pytest.approx(2 * np.log(2), rel=1e-6)
 
     def test_symmetry(self, past):
         grid = MetricGrid(800.0, 45.0)
         a = build_heatmap(past["u1"], grid)
         b = build_heatmap(past["u2"], grid)
-        assert heatmap_divergence(a, b) == pytest.approx(heatmap_divergence(b, a))
+        assert divergence(a, b) == pytest.approx(divergence(b, a))

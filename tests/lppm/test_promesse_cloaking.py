@@ -82,13 +82,19 @@ class TestSpatialCloaking:
             SpatialCloaking(cell_size_m=-1.0)
 
     def test_snaps_to_cell_centers(self):
-        cloak = SpatialCloaking(cell_size_m=400.0, ref_lat=45.0)
-        trace = route_trace(n=50)
-        out = cloak.apply(trace)
-        for i in range(len(out)):
-            cell = cloak.grid.cell_of(float(out.lats[i]), float(out.lngs[i]))
-            lat, lng = cloak.grid.center_of(cell)
-            assert float(out.lats[i]) == pytest.approx(lat, abs=1e-9)
+        # Bit-identical to snapping record by record with cell_of/center_of,
+        # including negative (southern/western) cell indices.
+        for shift in (0.0, -78.45):
+            cloak = SpatialCloaking(cell_size_m=400.0, ref_lat=45.0 + shift)
+            route = route_trace(n=50)
+            trace = route.with_positions(route.lats + shift, route.lngs + shift)
+            out = cloak.apply(trace)
+            centres = [
+                cloak.grid.center_of(cloak.grid.cell_of(float(lat), float(lng)))
+                for lat, lng in zip(trace.lats, trace.lngs)
+            ]
+            assert out.lats.tolist() == [lat for lat, _ in centres]
+            assert out.lngs.tolist() == [(lng + 540.0) % 360.0 - 180.0 for _, lng in centres]
 
     def test_indistinguishability_within_cell(self):
         cloak = SpatialCloaking(cell_size_m=10_000.0, ref_lat=45.0)

@@ -6,7 +6,7 @@ import pytest
 from repro.core.trace import Trace
 from repro.errors import EmptyTraceError
 from repro.geo.grid import Cell, MetricGrid
-from repro.poi.heatmap import Heatmap, aggregate_heatmaps, build_heatmap
+from repro.poi.heatmap import Heatmap, TopsoeIndex, aggregate_heatmaps, build_heatmap
 
 from tests.conftest import make_trace
 
@@ -114,6 +114,17 @@ class TestBuildHeatmap:
         assert list(hm.items()) == [(c, hm.mass(c)) for c in hm.cells()]
         assert isinstance(hm.cells(), tuple)  # shared view is immutable
 
+    def test_packed_matches_cells_and_masses(self):
+        spots = [(-33.45, -70.66, 3), (-33.40, -70.60, 1), (45.0, 4.0, 4)]
+        built = build_heatmap(spot_trace(spots=spots), GRID)
+        by_dict = Heatmap(GRID, {GRID.cell_of(lat, lng): float(n) for lat, lng, n in spots})
+        for hm in (built, by_dict):
+            keys, masses = hm.packed()
+            assert np.all(np.diff(keys) > 0)  # ascending, like cells()
+            assert masses.tolist() == [m for _, m in hm.items()]
+        assert built.packed()[0].tolist() == by_dict.packed()[0].tolist()
+        assert built.packed()[1].tolist() == by_dict.packed()[1].tolist()
+
 
 class TestHeatmapApi:
     def test_top_cells(self):
@@ -146,6 +157,59 @@ class TestHeatmapApi:
     def test_zero_count_cells_dropped(self):
         hm = Heatmap(GRID, {Cell(0, 0): 5.0, Cell(1, 1): 0.0})
         assert len(hm) == 1
+        assert repr(hm).startswith("Heatmap(cells=1, ")
+
+
+def index_of(**spots):
+    """A TopsoeIndex over one spot-trace heatmap per keyword user."""
+    return TopsoeIndex(
+        {user: build_heatmap(spot_trace(user, s), GRID) for user, s in spots.items()}
+    )
+
+
+SPOTS = {
+    "a": [(45.0, 4.0, 3), (45.1, 4.1, 1)],
+    "b": [(45.1, 4.1, 2), (45.2, 4.2, 2)],
+    "c": [(45.3, 4.3, 5)],
+}
+
+
+class TestTopsoeIndex:
+    def test_dense_rows_are_the_profiles(self):
+        index = index_of(**SPOTS)
+        cells = index.cells()
+        assert list(cells) == sorted(cells)
+        assert len(cells) == 4
+        matrix = index.dense()
+        assert matrix.shape == (3, 4)
+        for row, user in enumerate(index.users):
+            hm = build_heatmap(spot_trace(user, SPOTS[user]), GRID)
+            assert matrix[row].tolist() == [hm.mass(c) for c in cells]
+
+    def test_divergence_bounds(self):
+        index = index_of(**SPOTS)
+        query = build_heatmap(spot_trace("q", SPOTS["a"]), GRID)
+        div = index.divergences(query)
+        assert div[0] == pytest.approx(0.0, abs=1e-12)
+        assert div[2] == pytest.approx(2 * np.log(2))  # disjoint support
+        assert 0.0 < div[1] < 2 * np.log(2)
+
+    def test_nearest_masks_exclude_and_breaks_ties_by_user(self):
+        index = index_of(**SPOTS)
+        own = build_heatmap(spot_trace("a", SPOTS["a"]), GRID)
+        assert index.nearest(own)[0] == "a"
+        assert index.nearest(own, exclude="a")[0] == "b"
+        far = build_heatmap(spot_trace("z", [(10.0, 10.0, 2)]), GRID)
+        assert index.nearest(far)[0] == "a"  # every row ties at 2 ln 2
+        assert index.nearest(far, exclude="a")[0] == "b"
+        assert index_of(a=SPOTS["a"]).nearest(own, exclude="a") is None
+
+    def test_empty_index(self):
+        index = TopsoeIndex({})
+        query = build_heatmap(spot_trace("q"), GRID)
+        assert index.divergences(query).shape == (0,)
+        assert index.nearest(query) is None
+        assert index.dense().shape == (0, 0)
 
 
 class TestAggregateHeatmaps:

@@ -14,7 +14,12 @@ retained original implementations in :mod:`repro.attacks.reference` and
   :func:`repro.attacks.reference.rankings_equivalent`);
 * every ``top1`` fast path must equal ``rank()[0]`` exactly, including
   the tie-break by user id — the engine's ``is_protected`` loop relies
-  on that contract.
+  on that contract;
+* the :class:`~repro.poi.heatmap.TopsoeIndex` behind the AP-attack and
+  HMC is **bit-identical** to the dense ``(users × cells)`` gather it
+  replaced, HMC's target matches the scalar per-profile loop up to
+  degenerate ties, and HMC's vectorised cell mapping reproduces the
+  per-record loop byte for byte.
 """
 
 import math
@@ -30,12 +35,18 @@ from repro.attacks.poi_attack import (
 )
 from repro.attacks.reference import (
     ap_rank_reference,
+    hmc_target_reference,
     poi_rank_reference,
     poi_set_distance_reference,
     rankings_equivalent,
 )
 from repro.bench import CITY_LAT, synthetic_background, synthetic_trace
+from repro.core.dataset import MobilityDataset
 from repro.core.trace import Trace
+from repro.lppm.geoi import GeoInd
+from repro.lppm.hmc import HeatmapConfusion
+from repro.lppm.trl import Trilateration
+from repro.poi.heatmap import build_heatmap
 from repro.poi.clustering import (
     POI,
     extract_pois,
@@ -111,6 +122,22 @@ class TestClusteringEquivalence:
         assert merge_nearby_pois([]) == []
         one = random_pois(1, 1)
         assert merge_nearby_pois(one) == one
+
+
+class TestRankingsEquivalent:
+    """The tie rule the fast kernels are judged by."""
+
+    def test_reorder_allowed_only_inside_ties(self):
+        ref = [("a", 0.5), ("b", 0.5 + 1e-13), ("c", 0.9)]
+        assert rankings_equivalent([("b", 0.5 + 1e-13), ("a", 0.5), ("c", 0.9)], ref)
+        assert not rankings_equivalent([("c", 0.9), ("a", 0.5), ("b", 0.5)], ref)
+
+    def test_rejects_other_candidates_or_distances(self):
+        ref = [("a", 0.5), ("b", 0.7)]
+        assert not rankings_equivalent([("a", 0.5)], ref)
+        assert not rankings_equivalent([("a", 0.5), ("a", 0.7)], ref)
+        assert not rankings_equivalent([("a", 0.5), ("c", 0.7)], ref)
+        assert not rankings_equivalent([("a", 0.5), ("b", 0.8)], ref)
 
 
 class TestPoiSetDistanceEquivalence:
@@ -218,6 +245,7 @@ class TestTop1Contract:
         assert (poi.top1(stub) is None) == (poi.rank(stub) == [])
         assert (ap.top1(stub) is None) == (ap.rank(stub) == [])
         assert ap.top1(Trace.empty("x")) is None
+        assert ap_rank_reference(ap, Trace.empty("x")) == []
 
     def test_reidentify_routes_through_top1(self, small_suite):
         ap, poi, probes = small_suite
@@ -228,3 +256,154 @@ class TestTop1Contract:
                 got = attack.reidentify(probe)
                 if ranked:
                     assert got == expected
+
+
+# -- the Topsoe index behind the AP-attack and HMC ---------------------------
+
+
+def dense_gather_divergences(ap, trace):
+    """AP divergences as the dense kernel computed them before the index:
+    gather the query's columns from the ``(users × cells)`` profile matrix
+    and its ``p ln p``, plus the closed-form correction."""
+    matrix = ap.profile_matrix()
+    plogp = np.where(matrix > 0.0, matrix * np.log(np.maximum(matrix, 1e-12)), 0.0)
+    cell_index = {cell: j for j, cell in enumerate(ap.index.cells())}
+    cols, qvals, q_out = [], [], 0.0
+    for cell, mass in build_heatmap(trace, ap.grid).items():
+        j = cell_index.get(cell)
+        if j is None:
+            q_out += mass
+        else:
+            cols.append(j)
+            qvals.append(mass)
+    div = np.full(matrix.shape[0], float(np.log(2.0)) * (1.0 + q_out))
+    if cols:
+        col_idx = np.asarray(cols, dtype=np.intp)
+        q = np.asarray(qvals, dtype=np.float64)
+        m = matrix[:, col_idx] + q[None, :]
+        div += (plogp[:, col_idx] - m * np.log(m)).sum(axis=1)
+        div += float((q * np.log(2.0 * q)).sum())
+    return div
+
+
+def hmc_fast_ranking(hmc, trace):
+    """Every other user by the index's divergence, sorted by (divergence, user)."""
+    div = hmc.index.divergences(build_heatmap(trace, hmc.grid))
+    ranked = [(u, float(d)) for u, d in zip(hmc.index.users, div) if u != trace.user_id]
+    return sorted(ranked, key=lambda ud: (ud[1], ud[0]))
+
+
+def hmc_apply_reference(hmc, trace):
+    """HMC's original per-record materialisation: map each record's cell to
+    the mass-aware nearest target cell (one scalar argmin per new source
+    cell), then shift the record by the difference of the cell centres."""
+    _, target = hmc.select_target(trace)
+    grid = hmc.grid
+    target_cells = target.cells()
+    centers = np.array([grid.center_of(c) for c in target_cells])
+    bonus = hmc.popularity_weight * np.log10(
+        np.array([target.mass(c) for c in target_cells]) + 1e-12
+    )
+    cos_ref = math.cos(math.radians(grid.ref_lat))
+    mapping = {}
+    new_lats = np.array(trace.lats, copy=True)
+    new_lngs = np.array(trace.lngs, copy=True)
+    for i in range(len(trace)):
+        src = grid.cell_of(float(trace.lats[i]), float(trace.lngs[i]))
+        src_lat, src_lng = grid.center_of(src)
+        dst = mapping.get(src)
+        if dst is None:
+            d_cells = (
+                np.hypot(
+                    (centers[:, 0] - src_lat) * 111_320.0,
+                    (centers[:, 1] - src_lng) * 111_320.0 * cos_ref,
+                )
+                / grid.cell_size_m
+            )
+            dst = mapping[src] = target_cells[int(np.argmin(d_cells - bonus))]
+        if dst != src:
+            dst_lat, dst_lng = grid.center_of(dst)
+            new_lats[i] += dst_lat - src_lat
+            new_lngs[i] += dst_lng - src_lng
+    return np.clip(new_lats, -90.0, 90.0), (new_lngs + 540.0) % 360.0 - 180.0
+
+
+def far_trace(user_id):
+    """A trace ~500 km from every synthetic profile: no shared cell."""
+    trace = synthetic_trace(user_id, seed=5)
+    return trace.with_positions(trace.lats + 5.0, trace.lngs)
+
+
+@pytest.fixture(scope="module")
+def hmc_suite():
+    background = synthetic_background(40, seed=11)
+    hmc = HeatmapConfusion(cell_size_m=800.0, ref_lat=CITY_LAT).fit(background)
+    return hmc, background
+
+
+class TestTopsoeIndexEquivalence:
+    def test_ap_divergences_bit_identical_to_dense_gather(self, small_suite, large_suite):
+        geoi, trl = GeoInd(epsilon=0.01), Trilateration(radius_m=1000.0)
+        for ap, _, probes in (small_suite, large_suite):
+            queries = list(probes) + [far_trace("far")]
+            for i, probe in enumerate(probes):
+                queries += [geoi.apply(probe, rng=i), trl.apply(probe, rng=i)]
+            for query in queries:
+                fast = ap._divergences(query)
+                assert fast.tobytes() == dense_gather_divergences(ap, query).tobytes()
+
+    def test_hmc_target_matches_reference_loop(self, hmc_suite):
+        hmc, background = hmc_suite
+        probes = [synthetic_trace(f"p{i}", seed=900 + i) for i in range(4)]
+        probes += [background.traces()[0], background.traces()[17]]
+        probes += [synthetic_trace("stranger", seed=31), far_trace("user0005")]
+        for probe in probes:
+            fast = hmc_fast_ranking(hmc, probe)
+            reference = hmc_target_reference(hmc, probe)
+            assert rankings_equivalent(fast, reference)
+            target, _ = hmc.select_target(probe)
+            assert target == fast[0][0] and target != probe.user_id
+
+    def test_disjoint_trace_gets_smallest_other_user(self, hmc_suite):
+        hmc, _ = hmc_suite
+        users = hmc.index.users
+        assert hmc.select_target(far_trace("stranger"))[0] == users[0]
+        assert hmc.select_target(far_trace(users[0]))[0] == users[1]
+
+    def test_own_trace_never_selected(self, hmc_suite):
+        hmc, background = hmc_suite
+        for trace in background.traces()[:8]:
+            assert hmc.select_target(trace)[0] != trace.user_id
+
+    def test_two_profile_pool_picks_the_other_user(self):
+        background = synthetic_background(2, seed=3)
+        hmc = HeatmapConfusion(cell_size_m=800.0, ref_lat=CITY_LAT).fit(background)
+        own = background.traces()[1]
+        assert hmc.select_target(own)[0] == background.traces()[0].user_id
+        assert hmc_target_reference(hmc, own)[0][0] == background.traces()[0].user_id
+
+
+#: One centre per lat/lng sign quadrant, plus one straddling (0, 0).
+QUADRANTS = [(45.76, 4.84), (-33.45, 151.21), (-33.45, -70.66), (40.71, -74.0), (0.0005, -0.0005)]
+
+
+class TestHmcApplyEquivalence:
+    @pytest.mark.parametrize("weight", [0.0, 1.0])
+    @pytest.mark.parametrize("lat0,lng0", QUADRANTS)
+    def test_bit_identical_to_per_record_loop(self, lat0, lng0, weight):
+        past = MobilityDataset(
+            "past",
+            [
+                random_walk_trace(40 + k, n=300, lat0=lat0 + 0.01 * k, lng0=lng0, step_m=250.0)
+                for k in range(-2, 3)
+            ],
+        )
+        hmc = HeatmapConfusion(cell_size_m=800.0, ref_lat=lat0, popularity_weight=weight)
+        hmc.fit(past)
+        for seed in (1, 2, 3):
+            probe = random_walk_trace(seed, lat0=lat0, lng0=lng0, step_m=300.0)
+            out = hmc.apply(probe)
+            lats, lngs = hmc_apply_reference(hmc, probe)
+            assert out.lats.tobytes() == lats.tobytes()
+            assert out.lngs.tobytes() == lngs.tobytes()
+            assert out.timestamps.tobytes() == probe.timestamps.tobytes()

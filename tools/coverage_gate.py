@@ -2,8 +2,9 @@
 """Line-coverage gate for the hardened subsystems.
 
 Runs the tier-1 pytest suite in-process under a line tracer scoped to
-the gated packages (``SCOPES`` below — currently the service layer and
-the synthetic corpus engine) and fails when any scope's measured
+the gated packages (``SCOPES`` below — the attacks, LPPMs and mobility
+profiles, the cluster, lint, service and streaming layers, and the
+synthetic corpus engine) and fails when any scope's measured
 coverage drops below the committed baseline
 (``.github/coverage_baseline.json``).  The tracer is stdlib-only
 (``sys.settrace`` + ``threading.settrace``) so the gate needs no
@@ -38,11 +39,10 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: Gated packages: scope name -> directory prefix.  Every scope is
 #: measured independently and gated against its own baseline entry.
 SCOPES = {
-    "cluster": os.path.join(REPO_ROOT, "src", "repro", "cluster") + os.sep,
-    "lintkit": os.path.join(REPO_ROOT, "src", "repro", "lintkit") + os.sep,
-    "service": os.path.join(REPO_ROOT, "src", "repro", "service") + os.sep,
-    "stream": os.path.join(REPO_ROOT, "src", "repro", "stream") + os.sep,
-    "synth": os.path.join(REPO_ROOT, "src", "repro", "synth") + os.sep,
+    name: os.path.join(REPO_ROOT, "src", "repro", name) + os.sep
+    for name in (
+        "attacks", "cluster", "lintkit", "lppm", "poi", "service", "stream", "synth",
+    )
 }
 BASELINE_PATH = os.path.join(REPO_ROOT, ".github", "coverage_baseline.json")
 

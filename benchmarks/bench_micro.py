@@ -11,6 +11,7 @@ import pytest
 
 from benchmarks.conftest import get_context
 from repro.attacks.ap_attack import ApAttack
+from repro.attacks.pit_attack import PitAttack
 from repro.attacks.poi_attack import PoiAttack, poi_set_distance
 from repro.attacks.reference import (
     ap_rank_reference,
@@ -42,7 +43,8 @@ def get_scaled_attacks(n_users):
         probe = synthetic_trace("probe", seed=6)
         ap = ApAttack(cell_size_m=800.0, ref_lat=CITY_LAT).fit(background)
         poi = PoiAttack().fit(background)
-        _scaled_attacks[n_users] = (ap, poi, probe)
+        pit = PitAttack().fit(background)
+        _scaled_attacks[n_users] = (ap, poi, pit, probe)
     return _scaled_attacks[n_users]
 
 
@@ -81,31 +83,43 @@ class TestKernelScaling:
 
     @pytest.mark.parametrize("n_users", [100, 1000])
     def test_ap_rank_at_n_users(self, benchmark, n_users):
-        ap, _, probe = get_scaled_attacks(n_users)
+        ap, _, _, probe = get_scaled_attacks(n_users)
         ranked = benchmark(lambda: ap.rank(probe))
         assert len(ranked) == n_users
 
     @pytest.mark.parametrize("n_users", [100, 1000])
     def test_poi_rank_at_n_users(self, benchmark, n_users):
-        _, poi, probe = get_scaled_attacks(n_users)
+        _, poi, _, probe = get_scaled_attacks(n_users)
         ranked = benchmark(lambda: poi.rank(probe))
         assert len(ranked) == n_users
 
     @pytest.mark.parametrize("n_users", [100, 1000])
     def test_ap_top1_at_n_users(self, benchmark, n_users):
-        ap, _, probe = get_scaled_attacks(n_users)
+        ap, _, _, probe = get_scaled_attacks(n_users)
         top = benchmark(lambda: ap.top1(probe))
         assert top == ap.rank(probe)[0]
 
     @pytest.mark.parametrize("n_users", [100, 1000])
     def test_poi_top1_at_n_users(self, benchmark, n_users):
-        _, poi, probe = get_scaled_attacks(n_users)
+        _, poi, _, probe = get_scaled_attacks(n_users)
         top = benchmark(lambda: poi.top1(probe))
         assert top == poi.rank(probe)[0]
 
+    @pytest.mark.parametrize("n_users", [100, 1000])
+    def test_pit_rank_at_n_users(self, benchmark, n_users):
+        _, _, pit, probe = get_scaled_attacks(n_users)
+        ranked = benchmark(lambda: pit.rank(probe))
+        assert len(ranked) == n_users
+
+    @pytest.mark.parametrize("n_users", [100, 1000])
+    def test_pit_top1_at_n_users(self, benchmark, n_users):
+        _, _, pit, probe = get_scaled_attacks(n_users)
+        top = benchmark(lambda: pit.top1(probe))
+        assert top == pit.rank(probe)[0]
+
     def test_rank_speedup_vs_reference_at_1000_users(self):
         """The ≥5× acceptance bar, asserted against live measurements."""
-        ap, poi, probe = get_scaled_attacks(1000)
+        ap, poi, _, probe = get_scaled_attacks(1000)
         ap_fast = time_fn(lambda: ap.rank(probe), repeat=3)
         ap_ref = time_fn(lambda: ap_rank_reference(ap, probe), repeat=3)
         poi_fast = time_fn(lambda: poi.rank(probe), repeat=3)

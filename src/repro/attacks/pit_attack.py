@@ -20,17 +20,33 @@ so that geographically identical chains (proximity 0) have distance 0
 and the stationary term modulates rather than dominates.  Benchmarked to
 reproduce the paper's qualitative ordering (PIT weaker than AP, stronger
 than nothing).
+
+Kernel layout.  At fit time every profile's MMC states are packed once
+into a :class:`~repro.poi.clustering.PlaceIndex` (the index the
+POI-attack queries too), each state weighted by its stationary
+probability.  :meth:`PitAttack.rank` and :meth:`PitAttack.top1` compute
+the ``(anonymous states × packed states)`` distance matrix in one
+broadcast, take each user's nearest state (the first one at the
+minimum, as the scalar scan's strict ``<``), and add the proximity and
+stationary terms up over the anonymous states in state order, so the
+sums are those of :func:`_matched_components`; ``top1`` is an argmin,
+ties going to the smallest user id.  The scalar distances below stay
+public as the ground truth (:func:`repro.attacks.reference.pit_rank_reference`).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.attacks.base import Attack
+from repro.errors import ConfigurationError
 from repro.registry import register_attack
 from repro.core.dataset import MobilityDataset
 from repro.core.trace import Trace
+from repro.poi.clustering import PlaceIndex, validate_profile_params
 from repro.poi.mmc import MarkovChain, build_mmc
 
 
@@ -87,6 +103,14 @@ PIT_DISTANCES = {
     "stationary": stationary_distance,
 }
 
+#: Each PIT_DISTANCES entry over per-user ``(proximity_m, stationary_l1)``
+#: arrays, as the packed kernel computes them.
+_COMBINE = {
+    "stats-prox": lambda prox, stat: prox * (1.0 + stat),
+    "proximity": lambda prox, stat: prox,
+    "stationary": lambda prox, stat: stat,
+}
+
 
 @register_attack("pit")
 class PitAttack(Attack):
@@ -103,15 +127,17 @@ class PitAttack(Attack):
     ) -> None:
         super().__init__()
         if distance not in PIT_DISTANCES:
-            raise ValueError(
+            raise ConfigurationError(
                 f"unknown PIT distance {distance!r}; choose from {sorted(PIT_DISTANCES)}"
             )
         self.diameter_m = float(diameter_m)
         self.min_dwell_s = float(min_dwell_s)
-        self.max_states = int(max_states)
+        self.max_states = validate_profile_params(
+            self.diameter_m, self.min_dwell_s, max_states, "max_states"
+        )
         self.distance_name = distance
-        self._distance_fn = PIT_DISTANCES[distance]
         self._profiles: Dict[str, MarkovChain] = {}
+        self.index = PlaceIndex({})
 
     def _model(self, trace: Trace) -> MarkovChain:
         def build() -> MarkovChain:
@@ -136,21 +162,41 @@ class PitAttack(Attack):
             mmc = self._model(trace)
             if len(mmc) > 0:
                 self._profiles[trace.user_id] = mmc
+        self.index = PlaceIndex(
+            {user: (mmc.states, mmc.stationary) for user, mmc in self._profiles.items()}
+        )
 
     def profile_of(self, user_id: str) -> MarkovChain:
         """The learned MMC of *user_id*; raises ``KeyError`` if unprofiled."""
         self._require_fitted()
         return self._profiles[user_id]
 
-    def rank(self, trace: Trace) -> List[Tuple[str, float]]:
+    def _distances(self, trace: Trace) -> Optional[np.ndarray]:
+        """The selected MMC distance to every profile, in index user
+        order, or ``None`` when *trace* has no MMC state."""
         self._require_fitted()
         anon = self._model(trace)
         if len(anon) == 0:
-            return []
-        scored = [
-            (user, self._distance_fn(anon, known))
-            for user, known in self._profiles.items()
-        ]
-        scored = [(u, d) for u, d in scored if math.isfinite(d)]
-        scored.sort(key=lambda ud: (ud[1], ud[0]))
-        return scored
+            return None
+        index = self.index
+        d = index.distances_m(
+            np.array([s.lat for s in anon.states]), np.array([s.lng for s in anon.states])
+        )
+        seg_min, first = index.nearest(d)
+        prox = np.zeros(len(index.users))
+        stat = np.zeros(len(index.users))
+        weight = 0.0
+        # One anonymous state at a time, as _matched_components adds up.
+        for i, w in enumerate(anon.stationary.tolist()):
+            prox += w * seg_min[i]
+            stat += w * np.abs(w - index.mass[first[i]])
+            weight += w
+        return _COMBINE[self.distance_name](prox / weight, stat / weight)
+
+    def rank(self, trace: Trace) -> List[Tuple[str, float]]:
+        distances = self._distances(trace)
+        return [] if distances is None else self.index.ranking(distances)
+
+    def top1(self, trace: Trace) -> Optional[Tuple[str, float]]:
+        distances = self._distances(trace)
+        return None if distances is None else self.index.best(distances)

@@ -11,23 +11,14 @@ between the two POI sets, weighted by POI importance — users keep their
 homes and workplaces, so under weak obfuscation the two sets align
 within tens of metres.
 
-Kernel layout.  At fit time every profile POI is packed into flat
-``(lat, lng, weight)`` arrays in sorted-user order with CSR-style
-segment offsets.  :meth:`PoiAttack.rank` computes the full anonymous ×
-profile pairwise-distance matrix in one numpy broadcast and reduces it
-per user with ``minimum.reduceat`` / ``add.reduceat`` — the former
-pure-Python double loop over ``POI`` objects scanned every profile of
-every user per call.  :meth:`PoiAttack.top1` additionally prunes through
-a grid-bucket spatial index: profile POIs are bucketed into coarse
-cells, candidate users are discovered in expanding Chebyshev rings
-around the anonymous POIs (clipped to the occupied bounding box), and
-the search stops as soon as the best exact distance drops below the
-ring lower bound: after ring ``r`` every unseen user sits at bucket
-Chebyshev distance ≥ ``r+1``, hence at ground distance >
-``r·cell·scale`` (``scale`` being the worst-case cosine ratio over the
-latitude range).  The pruning is *exact*, because the symmetric set
-distance is a weighted mean of nearest-neighbour distances and
-therefore never smaller than the closest pair.
+Kernel layout.  At fit time every profile POI is packed once into a
+:class:`~repro.poi.clustering.PlaceIndex` (flat ``lat``/``lng``/weight
+arrays in sorted-user order with CSR segment offsets), the index the
+PIT-attack queries too.  :meth:`PoiAttack.rank` and
+:meth:`PoiAttack.top1` compute the full anonymous × profile
+pairwise-distance matrix in one numpy broadcast and reduce it per user
+with ``minimum.reduceat`` / ``add.reduceat``; ``top1`` is the argmin of
+that distance vector, ties going to the smallest user id.
 """
 
 from __future__ import annotations
@@ -41,24 +32,13 @@ from repro.attacks.base import Attack
 from repro.registry import register_attack
 from repro.core.dataset import MobilityDataset
 from repro.core.trace import Trace
-from repro.geo.geodesy import EARTH_RADIUS_M, equirectangular_distance_m_vec
-from repro.poi.clustering import POI, merge_nearby_pois
-
-_DEG = math.pi / 180.0
-
-#: Below this many profiled users the ring search costs more than it
-#: saves; ``top1`` just takes the argmin of the full distance vector.
-_TOP1_BRUTE_THRESHOLD = 64
-
-
-def _pairwise_distances_m(
-    a_lat: np.ndarray, a_lng: np.ndarray, b_lat: np.ndarray, b_lng: np.ndarray
-) -> np.ndarray:
-    """Equirectangular distances between every (a, b) pair, metres —
-    broadcast to shape ``(len(a), len(b))``."""
-    return equirectangular_distance_m_vec(
-        a_lat[:, None], a_lng[:, None], b_lat[None, :], b_lng[None, :]
-    )
+from repro.geo.geodesy import equirectangular_distance_m_vec
+from repro.poi.clustering import (
+    POI,
+    PlaceIndex,
+    merge_nearby_pois,
+    validate_profile_params,
+)
 
 
 def _poi_arrays(pois: Sequence[POI]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -82,7 +62,9 @@ def poi_set_distance(a: Sequence[POI], b: Sequence[POI]) -> float:
     b_lat, b_lng, b_w = _poi_arrays(b)
     if a_w.sum() <= 0 or b_w.sum() <= 0:
         return math.inf  # all-zero weights: no mean to take (as reference)
-    d = _pairwise_distances_m(a_lat, a_lng, b_lat, b_lng)
+    d = equirectangular_distance_m_vec(
+        a_lat[:, None], a_lng[:, None], b_lat[None, :], b_lng[None, :]
+    )
     d_ab = float((a_w * d.min(axis=1)).sum() / a_w.sum())
     d_ba = float((b_w * d.min(axis=0)).sum() / b_w.sum())
     return 0.5 * (d_ab + d_ba)
@@ -99,27 +81,15 @@ class PoiAttack(Attack):
         diameter_m: float = 200.0,
         min_dwell_s: float = 3600.0,
         max_pois: int = 20,
-        index_cell_m: float = 2000.0,
     ) -> None:
         super().__init__()
         self.diameter_m = float(diameter_m)
         self.min_dwell_s = float(min_dwell_s)
-        self.max_pois = int(max_pois)
-        self.index_cell_m = float(index_cell_m)
+        self.max_pois = validate_profile_params(
+            self.diameter_m, self.min_dwell_s, max_pois, "max_pois"
+        )
         self._profiles: Dict[str, List[POI]] = {}
-        self._users: List[str] = []
-        self._plat = np.zeros(0)
-        self._plng = np.zeros(0)
-        self._pw = np.zeros(0)
-        self._starts = np.zeros(1, dtype=np.intp)
-        self._wsum = np.zeros(0)
-        self._buckets: Dict[Tuple[int, int], np.ndarray] = {}
-        self._bucket_bounds = (0, 0, 0, 0)  # (min_bx, max_bx, min_by, max_by)
-        self._idx_m_per_deg_lat = 0.0
-        self._idx_m_per_deg_lng = 0.0
-        self._idx_cos_ref = 1.0
-        self._lat_lo = 0.0
-        self._lat_hi = 0.0
+        self.index = PlaceIndex({})
 
     # -- profiles ---------------------------------------------------------
 
@@ -152,12 +122,10 @@ class PoiAttack(Attack):
 
         Each delta trace is re-extracted and swapped into
         :attr:`_profiles` (removed when extraction finds no POI, exactly
-        like a fresh fit); the CSR pack and the spatial index are then
-        rebuilt by the *same* :meth:`_pack` the full fit uses, so the
-        refitted kernel arrays are bit-identical by construction.  (The
-        index geometry hangs off the mean profile latitude, so it cannot
-        be patched incrementally — but packing is O(total POIs), far
-        from the clustering cost a full re-fit would pay.)
+        like a fresh fit); the place index is then rebuilt by the *same*
+        :meth:`_pack` the full fit uses, so the refitted kernel arrays
+        are bit-identical by construction.  Packing is O(total POIs), far
+        from the clustering cost a full re-fit would pay.
         """
         self._require_fitted()
         for trace in delta.traces():
@@ -170,57 +138,9 @@ class PoiAttack(Attack):
         return self
 
     def _pack(self) -> None:
-        """Flatten :attr:`_profiles` into the CSR kernel arrays + index."""
-        self._users = sorted(self._profiles)
-        lats: List[float] = []
-        lngs: List[float] = []
-        weights: List[float] = []
-        starts = [0]
-        for user in self._users:
-            for poi in self._profiles[user]:
-                lats.append(poi.lat)
-                lngs.append(poi.lng)
-                weights.append(float(poi.weight))
-            starts.append(len(lats))
-        self._plat = np.asarray(lats, dtype=np.float64)
-        self._plng = np.asarray(lngs, dtype=np.float64)
-        self._pw = np.asarray(weights, dtype=np.float64)
-        self._starts = np.asarray(starts, dtype=np.intp)
-        self._wsum = (
-            np.add.reduceat(self._pw, self._starts[:-1])
-            if self._users
-            else np.zeros(0)
-        )
-        self._build_index()
-
-    def _build_index(self) -> None:
-        """Grid-bucket spatial index: coarse cell → profiled user indices."""
-        self._buckets = {}
-        if not self._users:
-            return
-        ref_lat = float(np.clip(self._plat.mean(), -89.0, 89.0))
-        self._idx_cos_ref = math.cos(ref_lat * _DEG)
-        self._idx_m_per_deg_lat = EARTH_RADIUS_M * _DEG
-        self._idx_m_per_deg_lng = EARTH_RADIUS_M * _DEG * self._idx_cos_ref
-        self._lat_lo = float(self._plat.min())
-        self._lat_hi = float(self._plat.max())
-        bx = np.floor(self._plng * self._idx_m_per_deg_lng / self.index_cell_m)
-        by = np.floor(self._plat * self._idx_m_per_deg_lat / self.index_cell_m)
-        bx = bx.astype(np.int64)
-        by = by.astype(np.int64)
-        owner = np.repeat(np.arange(len(self._users)), np.diff(self._starts))
-        per_bucket: Dict[Tuple[int, int], set] = {}
-        for x, y, u in zip(bx.tolist(), by.tolist(), owner.tolist()):
-            per_bucket.setdefault((x, y), set()).add(u)
-        self._buckets = {
-            key: np.fromiter(sorted(users), dtype=np.intp, count=len(users))
-            for key, users in per_bucket.items()
-        }
-        self._bucket_bounds = (
-            int(bx.min()),
-            int(bx.max()),
-            int(by.min()),
-            int(by.max()),
+        """Pack :attr:`_profiles` into the place index, weighted by POI weight."""
+        self.index = PlaceIndex(
+            {user: (pois, [p.weight for p in pois]) for user, pois in self._profiles.items()}
         )
 
     def profile_of(self, user_id: str) -> List[POI]:
@@ -228,178 +148,26 @@ class PoiAttack(Attack):
         self._require_fitted()
         return list(self._profiles.get(user_id, []))
 
-    # -- distance kernel --------------------------------------------------
-
-    def _distances_for(
-        self,
-        a_lat: np.ndarray,
-        a_lng: np.ndarray,
-        a_w: np.ndarray,
-        user_idx: Optional[np.ndarray],
-    ) -> np.ndarray:
-        """Symmetric POI-set distance to the selected users (all if ``None``).
-
-        The subset path gathers the exact same per-user segments as the
-        full path and reduces them with the same operations, so a
-        distance computed for a pruned candidate is bit-identical to the
-        one :meth:`rank` would produce — which keeps :meth:`top1` and
-        ``rank()[0]`` consistent down to tie-breaks.
-        """
-        if user_idx is None:
-            plat, plng, pw = self._plat, self._plng, self._pw
-            offsets = self._starts
-            wsum = self._wsum
-        else:
-            seg_starts = self._starts[user_idx]
-            lengths = self._starts[user_idx + 1] - seg_starts
-            offsets = np.zeros(len(user_idx) + 1, dtype=np.intp)
-            np.cumsum(lengths, out=offsets[1:])
-            pos = (
-                np.arange(offsets[-1], dtype=np.intp)
-                - np.repeat(offsets[:-1], lengths)
-                + np.repeat(seg_starts, lengths)
-            )
-            plat, plng, pw = self._plat[pos], self._plng[pos], self._pw[pos]
-            wsum = self._wsum[user_idx]
-        d = _pairwise_distances_m(a_lat, a_lng, plat, plng)
-        seg_min = np.minimum.reduceat(d, offsets[:-1], axis=1)
-        d_ab = (a_w[:, None] * seg_min).sum(axis=0) / a_w.sum()
-        d_ba = np.add.reduceat(pw * d.min(axis=0), offsets[:-1]) / wsum
-        return 0.5 * (d_ab + d_ba)
-
     # -- attack -----------------------------------------------------------
 
-    def rank(self, trace: Trace) -> List[Tuple[str, float]]:
+    def _distances(self, trace: Trace) -> Optional[np.ndarray]:
+        """Symmetric POI-set distance to every profile, in index user
+        order, or ``None`` when *trace* has no POI."""
         self._require_fitted()
         anon = self._extract(trace)
-        if not anon or not self._users:
-            return []
-        a_lat, a_lng, a_w = _poi_arrays(anon)
-        distances = self._distances_for(a_lat, a_lng, a_w, None)
-        order = np.argsort(distances, kind="stable")
-        return [
-            (self._users[i], float(distances[i]))
-            for i in order
-            if math.isfinite(distances[i])
-        ]
-
-    def top1(self, trace: Trace) -> Optional[Tuple[str, float]]:
-        """Best candidate via the spatial index (argmin, no full scan).
-
-        Ring-pruned: only users owning a POI in a bucket within the
-        current Chebyshev radius of an anonymous POI get an exact
-        distance; the rest are bounded below by the ring geometry.  With
-        few users the full argmin is cheaper than the bucket walk.
-        """
-        self._require_fitted()
-        anon = self._extract(trace)
-        if not anon or not self._users:
+        if not anon:
             return None
         a_lat, a_lng, a_w = _poi_arrays(anon)
-        n_users = len(self._users)
-        if n_users <= _TOP1_BRUTE_THRESHOLD or not self._buckets:
-            distances = self._distances_for(a_lat, a_lng, a_w, None)
-            i = int(np.argmin(distances))
-            return (self._users[i], float(distances[i]))
-        return self._top1_ring_search(a_lat, a_lng, a_w)
+        index = self.index
+        d = index.distances_m(a_lat, a_lng)
+        d_ab = (a_w[:, None] * index.segment_min(d)).sum(axis=0) / a_w.sum()
+        d_ba = np.add.reduceat(index.mass * d.min(axis=0), index.starts[:-1]) / index.mass_sum
+        return 0.5 * (d_ab + d_ba)
 
-    def _ring_scale(self, a_lat: np.ndarray) -> float:
-        """Conservative metres-per-bucket-step factor for ring lower bounds.
+    def rank(self, trace: Trace) -> List[Tuple[str, float]]:
+        distances = self._distances(trace)
+        return [] if distances is None else self.index.ranking(distances)
 
-        The index fixes metres-per-degree-longitude at the profile mean
-        latitude; actual pair distances use the pair's own mean latitude,
-        whose cosine can be smaller.  Scaling the bound by the worst-case
-        cosine ratio over the combined latitude range keeps the pruning
-        exact at any latitude the data actually spans.
-        """
-        lo = min(self._lat_lo, float(a_lat.min()))
-        hi = max(self._lat_hi, float(a_lat.max()))
-        cos_min = min(math.cos(lo * _DEG), math.cos(hi * _DEG))
-        if self._idx_cos_ref <= 0.0:
-            return 0.0
-        return min(1.0, max(0.0, cos_min / self._idx_cos_ref))
-
-    def _top1_ring_search(
-        self, a_lat: np.ndarray, a_lng: np.ndarray, a_w: np.ndarray
-    ) -> Tuple[str, float]:
-        cell = self.index_cell_m
-        anon_bx = np.floor(a_lng * self._idx_m_per_deg_lng / cell).astype(np.int64)
-        anon_by = np.floor(a_lat * self._idx_m_per_deg_lat / cell).astype(np.int64)
-        centers = set(zip(anon_bx.tolist(), anon_by.tolist()))
-        scale = self._ring_scale(a_lat)
-        # Beyond this radius every occupied bucket has been visited
-        # (profile bucket bounds are precomputed at fit time).
-        min_bx, max_bx, min_by, max_by = self._bucket_bounds
-        max_ring = max(
-            max_bx - int(anon_bx.min()),
-            int(anon_bx.max()) - min_bx,
-            max_by - int(anon_by.min()),
-            int(anon_by.max()) - min_by,
-            0,
-        )
-        # Rings strictly inside the Chebyshev distance from every probe
-        # bucket to the profile bounding box are provably empty — skip
-        # them (a probe far from the profiled area would otherwise walk
-        # O((distance/cell)²) empty cells before its first candidate).
-        first_ring = min(
-            max(min_bx - cx, cx - max_bx, min_by - cy, cy - max_by, 0)
-            for cx, cy in centers
-        )
-        seen = np.zeros(len(self._users), dtype=bool)
-        n_seen = 0
-        best_user: Optional[int] = None
-        best_dist = math.inf
-        for r in range(first_ring, max_ring + 1):
-            new_users: set = set()
-            for cx, cy in centers:
-                # Enumerate the Chebyshev ring clipped to the occupied
-                # bounding box — cells outside it cannot hold a profile
-                # POI, so a ring far from the box costs ~nothing.
-                ring: List[Tuple[int, int]] = []
-                if r == 0:
-                    if min_bx <= cx <= max_bx and min_by <= cy <= max_by:
-                        ring.append((cx, cy))
-                else:
-                    for y in (cy - r, cy + r):
-                        if min_by <= y <= max_by:
-                            lo = max(cx - r, min_bx)
-                            hi = min(cx + r, max_bx)
-                            ring.extend((x, y) for x in range(lo, hi + 1))
-                    for x in (cx - r, cx + r):
-                        if min_bx <= x <= max_bx:
-                            lo = max(cy - r + 1, min_by)
-                            hi = min(cy + r - 1, max_by)
-                            ring.extend((x, y) for y in range(lo, hi + 1))
-                for key in ring:
-                    hit = self._buckets.get(key)
-                    if hit is not None:
-                        for u in hit.tolist():
-                            if not seen[u]:
-                                new_users.add(u)
-            if new_users:
-                candidates = np.fromiter(
-                    sorted(new_users), dtype=np.intp, count=len(new_users)
-                )
-                seen[candidates] = True
-                n_seen += len(new_users)
-                distances = self._distances_for(a_lat, a_lng, a_w, candidates)
-                for u, dist in zip(candidates.tolist(), distances.tolist()):
-                    if dist < best_dist or (dist == best_dist and (
-                        best_user is None or u < best_user
-                    )):
-                        best_dist = dist
-                        best_user = u
-            # Any user still unseen after ring r has every POI at
-            # Chebyshev bucket distance > r, hence at ground distance
-            # ≥ r·cell·scale — and the set distance can't be smaller
-            # than the closest pair.  Strict inequality keeps ties safe.
-            # Once every user is seen there is nothing left to bound.
-            if n_seen == len(self._users):
-                break
-            if best_user is not None and best_dist < r * cell * scale:
-                break
-        if best_user is None:  # pragma: no cover - every profile is bucketed
-            distances = self._distances_for(a_lat, a_lng, a_w, None)
-            best_user = int(np.argmin(distances))
-            best_dist = float(distances[best_user])
-        return (self._users[best_user], float(best_dist))
+    def top1(self, trace: Trace) -> Optional[Tuple[str, float]]:
+        distances = self._distances(trace)
+        return None if distances is None else self.index.best(distances)

@@ -1,11 +1,11 @@
 """Scalar reference implementations of the attack kernels.
 
 The vectorised hot paths (the :class:`~repro.poi.heatmap.TopsoeIndex`
-behind :meth:`ApAttack.rank` and HMC's target selection,
-:meth:`PoiAttack.rank`'s packed pairwise kernel) replaced
-straightforward implementations that are easy to audit against the
-papers.  Those originals live on here, byte-for-byte, as the ground
-truth for:
+behind :meth:`ApAttack.rank` and HMC's target selection, the
+:class:`~repro.poi.clustering.PlaceIndex` behind :meth:`PoiAttack.rank`
+and :meth:`PitAttack.rank`) replaced straightforward implementations
+that are easy to audit against the papers.  Those originals live on
+here, byte-for-byte, as the ground truth for:
 
 * the equivalence property tests (``tests/test_equivalence.py``) — the
   fast kernels must reproduce these rankings *exactly*, including
@@ -27,6 +27,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.attacks.ap_attack import ApAttack, _topsoe_rows
+from repro.attacks.pit_attack import PIT_DISTANCES, PitAttack
 from repro.attacks.poi_attack import PoiAttack
 from repro.core.trace import Trace
 from repro.geo.grid import Cell
@@ -38,6 +39,7 @@ from repro.poi.heatmap import Heatmap, build_heatmap
 __all__ = [
     "ap_rank_reference",
     "hmc_target_reference",
+    "pit_rank_reference",
     "poi_set_distance_reference",
     "poi_rank_reference",
     "rankings_equivalent",
@@ -167,6 +169,24 @@ def poi_rank_reference(attack: PoiAttack, trace: Trace) -> List[Tuple[str, float
     scored = [
         (user, poi_set_distance_reference(anon, profile))
         for user, profile in attack._profiles.items()
+    ]
+    scored = [(u, d) for u, d in scored if math.isfinite(d)]
+    scored.sort(key=lambda ud: (ud[1], ud[0]))
+    return scored
+
+
+def pit_rank_reference(attack: PitAttack, trace: Trace) -> List[Tuple[str, float]]:
+    """The original :meth:`PitAttack.rank`: one scalar MMC distance
+    (the attack's :data:`PIT_DISTANCES` entry) per profiled user, then a
+    ``(distance, user)`` sort."""
+    attack._require_fitted()
+    anon = attack._model(trace)
+    if len(anon) == 0:
+        return []
+    distance_fn = PIT_DISTANCES[attack.distance_name]
+    scored = [
+        (user, distance_fn(anon, known))
+        for user, known in attack._profiles.items()
     ]
     scored = [(u, d) for u, d in scored if math.isfinite(d)]
     scored.sort(key=lambda ud: (ud[1], ud[0]))

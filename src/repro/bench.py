@@ -84,9 +84,11 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.attacks.ap_attack import ApAttack
+from repro.attacks.pit_attack import PitAttack
 from repro.attacks.poi_attack import PoiAttack, poi_set_distance
 from repro.attacks.reference import (
     ap_rank_reference,
+    pit_rank_reference,
     poi_rank_reference,
     poi_set_distance_reference,
     rankings_equivalent,
@@ -182,34 +184,34 @@ def bench_rank_at_scale(
     n_users: int, seed: int = 7, repeat: int = 3
 ) -> Dict[str, Dict[str, float]]:
     """``rank()``/``top1()`` timings at *n_users* profiled users, fast vs
-    scalar reference, for the AP- and POI-attacks."""
+    scalar reference, for the AP-, POI- and PIT-attacks."""
     background = synthetic_background(n_users, seed=seed)
     probe = synthetic_trace("probe", seed=seed - 1)
-    ap = ApAttack(cell_size_m=800.0, ref_lat=CITY_LAT).fit(background)
-    poi = PoiAttack().fit(background)
-    # Sanity: fast and reference kernels must agree before timing them.
-    if not rankings_equivalent(ap.rank(probe), ap_rank_reference(ap, probe)):
-        raise AssertionError("AP fast ranking diverged from the scalar reference")
-    if not rankings_equivalent(poi.rank(probe), poi_rank_reference(poi, probe)):
-        raise AssertionError("POI fast ranking diverged from the scalar reference")
-    if ap.top1(probe) != ap.rank(probe)[0] or poi.top1(probe) != poi.rank(probe)[0]:
-        raise AssertionError("top1 fast path disagreed with rank()[0]")
-    out = {
-        "ap_rank": _speedup_entry(
-            time_fn(lambda: ap.rank(probe), repeat=repeat),
-            time_fn(lambda: ap_rank_reference(ap, probe), repeat=repeat),
-        ),
-        "poi_rank": _speedup_entry(
-            time_fn(lambda: poi.rank(probe), repeat=repeat),
-            time_fn(lambda: poi_rank_reference(poi, probe), repeat=repeat),
-        ),
-        "ap_top1": {"fast_s": time_fn(lambda: ap.top1(probe), repeat=repeat)},
-        "poi_top1": {"fast_s": time_fn(lambda: poi.top1(probe), repeat=repeat)},
+    attacks = {
+        "ap": (ApAttack(cell_size_m=800.0, ref_lat=CITY_LAT), ap_rank_reference),
+        "poi": (PoiAttack(), poi_rank_reference),
+        "pit": (PitAttack(), pit_rank_reference),
     }
+    out: Dict[str, Dict[str, float]] = {}
+    for name, (attack, reference) in attacks.items():
+        attack.fit(background)
+        # Sanity: fast and reference kernels must agree before timing them.
+        if not rankings_equivalent(attack.rank(probe), reference(attack, probe)):
+            raise AssertionError(
+                f"{attack.name} fast ranking diverged from the scalar reference"
+            )
+        if attack.top1(probe) != attack.rank(probe)[0]:
+            raise AssertionError(f"{attack.name} top1 fast path disagreed with rank()[0]")
+        out[f"{name}_rank"] = _speedup_entry(
+            time_fn(lambda: attack.rank(probe), repeat=repeat),
+            time_fn(lambda: reference(attack, probe), repeat=repeat),
+        )
+        out[f"{name}_top1"] = {"fast_s": time_fn(lambda: attack.top1(probe), repeat=repeat)}
+    ap, poi = attacks["ap"][0], attacks["poi"][0]
     out["meta"] = {
         "n_users": float(n_users),
         "profile_cells": float(len(ap.index.cells())),
-        "profile_pois": float(len(poi._pw)),
+        "profile_pois": float(len(poi.index.lat)),
         "probe_records": float(len(probe)),
     }
     return out
@@ -1557,14 +1559,14 @@ def format_snapshot(snapshot: Dict[str, Any]) -> str:
     """Human-readable digest of a :func:`run_micro`/:func:`run_smoke` dict."""
     lines = [f"bench mode         : {snapshot['mode']}"]
     for n, kernels in sorted(snapshot["rank_at_users"].items(), key=lambda kv: int(kv[0])):
-        for name in ("ap_rank", "poi_rank"):
+        for name in ("ap_rank", "poi_rank", "pit_rank"):
             entry = kernels[name]
             lines.append(
                 f"{name:18s} @ {n:>4s} users : {entry['fast_s'] * 1e3:8.2f} ms "
                 f"(reference {entry['reference_s'] * 1e3:8.2f} ms, "
                 f"speedup {entry['speedup']:6.1f}x)"
             )
-        for name in ("ap_top1", "poi_top1"):
+        for name in ("ap_top1", "poi_top1", "pit_top1"):
             lines.append(
                 f"{name:18s} @ {n:>4s} users : "
                 f"{kernels[name]['fast_s'] * 1e3:8.2f} ms"

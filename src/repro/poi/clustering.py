@@ -18,13 +18,17 @@ centroids in numpy arrays and tests each POI against *all* anchors in
 one vectorised pass.  The original pure-Python implementations are
 retained as ``*_reference`` for the equivalence property tests and
 benchmarks.
+
+:class:`PlaceIndex` packs the places of every fitted profile once; the
+POI- and PIT-attacks both answer their nearest-place queries from it.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Any, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -95,10 +99,40 @@ class _ClusterAccumulator:
 
 
 def _validate_extract_params(diameter_m: float, min_dwell_s: float) -> None:
-    if diameter_m <= 0:
-        raise ConfigurationError(f"diameter_m must be positive, got {diameter_m}")
-    if min_dwell_s < 0:
-        raise ConfigurationError(f"min_dwell_s must be >= 0, got {min_dwell_s}")
+    # Written so NaN fails too: a NaN diameter or dwell extracts no POI,
+    # which would leave every profile empty without a word.
+    if not (math.isfinite(diameter_m) and diameter_m > 0):
+        raise ConfigurationError(f"diameter_m must be finite and > 0, got {diameter_m}")
+    if not (math.isfinite(min_dwell_s) and min_dwell_s >= 0):
+        raise ConfigurationError(f"min_dwell_s must be finite and >= 0, got {min_dwell_s}")
+
+
+def _validate_merge_radius(merge_radius_m: float) -> None:
+    if not (math.isfinite(merge_radius_m) and merge_radius_m >= 0):
+        raise ConfigurationError(
+            f"merge_radius_m must be finite and >= 0, got {merge_radius_m}"
+        )
+
+
+def validate_profile_params(
+    diameter_m: float, min_dwell_s: float, max_places: Any, max_name: str
+) -> int:
+    """Check the place-profile parameters of the POI- and PIT-attacks.
+
+    A parameter that lets no place through (a NaN or infinite clustering
+    parameter, or a place cap below one) would make the attack profile
+    nobody and answer "unknown" for every trace, so MooD would count
+    every candidate as safe from it.  Raises :class:`ConfigurationError`;
+    returns *max_places* (named *max_name* in the message) as an ``int``.
+    """
+    _validate_extract_params(diameter_m, min_dwell_s)
+    if (
+        isinstance(max_places, bool)
+        or not isinstance(max_places, numbers.Integral)
+        or max_places < 1
+    ):
+        raise ConfigurationError(f"{max_name} must be an integer >= 1, got {max_places!r}")
+    return int(max_places)
 
 
 def extract_pois(
@@ -191,8 +225,7 @@ def merge_nearby_pois(pois: Sequence[POI], merge_radius_m: float = 100.0) -> Lis
     the first anchor within the radius wins, exactly as in
     :func:`merge_nearby_pois_reference`.
     """
-    if merge_radius_m < 0:
-        raise ConfigurationError(f"merge_radius_m must be >= 0, got {merge_radius_m}")
+    _validate_merge_radius(merge_radius_m)
     remaining = sorted(pois, key=lambda p: (-p.weight, p.t_enter))
     if len(remaining) <= 1:
         return list(remaining)
@@ -236,6 +269,87 @@ def merge_nearby_pois(pois: Sequence[POI], merge_radius_m: float = 100.0) -> Lis
     return merged
 
 
+class PlaceIndex:
+    """The places of every fitted profile, packed once for nearest-place queries.
+
+    Flat ``lat``/``lng``/``mass`` arrays hold every profile's places,
+    users in sorted order and each user's places in profile order; user
+    ``k`` owns the segment ``starts[k]:starts[k + 1]`` (CSR layout) and
+    ``mass_sum[k]`` is its total mass.  The POI-attack's mass is the POI
+    weight, the PIT-attack's the MMC stationary probability.  A query
+    computes its ``(query places × packed places)`` distance matrix in
+    one broadcast (:meth:`distances_m`) and reduces it per segment, so no
+    Python loop runs over profiles.  Every profile holds at least one
+    place; entries of a per-user result follow :attr:`users`, so a first
+    minimum is the smallest user id.
+    """
+
+    __slots__ = ("users", "lat", "lng", "mass", "starts", "mass_sum")
+
+    def __init__(
+        self, profiles: Mapping[str, Tuple[Sequence[POI], Sequence[float]]]
+    ) -> None:
+        """*profiles* maps each user to its places and their masses."""
+        self.users: Tuple[str, ...] = tuple(sorted(profiles))
+        lats: List[float] = []
+        lngs: List[float] = []
+        masses: List[float] = []
+        starts = [0]
+        for user in self.users:
+            places, mass = profiles[user]
+            lats.extend(p.lat for p in places)
+            lngs.extend(p.lng for p in places)
+            masses.extend(float(m) for m in mass)
+            starts.append(len(lats))
+        self.lat = np.asarray(lats, dtype=np.float64)
+        self.lng = np.asarray(lngs, dtype=np.float64)
+        self.mass = np.asarray(masses, dtype=np.float64)
+        self.starts = np.asarray(starts, dtype=np.intp)
+        self.mass_sum = np.add.reduceat(self.mass, self.starts[:-1])
+
+    def distances_m(self, lat: np.ndarray, lng: np.ndarray) -> np.ndarray:
+        """Ground distance from each query place to each packed place,
+        metres, shape ``(len(lat), len(self.lat))`` — the operand order
+        of :meth:`POI.distance_m` called on the query place."""
+        return equirectangular_distance_m_vec(
+            lat[:, None], lng[:, None], self.lat[None, :], self.lng[None, :]
+        )
+
+    def segment_min(self, d: np.ndarray) -> np.ndarray:
+        """Each row's minimum over each user's places: shape ``(rows, users)``."""
+        return np.minimum.reduceat(d, self.starts[:-1], axis=1)
+
+    def nearest(self, d: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(segment_min(d), position)``, where *position* is the packed
+        index of the **first** place of each user at that minimum — the
+        place a scalar scan with a strict ``<`` keeps."""
+        seg_min = self.segment_min(d)
+        n = d.shape[1]
+        at_min = d == np.repeat(seg_min, np.diff(self.starts), axis=1)
+        first = np.minimum.reduceat(
+            np.where(at_min, np.arange(n), n), self.starts[:-1], axis=1
+        )
+        return seg_min, first
+
+    def ranking(self, distances: np.ndarray) -> List[Tuple[str, float]]:
+        """Users with a finite distance, ascending, ties by user id."""
+        order = np.argsort(distances, kind="stable")
+        return [
+            (self.users[i], float(distances[i]))
+            for i in order
+            if math.isfinite(distances[i])
+        ]
+
+    def best(self, distances: np.ndarray) -> Optional[Tuple[str, float]]:
+        """``ranking(distances)[0]`` without the sort: the first finite
+        minimum, or ``None`` when no distance is finite."""
+        finite = np.isfinite(distances)
+        if not finite.any():
+            return None
+        i = int(np.argmin(np.where(finite, distances, np.inf)))
+        return (self.users[i], float(distances[i]))
+
+
 # ---------------------------------------------------------------------------
 # Scalar reference implementations (equivalence tests and benchmarks)
 # ---------------------------------------------------------------------------
@@ -275,8 +389,7 @@ def merge_nearby_pois_reference(
     pois: Sequence[POI], merge_radius_m: float = 100.0
 ) -> List[POI]:
     """The original anchor-by-anchor implementation of :func:`merge_nearby_pois`."""
-    if merge_radius_m < 0:
-        raise ConfigurationError(f"merge_radius_m must be >= 0, got {merge_radius_m}")
+    _validate_merge_radius(merge_radius_m)
     remaining = sorted(pois, key=lambda p: (-p.weight, p.t_enter))
     merged: List[POI] = []
     for poi in remaining:

@@ -76,6 +76,7 @@ class TestPitAttackVariants:
         probe = commuter("alice", (45.00, 4.00), (45.03, 4.03), seed=7)
         ranked = attack.rank(probe)
         assert len(ranked) == 2
+        assert attack.top1(probe) == ranked[0]
 
     @pytest.mark.parametrize("distance", ["stats-prox", "proximity"])
     def test_geographic_variants_reidentify(self, background, distance):

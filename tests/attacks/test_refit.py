@@ -119,10 +119,10 @@ class TestPoiRefit:
         incremental = PoiAttack().fit(base)
         incremental.refit(delta)
         fresh = PoiAttack().fit(updated)
-        assert incremental._users == fresh._users
-        for attr in ("_plat", "_plng", "_pw", "_starts", "_wsum"):
+        assert incremental.index.users == fresh.index.users
+        for attr in ("lat", "lng", "mass", "starts", "mass_sum"):
             assert np.array_equal(
-                getattr(incremental, attr), getattr(fresh, attr)
+                getattr(incremental.index, attr), getattr(fresh.index, attr)
             ), attr
 
     def test_ranks_match_full_refit(self):

@@ -1,5 +1,7 @@
 """Tests for repro.poi.clustering — POI extraction."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -67,10 +69,12 @@ class TestExtractPois:
         assert extract_pois(Trace.empty("u")) == []
 
     def test_invalid_parameters(self):
-        with pytest.raises(ConfigurationError):
-            extract_pois(dwell_trace(), diameter_m=0.0)
-        with pytest.raises(ConfigurationError):
-            extract_pois(dwell_trace(), min_dwell_s=-1.0)
+        for diameter in (0.0, math.nan, math.inf):
+            with pytest.raises(ConfigurationError):
+                extract_pois(dwell_trace(), diameter_m=diameter)
+        for dwell in (-1.0, math.nan, math.inf):
+            with pytest.raises(ConfigurationError):
+                extract_pois(dwell_trace(), min_dwell_s=dwell)
 
     def test_diameter_controls_granularity(self):
         # Two places 300 m apart: separate at 200 m diameter, fused at 2 km.
@@ -104,8 +108,9 @@ class TestMergeNearbyPois:
         assert merge_nearby_pois([]) == []
 
     def test_invalid_radius(self):
-        with pytest.raises(ConfigurationError):
-            merge_nearby_pois([self._poi(45.0, 4.0)], merge_radius_m=-1.0)
+        for radius in (-1.0, math.nan, math.inf):
+            with pytest.raises(ConfigurationError):
+                merge_nearby_pois([self._poi(45.0, 4.0)], merge_radius_m=radius)
 
     def test_deterministic(self):
         pois = [self._poi(45.0 + i * 0.001, 4.0, weight=i + 1) for i in range(5)]

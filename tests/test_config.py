@@ -1,11 +1,13 @@
 """Tests for repro.config — the declarative ProtectionConfig."""
 
 import json
+import math
 
 import pytest
 
 from repro.config import ProtectionConfig
 from repro.errors import ConfigurationError
+from repro.registry import build
 
 
 class TestDefaults:
@@ -75,6 +77,26 @@ class TestValidation:
             ProtectionConfig(jobs=0).validate()
         with pytest.raises(ConfigurationError):
             ProtectionConfig(max_composition_length=0).validate()
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"name": "pit", "diameter_m": math.nan},
+            {"name": "pit", "min_dwell_s": math.nan},
+            {"name": "pit", "max_states": 0},
+            {"name": "pit", "distance": "euclid"},
+            {"name": "poi", "diameter_m": math.inf},
+            {"name": "poi", "diameter_m": math.nan},
+            {"name": "poi", "min_dwell_s": math.inf},
+            {"name": "poi", "max_pois": 0},
+            {"name": "poi", "max_pois": 2.5},
+        ],
+        ids=lambda spec: ",".join(f"{k}={v}" for k, v in spec.items()),
+    )
+    def test_attack_params_that_switch_it_off_rejected(self, spec):
+        # Each of these once built an attack that profiled nobody.
+        with pytest.raises(ConfigurationError):
+            build("attack", spec)
 
     def test_bad_split_policy_and_executor(self):
         with pytest.raises(ConfigurationError):

@@ -1,7 +1,7 @@
 """Equivalence property tests: vectorised kernels vs scalar references.
 
 The perf overhaul rewrote the attack hot paths (zero-copy Topsoe kernel,
-packed pairwise POI kernel, ring-pruned ``top1``, loop-optimised
+the packed place index behind the POI- and PIT-attacks, loop-optimised
 clustering).  These tests pin them, on randomised traces, to the
 retained original implementations in :mod:`repro.attacks.reference` and
 :mod:`repro.poi.clustering`:
@@ -11,7 +11,8 @@ retained original implementations in :mod:`repro.attacks.reference` and
 * rankings must be identical wherever they carry information — order
   and distances agree, with reordering permitted only inside
   floating-point-degenerate tie groups (see
-  :func:`repro.attacks.reference.rankings_equivalent`);
+  :func:`repro.attacks.reference.rankings_equivalent`); this holds for
+  the AP-attack, the POI-attack and every PIT-attack distance variant;
 * every ``top1`` fast path must equal ``rank()[0]`` exactly, including
   the tie-break by user id — the engine's ``is_protected`` loop relies
   on that contract;
@@ -28,14 +29,12 @@ import numpy as np
 import pytest
 
 from repro.attacks.ap_attack import ApAttack
-from repro.attacks.poi_attack import (
-    _TOP1_BRUTE_THRESHOLD,
-    PoiAttack,
-    poi_set_distance,
-)
+from repro.attacks.pit_attack import PIT_DISTANCES, PitAttack
+from repro.attacks.poi_attack import PoiAttack, poi_set_distance
 from repro.attacks.reference import (
     ap_rank_reference,
     hmc_target_reference,
+    pit_rank_reference,
     poi_rank_reference,
     poi_set_distance_reference,
     rankings_equivalent,
@@ -162,57 +161,69 @@ class TestPoiSetDistanceEquivalence:
         assert math.isinf(poi_set_distance([], a))
 
 
+def fit_pit_variants(background):
+    """One fitted PIT-attack per selectable distance."""
+    return {name: PitAttack(distance=name).fit(background) for name in PIT_DISTANCES}
+
+
 @pytest.fixture(scope="module")
 def small_suite():
-    """40 users (POI top1 takes the brute path) + mixed probes."""
+    """40 users + mixed probes."""
     background = synthetic_background(40, seed=11)
     ap = ApAttack(cell_size_m=800.0, ref_lat=CITY_LAT).fit(background)
     poi = PoiAttack().fit(background)
     probes = [synthetic_trace(f"p{i}", seed=900 + i) for i in range(4)]
     probes += [background.traces()[0], background.traces()[17]]
-    return ap, poi, probes
+    return ap, poi, fit_pit_variants(background), probes
 
 
 @pytest.fixture(scope="module")
 def large_suite():
-    """Enough users to force the ring-pruned POI top1 path."""
-    n = _TOP1_BRUTE_THRESHOLD + 20
+    """84 users + mixed probes."""
+    n = 84
     background = synthetic_background(n, seed=23)
     ap = ApAttack(cell_size_m=800.0, ref_lat=CITY_LAT).fit(background)
     poi = PoiAttack().fit(background)
     probes = [synthetic_trace(f"q{i}", seed=700 + i) for i in range(4)]
     probes += [background.traces()[3], background.traces()[n - 1]]
-    return ap, poi, probes
+    return ap, poi, fit_pit_variants(background), probes
 
 
 class TestRankingEquivalence:
     def test_ap_rank_matches_reference(self, small_suite):
-        ap, _, probes = small_suite
+        ap, _, _, probes = small_suite
         for probe in probes:
             assert rankings_equivalent(ap.rank(probe), ap_rank_reference(ap, probe))
 
     def test_poi_rank_matches_reference(self, small_suite):
-        _, poi, probes = small_suite
+        _, poi, _, probes = small_suite
         for probe in probes:
             fast = poi.rank(probe)
             ref = poi_rank_reference(poi, probe)
             assert rankings_equivalent(fast, ref, tol=1e-6)
 
     def test_ap_rank_matches_reference_at_scale(self, large_suite):
-        ap, _, probes = large_suite
+        ap, _, _, probes = large_suite
         for probe in probes:
             assert rankings_equivalent(ap.rank(probe), ap_rank_reference(ap, probe))
 
     def test_poi_rank_matches_reference_at_scale(self, large_suite):
-        _, poi, probes = large_suite
+        _, poi, _, probes = large_suite
         for probe in probes:
             assert rankings_equivalent(
                 poi.rank(probe), poi_rank_reference(poi, probe), tol=1e-6
             )
 
+    @pytest.mark.parametrize("suite", ["small_suite", "large_suite"])
+    def test_pit_rank_matches_reference(self, request, suite):
+        _, _, pits, probes = request.getfixturevalue(suite)
+        for pit in pits.values():
+            for probe in probes:
+                assert rankings_equivalent(pit.rank(probe), pit_rank_reference(pit, probe))
+
     def test_background_user_ranks_first(self, small_suite):
         # The unobfuscated own trace must beat every other profile.
-        ap, poi, _ = small_suite
+        ap, poi, _, _ = small_suite
         for attack in (ap, poi):
             trace = synthetic_trace("user0007", seed=11 * 100_003 + 7)
             ranked = attack.rank(trace)
@@ -221,34 +232,54 @@ class TestRankingEquivalence:
 
 class TestTop1Contract:
     def test_ap_top1_equals_rank_head(self, small_suite):
-        ap, _, probes = small_suite
+        ap, _, _, probes = small_suite
         for probe in probes:
             assert ap.top1(probe) == ap.rank(probe)[0]
 
     def test_poi_top1_equals_rank_head_brute_path(self, small_suite):
-        _, poi, probes = small_suite
-        assert len(poi._users) <= _TOP1_BRUTE_THRESHOLD
+        _, poi, _, probes = small_suite
         for probe in probes:
             assert poi.top1(probe) == poi.rank(probe)[0]
 
     def test_poi_top1_equals_rank_head_ring_path(self, large_suite):
-        _, poi, probes = large_suite
-        assert len(poi._users) > _TOP1_BRUTE_THRESHOLD
-        assert poi._buckets
+        _, poi, _, probes = large_suite
         for probe in probes:
             assert poi.top1(probe) == poi.rank(probe)[0]
 
+    @pytest.mark.parametrize("suite", ["small_suite", "large_suite"])
+    def test_pit_top1_equals_rank_head(self, request, suite):
+        _, _, pits, probes = request.getfixturevalue(suite)
+        for pit in pits.values():
+            for probe in probes:
+                assert pit.top1(probe) == pit.rank(probe)[0]
+
     def test_top1_none_iff_rank_empty(self, small_suite):
-        ap, poi, _ = small_suite
+        ap, poi, pits, _ = small_suite
         # A 2-record trace has no POI and an almost-empty heatmap.
         stub = Trace("x", [0.0, 60.0], [45.76, 45.76], [4.84, 4.84])
         assert (poi.top1(stub) is None) == (poi.rank(stub) == [])
         assert (ap.top1(stub) is None) == (ap.rank(stub) == [])
         assert ap.top1(Trace.empty("x")) is None
         assert ap_rank_reference(ap, Trace.empty("x")) == []
+        for pit in pits.values():
+            for trace in (stub, Trace.empty("x")):
+                assert pit.rank(trace) == [] == pit_rank_reference(pit, trace)
+                assert pit.top1(trace) is None
+
+    def test_no_profile_no_hypothesis(self, small_suite):
+        # Constant movement: nobody in the background gets a POI, so the
+        # place index is empty while the probe has places to match.
+        n = 50
+        moving = Trace("m", np.arange(n) * 60.0, 45.0 + np.arange(n) * 0.003, np.full(n, 4.0))
+        *_, probes = small_suite
+        probe = probes[0]
+        for attack in (PoiAttack(), PitAttack()):
+            attack.fit(MobilityDataset("bg", [moving]))
+            assert attack.index.users == ()
+            assert attack.rank(probe) == [] and attack.top1(probe) is None
 
     def test_reidentify_routes_through_top1(self, small_suite):
-        ap, poi, probes = small_suite
+        ap, poi, _, probes = small_suite
         for attack in (ap, poi):
             for probe in probes:
                 ranked = attack.rank(probe)
@@ -344,7 +375,7 @@ def hmc_suite():
 class TestTopsoeIndexEquivalence:
     def test_ap_divergences_bit_identical_to_dense_gather(self, small_suite, large_suite):
         geoi, trl = GeoInd(epsilon=0.01), Trilateration(radius_m=1000.0)
-        for ap, _, probes in (small_suite, large_suite):
+        for ap, _, _, probes in (small_suite, large_suite):
             queries = list(probes) + [far_trace("far")]
             for i, probe in enumerate(probes):
                 queries += [geoi.apply(probe, rng=i), trl.apply(probe, rng=i)]

@@ -11,7 +11,7 @@ staked correctness on:
   near the wire codec (:mod:`repro.lintkit.determinism`).
 * **Wire-protocol discipline** — every verb in the
   ``repro.service.api.MESSAGE_TYPES`` registry must keep full
-  codec/strategy/docs coverage: ``to_body``/``from_body`` branches, a
+  union/strategy/docs coverage: membership in the ``Message`` union, a
   hypothesis strategy in the property suite, and a row in
   docs/SERVICE.md (:mod:`repro.lintkit.protocol`).
 

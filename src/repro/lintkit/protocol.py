@@ -1,20 +1,21 @@
 """Protocol-drift rules (PROTO0xx) — project scope.
 
-The wire vocabulary lives in ``repro.service.api.MESSAGE_TYPES``.  The
-invariant every PR has hand-enforced since PR 3: a verb exists only
-when *all four* of its artefacts exist —
+The wire vocabulary lives in ``repro.service.api.MESSAGE_TYPES``.  A
+verb exists only when *all three* of its artefacts exist —
 
-1. a message dataclass with ``to_body`` **and** ``from_body`` (the
-   codec's encode/decode branches),
-2. membership in the ``Message`` union,
-3. a hypothesis strategy branch in the property suite
+1. membership in the ``Message`` union,
+2. a hypothesis strategy branch in the property suite
    (``tests/service/test_codec_properties.py``), and
-4. a row/mention in the protocol document (``docs/SERVICE.md``).
+3. a row/mention in the protocol document (``docs/SERVICE.md``).
+
+(Each verb's codec needs no check: every message body is derived from
+its dataclass fields, and a field with no wire form fails
+``import repro.service``.)
 
 These rules cross-check the registry against each artefact *statically*
 (pure AST + text, no imports), so adding a verb without full coverage —
-or deleting one strategy or codec branch — fails ``repro lint`` before
-any soak test runs.  The tier-1 self-test
+or deleting one strategy branch or doc mention — fails ``repro lint``
+before any soak test runs.  The tier-1 self-test
 (``tests/lintkit/test_protocol_drift.py``) additionally pins the
 AST-extracted registry against the imported runtime one.
 """
@@ -38,10 +39,6 @@ class ProtocolModel:
     registry: Dict[str, str] = field(default_factory=dict)
     #: line of each slug's registry entry (for finding locations).
     slug_lines: Dict[str, int] = field(default_factory=dict)
-    #: class name -> method names defined on it.
-    class_methods: Dict[str, Set[str]] = field(default_factory=dict)
-    #: class name -> definition line.
-    class_lines: Dict[str, int] = field(default_factory=dict)
     #: members of the ``Message`` union annotation.
     union: Set[str] = field(default_factory=set)
     registry_line: int = 1
@@ -56,14 +53,7 @@ class ProtocolModel:
             model.error = f"api module does not parse: {exc.msg}"
             return model
         for node in tree.body:
-            if isinstance(node, ast.ClassDef):
-                model.class_lines[node.name] = node.lineno
-                model.class_methods[node.name] = {
-                    item.name
-                    for item in node.body
-                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                }
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = (
                     node.targets if isinstance(node, ast.Assign) else [node.target]
                 )
@@ -135,41 +125,6 @@ class _ProtocolRule(Rule):
         self, model: ProtocolModel, config: LintConfig
     ) -> Iterable[Finding]:
         raise NotImplementedError
-
-
-@register
-class CodecBranchRule(_ProtocolRule):
-    id = "PROTO001"
-    title = "registered verb lacks a codec encode/decode branch"
-    severity = "error"
-    rationale = """Every class in MESSAGE_TYPES must define both
-    ``to_body`` (encode) and ``from_body`` (decode) in the api module.
-    A missing half means one direction of the wire silently falls back
-    to whatever a parent class does — the codec property suite would
-    catch it at runtime, this catches it at lint time."""
-
-    def check_model(
-        self, model: ProtocolModel, config: LintConfig
-    ) -> Iterable[Finding]:
-        for slug, class_name in model.registry.items():
-            line = model.slug_lines.get(slug, model.registry_line)
-            methods = model.class_methods.get(class_name)
-            if methods is None:
-                yield self.finding(
-                    model.path,
-                    line,
-                    f"verb `{slug}` maps to `{class_name}`, which is not "
-                    "defined in the api module",
-                )
-                continue
-            for required in ("to_body", "from_body"):
-                if required not in methods:
-                    yield self.finding(
-                        model.path,
-                        model.class_lines.get(class_name, line),
-                        f"message class `{class_name}` (verb `{slug}`) has "
-                        f"no `{required}` method — codec branch missing",
-                    )
 
 
 @register
@@ -306,95 +261,6 @@ class DocCoverageRule(_ProtocolRule):
                     config.service_doc,
                     1,
                     f"verb `{slug}` is not documented in {config.service_doc}",
-                )
-
-
-@register
-class BinaryCodecRule(_ProtocolRule):
-    id = "PROTO005"
-    title = "v2 binary codec branch is lopsided or unregistered"
-    severity = "error"
-    rationale = """The v2 binary codec is opt-in per class: a message
-    that defines ``to_body_v2`` **and** ``from_body_v2`` travels as
-    columnar blocks, everything else rides inside the frame header.
-    Half a pair means one wire direction silently falls back to the
-    JSON body — frames the class itself cannot decode.  And a pair no
-    frame can reach — the class neither registered in MESSAGE_TYPES nor
-    used as a payload inside a reachable class's v2 branch (the
-    ``PublishedPiece`` pattern) — is dead codec code."""
-
-    _PAIR = ("to_body_v2", "from_body_v2")
-
-    @staticmethod
-    def _v2_references(source: str) -> Dict[str, Set[str]]:
-        """class name -> names referenced inside its v2 codec methods."""
-        refs: Dict[str, Set[str]] = {}
-        try:
-            tree = ast.parse(source)
-        except SyntaxError:
-            return refs
-        for node in tree.body:
-            if not isinstance(node, ast.ClassDef):
-                continue
-            names: Set[str] = set()
-            for item in node.body:
-                if (
-                    isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and item.name in BinaryCodecRule._PAIR
-                ):
-                    names |= {
-                        sub.id
-                        for sub in ast.walk(item)
-                        if isinstance(sub, ast.Name)
-                    }
-            refs[node.name] = names
-        return refs
-
-    def check_model(
-        self, model: ProtocolModel, config: LintConfig
-    ) -> Iterable[Finding]:
-        paired = {
-            class_name
-            for class_name, methods in model.class_methods.items()
-            if all(m in methods for m in self._PAIR)
-        }
-        # Reachability: registered verbs, plus (transitively) any paired
-        # class a reachable class's v2 branch constructs as a payload.
-        source = _read_text(config, config.api_module) or ""
-        refs = self._v2_references(source)
-        reachable = set(model.registry.values())
-        frontier = True
-        while frontier:
-            frontier = False
-            for class_name in paired - reachable:
-                if any(
-                    class_name in refs.get(parent, ())
-                    for parent in reachable & paired
-                ):
-                    reachable.add(class_name)
-                    frontier = True
-        for class_name, methods in model.class_methods.items():
-            present = [m for m in self._PAIR if m in methods]
-            if not present:
-                continue
-            line = model.class_lines.get(class_name, 1)
-            if len(present) == 1:
-                missing = next(m for m in self._PAIR if m not in methods)
-                yield self.finding(
-                    model.path,
-                    line,
-                    f"message class `{class_name}` defines `{present[0]}` "
-                    f"but not `{missing}` — half a v2 codec branch means "
-                    "one wire direction falls back to the JSON body",
-                )
-            elif class_name not in reachable:
-                yield self.finding(
-                    model.path,
-                    line,
-                    f"`{class_name}` carries a v2 codec branch "
-                    "(to_body_v2/from_body_v2) but is neither registered in "
-                    "MESSAGE_TYPES nor used as a payload by a registered "
-                    "class's v2 branch — no frame can ever reach it",
                 )
 
 

@@ -13,11 +13,12 @@ explicit, transport-agnostic protocol:
   ``\\n``-terminated line: ``{"v": 1, "type": "<slug>", "body": {...}}``
   with an optional ``"id"`` key (int or str) that tags a request so its
   reply can be correlated out of order; replies echo the id verbatim.
-  Floats round-trip exactly (shortest-repr encoding), so a trace that
-  crosses the wire protects byte-identically to one that never left the
-  process.  Non-finite floats are rejected at encode time
-  (``allow_nan=False``): ``NaN``/``Infinity`` tokens are not JSON and no
-  conforming peer could parse them.
+  Each body is derived from its message's dataclass fields
+  (:class:`WireMessage`).  Floats round-trip exactly (shortest-repr
+  encoding), so a trace that crosses the wire protects byte-identically
+  to one that never left the process.  Non-finite floats are rejected
+  at encode time (``allow_nan=False``): ``NaN``/``Infinity`` tokens are
+  not JSON and no conforming peer could parse them.
 * **Facade** — :class:`ProtectionService` wraps a
   :class:`~repro.core.engine.ProtectionEngine` (via the
   :class:`~repro.service.proxy.MoodProxy`) and a
@@ -37,17 +38,30 @@ import asyncio
 import hmac
 import json
 import logging
+import math
 import re
 import secrets
 import struct
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple, Type, Union
+from dataclasses import MISSING, dataclass, field, fields
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Tuple,
+    Type,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 import numpy as np
 
-from repro.core.engine import DEFAULT_CHUNK_S, ProtectionEngine
+from repro.core.engine import DEFAULT_CHUNK_S, ProtectedPiece, ProtectionEngine
 from repro.core.split import split_fixed_time
 from repro.core.trace import Trace
 from repro.errors import (
@@ -174,17 +188,33 @@ def trace_to_wire(trace: Trace) -> Dict[str, Any]:
     }
 
 
-def trace_from_wire(data: Any) -> Trace:
-    """Rebuild a :class:`Trace` from its wire dict."""
+def _trace_from(data: Any, column: Callable[[Any], Any]) -> Trace:
+    """The trace a wire dict describes, each column resolved by *column*.
+
+    Every column must be finite — the decoders' half of the encoders'
+    ``allow_nan=False`` contract: ``json.loads`` accepts ``NaN`` and
+    ``Infinity`` tokens (``1e400`` parses to ``inf``), and a v2 block
+    can carry raw NaN bits.
+    """
     if not isinstance(data, dict):
         raise ProtocolError(f"trace body must be an object, got {type(data).__name__}")
     missing = {"user_id", "t", "lat", "lng"} - set(data)
     if missing:
         raise ProtocolError(f"trace body is missing keys {sorted(missing)}")
     try:
-        return Trace(str(data["user_id"]), data["t"], data["lat"], data["lng"])
+        columns = [column(data[key]) for key in ("t", "lat", "lng")]
+        trace = Trace(str(data["user_id"]), *columns)
     except (TypeError, ValueError, ReproError) as exc:
         raise ProtocolError(f"malformed trace on the wire: {exc}") from exc
+    for name, values in (("t", trace.timestamps), ("lat", trace.lats), ("lng", trace.lngs)):
+        if not np.isfinite(values).all():
+            raise ProtocolError(f"malformed trace on the wire: non-finite {name!r} value")
+    return trace
+
+
+def trace_from_wire(data: Any) -> Trace:
+    """Rebuild a :class:`Trace` from its wire dict."""
+    return _trace_from(data, lambda values: values)
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +233,12 @@ _V2_DTYPES: Dict[str, "np.dtype"] = {
 class BlockWriter:
     """Collects the columnar payload blocks of one v2 binary frame.
 
-    ``to_body_v2`` implementations call :meth:`add` with a 1-D array and
-    embed the returned ``{"$blk": n}`` ref where the v1 body would
-    inline a JSON list; the frame encoder concatenates the raw
-    little-endian bytes after the JSON header, so no per-element Python
-    object or float repr is ever built on the hot path.
+    A v2 body encode (:meth:`WireMessage.to_body` given a writer) calls
+    :meth:`add` with a 1-D array and embeds the returned ``{"$blk": n}``
+    ref where the v1 body would inline a JSON list; the frame encoder
+    concatenates the raw little-endian bytes after the JSON header, so
+    no per-element Python object or float repr is ever built on the hot
+    path.
     """
 
     def __init__(self) -> None:
@@ -311,20 +342,192 @@ def trace_to_wire_v2(trace: Trace, blocks: BlockWriter) -> Dict[str, Any]:
 
 def trace_from_wire_v2(data: Any, blocks: List["np.ndarray"]) -> Trace:
     """Rebuild a :class:`Trace` from its v2 body (zero-copy columns)."""
-    if not isinstance(data, dict):
-        raise ProtocolError(f"trace body must be an object, got {type(data).__name__}")
-    missing = {"user_id", "t", "lat", "lng"} - set(data)
-    if missing:
-        raise ProtocolError(f"trace body is missing keys {sorted(missing)}")
-    try:
-        return Trace(
-            str(data["user_id"]),
-            take_block(data["t"], blocks),
-            take_block(data["lat"], blocks),
-            take_block(data["lng"], blocks),
+    return _trace_from(data, lambda ref: take_block(ref, blocks))
+
+
+# ---------------------------------------------------------------------------
+# Message bodies: one codec derived from the dataclass fields
+# ---------------------------------------------------------------------------
+
+#: A field's ``encode(value, blocks)`` or ``decode(value, blocks)``;
+#: *blocks* is ``None`` under v1 and the frame's :class:`BlockWriter`
+#: (encode) or block list (decode) under v2.
+_Codec = Callable[[Any, Any], Any]
+
+_JSON_KINDS = {
+    dict: "object", list: "array", str: "string", bool: "boolean",
+    int: "integer", float: "number", type(None): "null",
+}
+
+
+def _mistyped(expected: str, value: Any) -> TypeError:
+    kind = _JSON_KINDS.get(type(value), type(value).__name__)
+    return TypeError(f"expected {expected}, got {kind}")
+
+
+def _exactly(kind: type, expected: str) -> _Codec:
+    """A decoder for JSON values of exactly type *kind*: ``true`` is no
+    integer, ``1`` no boolean, and ``"7"`` neither."""
+
+    def decode(value: Any, blocks: Any) -> Any:
+        if type(value) is kind:
+            return value
+        raise _mistyped(expected, value)
+
+    return decode
+
+
+_decode_int = _exactly(int, "an integer")
+_decode_str = _exactly(str, "a string")
+_decode_array = _exactly(list, "an array")
+_decode_object = _exactly(dict, "an object")
+
+
+def _decode_float(value: Any, blocks: Any) -> float:
+    if type(value) is float or type(value) is int:
+        number = float(value)
+        if math.isfinite(number):
+            return number
+        raise ValueError(f"expected a finite number, got {value!r}")
+    raise _mistyped("a number", value)
+
+
+def _encode_trace(trace: Trace, blocks: Any) -> Dict[str, Any]:
+    # The one place the framing picks a trace's form: inline JSON lists
+    # under v1, ``$blk`` refs into the payload under v2.
+    return trace_to_wire(trace) if blocks is None else trace_to_wire_v2(trace, blocks)
+
+
+def _decode_trace(data: Any, blocks: Any) -> Trace:
+    return trace_from_wire(data) if blocks is None else trace_from_wire_v2(data, blocks)
+
+
+#: The wire forms looked up by annotation: ``(encode, decode)``.
+_FORMS: Dict[Any, Tuple[_Codec, _Codec]] = {
+    bool: (lambda value, blocks: bool(value), _exactly(bool, "true or false")),
+    int: (lambda value, blocks: int(value), _decode_int),
+    float: (lambda value, blocks: float(value), _decode_float),
+    str: (lambda value, blocks: str(value), _decode_str),
+    Dict[str, Any]: (lambda value, blocks: dict(value), _decode_object),
+    Trace: (_encode_trace, _decode_trace),
+}
+
+
+def _wire_form(annotation: Any) -> Tuple[_Codec, _Codec]:
+    """The ``(encode, decode)`` pair of one field annotation, or a
+    :class:`TypeError` when the annotation has no wire form."""
+    if annotation in _FORMS:
+        return _FORMS[annotation]
+    if isinstance(annotation, type) and issubclass(annotation, WireMessage):
+        _plan(annotation)
+        nested = annotation.from_body
+        return (
+            lambda value, blocks: value.to_body(blocks),
+            lambda value, blocks: nested(_decode_object(value, blocks), blocks),
         )
-    except (TypeError, ValueError, ReproError) as exc:
-        raise ProtocolError(f"malformed trace on the wire: {exc}") from exc
+    origin, args = get_origin(annotation), get_args(annotation)
+    if origin is Union and len(args) == 2 and args[1] is type(None):
+        encode, decode = _wire_form(args[0])
+        return (
+            lambda value, blocks: None if value is None else encode(value, blocks),
+            lambda value, blocks: None if value is None else decode(value, blocks),
+        )
+    if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
+        encode, decode = _wire_form(args[0])
+        return (
+            lambda value, blocks: [encode(item, blocks) for item in value],
+            lambda value, blocks: tuple(
+                [decode(item, blocks) for item in _decode_array(value, blocks)]
+            ),
+        )
+    if origin is tuple and args and Ellipsis not in args:
+        forms = [_wire_form(arg) for arg in args]
+
+        def zipped(value: Any) -> Any:
+            if len(value) != len(forms):
+                raise ValueError(f"expected {len(forms)} items, got {len(value)}")
+            return zip(forms, value)
+
+        return (
+            lambda value, blocks: [e(item, blocks) for (e, _), item in zipped(value)],
+            lambda value, blocks: tuple(
+                [d(item, blocks) for (_, d), item in zipped(_decode_array(value, blocks))]
+            ),
+        )
+    raise TypeError(f"no wire form for {annotation!r}")
+
+
+#: class -> one ``(name, encode, decode, absent, omit_none, inline)``
+#: entry per field, where ``absent`` is what a missing key decodes to.
+_PLANS: Dict[type, Tuple[Tuple[Any, ...], ...]] = {}
+_REQUIRED = object()
+_CONSTRUCTOR_DEFAULT = object()
+
+
+def _plan(cls: type) -> Tuple[Tuple[Any, ...], ...]:
+    """*cls*'s field plan, built from its type hints on first use."""
+    plan = _PLANS.get(cls)
+    if plan is None:
+        hints, entries = get_type_hints(cls), []
+        for spec in fields(cls):
+            meta = spec.metadata
+            has_default = spec.default is not MISSING or spec.default_factory is not MISSING
+            required = meta.get("required") or not has_default
+            absent = meta.get("absent", _REQUIRED if required else _CONSTRUCTOR_DEFAULT)
+            encode, decode = _wire_form(hints[spec.name])
+            omit_none, inline = bool(meta.get("omit_none")), bool(meta.get("inline"))
+            entries.append((spec.name, encode, decode, absent, omit_none, inline))
+        plan = _PLANS[cls] = tuple(entries)
+    return plan
+
+
+class WireMessage:
+    """Base of every wire message: one body codec derived from its fields.
+
+    A body has one key per dataclass field, in declaration order, each
+    value in its annotation's wire form (:func:`_wire_form`).  Encoding
+    coerces values by annotation; decoding checks JSON types, so a
+    mistyped or non-finite value is malformed.  A missing key takes the
+    constructor default; a field without one is required.  *blocks* is
+    ``None`` for a v1 body and the frame's :class:`BlockWriter` (encode)
+    or block list (decode) under v2.
+
+    Wire quirks are declared in a field's ``metadata``: ``omit_none``
+    (no key while the value is ``None``), ``absent`` (what a missing
+    key decodes to), ``required`` (a missing key is malformed despite
+    the constructor default) and ``inline`` (traces stay inline JSON
+    under v2).
+    """
+
+    def to_body(self, blocks: Optional[BlockWriter] = None) -> Dict[str, Any]:
+        body: Dict[str, Any] = {}
+        for name, encode, _, _, omit_none, inline in _plan(type(self)):
+            value = getattr(self, name)
+            if value is None and omit_none:
+                continue
+            body[name] = encode(value, None if inline else blocks)
+        return body
+
+    @classmethod
+    def from_body(
+        cls, body: Dict[str, Any], blocks: Optional[List["np.ndarray"]] = None
+    ) -> Any:
+        """The message *body* encodes; a malformed body raises
+        :class:`KeyError`, :class:`TypeError` or :class:`ValueError`."""
+        kwargs: Dict[str, Any] = {}
+        for name, _, decode, absent, _, inline in _plan(cls):
+            if name in body:
+                try:
+                    kwargs[name] = decode(body[name], None if inline else blocks)
+                except ProtocolError:
+                    raise
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise ValueError(f"{name}: {exc}") from exc
+            elif absent is _REQUIRED:
+                raise KeyError(name)
+            elif absent is not _CONSTRUCTOR_DEFAULT:
+                kwargs[name] = absent
+        return cls(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -333,14 +536,15 @@ def trace_from_wire_v2(data: Any, blocks: List["np.ndarray"]) -> Trace:
 
 
 @dataclass(frozen=True)
-class PublishedPiece:
+class PublishedPiece(WireMessage):
     """Wire form of one published sub-trace (raw original never leaves).
 
     ``original_records`` is the record count of the raw sub-trace this
     piece protects — a count, never coordinates — so a remote caller can
     weight distortion and data-loss readouts exactly like a local one.
     ``None`` means "same as the published trace" (every built-in LPPM is
-    record-preserving), which also keeps old peers' bodies decodable.
+    record-preserving) and resolves to ``len(trace)`` on construction,
+    which is also how an old peer's body without the key decodes.
     """
 
     pseudonym: str
@@ -349,56 +553,30 @@ class PublishedPiece:
     trace: Trace
     original_records: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        if self.original_records is None:
+            object.__setattr__(self, "original_records", len(self.trace))
+
+    @classmethod
+    def of(cls, piece: ProtectedPiece) -> "PublishedPiece":
+        """The wire form of an engine piece: its raw sub-trace travels
+        as a record count only."""
+        return cls(
+            pseudonym=piece.pseudonym,
+            mechanism=piece.mechanism,
+            distortion_m=piece.distortion_m,
+            trace=piece.published,
+            original_records=len(piece.original),
+        )
+
     @property
     def records_protected(self) -> int:
         """Record count of the raw sub-trace behind this piece."""
-        if self.original_records is not None:
-            return self.original_records
-        return len(self.trace)
-
-    def to_body(self) -> Dict[str, Any]:
-        return {
-            "pseudonym": self.pseudonym,
-            "mechanism": self.mechanism,
-            "distortion_m": self.distortion_m,
-            "trace": trace_to_wire(self.trace),
-            "original_records": self.records_protected,
-        }
-
-    @classmethod
-    def from_body(cls, body: Dict[str, Any]) -> "PublishedPiece":
-        trace = trace_from_wire(body["trace"])
-        raw = body.get("original_records")
-        return cls(
-            pseudonym=str(body["pseudonym"]),
-            mechanism=str(body["mechanism"]),
-            distortion_m=float(body["distortion_m"]),
-            trace=trace,
-            original_records=len(trace) if raw is None else int(raw),
-        )
-
-    def to_body_v2(self, blocks: "BlockWriter") -> Dict[str, Any]:
-        body = self.to_body()
-        body["trace"] = trace_to_wire_v2(self.trace, blocks)
-        return body
-
-    @classmethod
-    def from_body_v2(
-        cls, body: Dict[str, Any], blocks: List["np.ndarray"]
-    ) -> "PublishedPiece":
-        trace = trace_from_wire_v2(body["trace"], blocks)
-        raw = body.get("original_records")
-        return cls(
-            pseudonym=str(body["pseudonym"]),
-            mechanism=str(body["mechanism"]),
-            distortion_m=float(body["distortion_m"]),
-            trace=trace,
-            original_records=len(trace) if raw is None else int(raw),
-        )
+        return self.original_records
 
 
 @dataclass(frozen=True)
-class ProtectRequest:
+class ProtectRequest(WireMessage):
     """Run the MooD cascade on one trace; nothing is ingested server-side."""
 
     trace: Trace
@@ -406,41 +584,9 @@ class ProtectRequest:
     daily: bool = False
     chunk_s: float = DEFAULT_CHUNK_S
 
-    def to_body(self) -> Dict[str, Any]:
-        return {
-            "trace": trace_to_wire(self.trace),
-            "daily": bool(self.daily),
-            "chunk_s": float(self.chunk_s),
-        }
-
-    @classmethod
-    def from_body(cls, body: Dict[str, Any]) -> "ProtectRequest":
-        return cls(
-            trace=trace_from_wire(body["trace"]),
-            daily=bool(body.get("daily", False)),
-            chunk_s=float(body.get("chunk_s", DEFAULT_CHUNK_S)),
-        )
-
-    def to_body_v2(self, blocks: "BlockWriter") -> Dict[str, Any]:
-        return {
-            "trace": trace_to_wire_v2(self.trace, blocks),
-            "daily": bool(self.daily),
-            "chunk_s": float(self.chunk_s),
-        }
-
-    @classmethod
-    def from_body_v2(
-        cls, body: Dict[str, Any], blocks: List["np.ndarray"]
-    ) -> "ProtectRequest":
-        return cls(
-            trace=trace_from_wire_v2(body["trace"], blocks),
-            daily=bool(body.get("daily", False)),
-            chunk_s=float(body.get("chunk_s", DEFAULT_CHUNK_S)),
-        )
-
 
 @dataclass(frozen=True)
-class ProtectResponse:
+class ProtectResponse(WireMessage):
     """Published pieces and erasure counts for one protected trace."""
 
     user_id: str
@@ -454,80 +600,17 @@ class ProtectResponse:
             return 0.0
         return self.erased_records / self.original_records
 
-    def to_body(self) -> Dict[str, Any]:
-        return {
-            "user_id": self.user_id,
-            "pieces": [p.to_body() for p in self.pieces],
-            "erased_records": self.erased_records,
-            "original_records": self.original_records,
-        }
-
-    @classmethod
-    def from_body(cls, body: Dict[str, Any]) -> "ProtectResponse":
-        return cls(
-            user_id=str(body["user_id"]),
-            pieces=tuple(PublishedPiece.from_body(p) for p in body["pieces"]),
-            erased_records=int(body["erased_records"]),
-            original_records=int(body["original_records"]),
-        )
-
-    def to_body_v2(self, blocks: "BlockWriter") -> Dict[str, Any]:
-        return {
-            "user_id": self.user_id,
-            "pieces": [p.to_body_v2(blocks) for p in self.pieces],
-            "erased_records": self.erased_records,
-            "original_records": self.original_records,
-        }
-
-    @classmethod
-    def from_body_v2(
-        cls, body: Dict[str, Any], blocks: List["np.ndarray"]
-    ) -> "ProtectResponse":
-        return cls(
-            user_id=str(body["user_id"]),
-            pieces=tuple(
-                PublishedPiece.from_body_v2(p, blocks) for p in body["pieces"]
-            ),
-            erased_records=int(body["erased_records"]),
-            original_records=int(body["original_records"]),
-        )
-
 
 @dataclass(frozen=True)
-class UploadRequest:
+class UploadRequest(WireMessage):
     """The middleware path: protect one daily chunk and ingest the pieces."""
 
     trace: Trace
     day_index: int = 0
 
-    def to_body(self) -> Dict[str, Any]:
-        return {"trace": trace_to_wire(self.trace), "day_index": int(self.day_index)}
-
-    @classmethod
-    def from_body(cls, body: Dict[str, Any]) -> "UploadRequest":
-        return cls(
-            trace=trace_from_wire(body["trace"]),
-            day_index=int(body.get("day_index", 0)),
-        )
-
-    def to_body_v2(self, blocks: "BlockWriter") -> Dict[str, Any]:
-        return {
-            "trace": trace_to_wire_v2(self.trace, blocks),
-            "day_index": int(self.day_index),
-        }
-
-    @classmethod
-    def from_body_v2(
-        cls, body: Dict[str, Any], blocks: List["np.ndarray"]
-    ) -> "UploadRequest":
-        return cls(
-            trace=trace_from_wire_v2(body["trace"], blocks),
-            day_index=int(body.get("day_index", 0)),
-        )
-
 
 @dataclass(frozen=True)
-class UploadResponse:
+class UploadResponse(WireMessage):
     """Receipt for one upload: what was published, what was dropped."""
 
     user_id: str
@@ -535,26 +618,9 @@ class UploadResponse:
     published_records: int
     erased_records: int
 
-    def to_body(self) -> Dict[str, Any]:
-        return {
-            "user_id": self.user_id,
-            "pseudonyms": list(self.pseudonyms),
-            "published_records": self.published_records,
-            "erased_records": self.erased_records,
-        }
-
-    @classmethod
-    def from_body(cls, body: Dict[str, Any]) -> "UploadResponse":
-        return cls(
-            user_id=str(body["user_id"]),
-            pseudonyms=tuple(str(p) for p in body["pseudonyms"]),
-            published_records=int(body["published_records"]),
-            erased_records=int(body["erased_records"]),
-        )
-
 
 @dataclass(frozen=True)
-class QueryRequest:
+class QueryRequest(WireMessage):
     """Spatial analytics over the collected (protected) corpus.
 
     ``kind``:
@@ -568,23 +634,9 @@ class QueryRequest:
     lng: Optional[float] = None
     k: int = 10
 
-    def to_body(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "lat": self.lat, "lng": self.lng, "k": self.k}
-
-    @classmethod
-    def from_body(cls, body: Dict[str, Any]) -> "QueryRequest":
-        lat = body.get("lat")
-        lng = body.get("lng")
-        return cls(
-            kind=str(body.get("kind", "count")),
-            lat=None if lat is None else float(lat),
-            lng=None if lng is None else float(lng),
-            k=int(body.get("k", 10)),
-        )
-
 
 @dataclass(frozen=True)
-class QueryResponse:
+class QueryResponse(WireMessage):
     """Answer to a :class:`QueryRequest`."""
 
     kind: str
@@ -592,81 +644,40 @@ class QueryResponse:
     #: ``(cell_ix, cell_iy, count)`` rows for ``top_cells``.
     cells: Tuple[Tuple[int, int, int], ...] = ()
 
-    def to_body(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "count": self.count,
-            "cells": [list(row) for row in self.cells],
-        }
-
-    @classmethod
-    def from_body(cls, body: Dict[str, Any]) -> "QueryResponse":
-        count = body.get("count")
-        return cls(
-            kind=str(body["kind"]),
-            count=None if count is None else int(count),
-            cells=tuple(
-                (int(ix), int(iy), int(n)) for ix, iy, n in body.get("cells", [])
-            ),
-        )
-
 
 @dataclass(frozen=True)
-class StatsRequest:
+class StatsRequest(WireMessage):
     """Ask for the proxy's and server's operational counters."""
 
-    def to_body(self) -> Dict[str, Any]:
-        return {}
-
-    @classmethod
-    def from_body(cls, body: Dict[str, Any]) -> "StatsRequest":
-        return cls()
-
 
 @dataclass(frozen=True)
-class StatsResponse:
-    """Operational counters (plain dicts of the stats dataclasses)."""
+class StatsResponse(WireMessage):
+    """Operational counters (plain dicts of the stats dataclasses).
 
-    proxy: Dict[str, Any] = field(default_factory=dict)
-    server: Dict[str, Any] = field(default_factory=dict)
+    ``proxy`` and ``server`` are required on the wire although the
+    constructor defaults them, so a bare ``StatsResponse()`` still makes
+    a handy placeholder reply.
+    """
+
+    proxy: Dict[str, Any] = field(default_factory=dict, metadata={"required": True})
+    server: Dict[str, Any] = field(default_factory=dict, metadata={"required": True})
     #: Streaming-ingestion counters, including per-reason overflow
     #: events (a v1-compatible body addition: old peers ignore it).
     stream: Dict[str, Any] = field(default_factory=dict)
-    #: Seconds since the serving process constructed its service, and
-    #: the protocol/build versions it speaks — v1-compatible body
-    #: additions so ``repro top`` can label rows; old peers ignore
-    #: them and old replies decode with the defaults.
-    uptime_s: Optional[float] = None
+    #: The protocol/build versions the serving process speaks, and the
+    #: seconds since it constructed its service — v1-compatible body
+    #: additions so ``repro top`` can label rows; old peers ignore them
+    #: and old replies decode with the defaults.  ``uptime_s`` has no
+    #: key while it is unset.
     versions: Dict[str, Any] = field(default_factory=dict)
-
-    def to_body(self) -> Dict[str, Any]:
-        body: Dict[str, Any] = {
-            "proxy": dict(self.proxy),
-            "server": dict(self.server),
-            "stream": dict(self.stream),
-            "versions": dict(self.versions),
-        }
-        if self.uptime_s is not None:
-            body["uptime_s"] = self.uptime_s
-        return body
-
-    @classmethod
-    def from_body(cls, body: Dict[str, Any]) -> "StatsResponse":
-        uptime = body.get("uptime_s")
-        return cls(
-            proxy=dict(body["proxy"]),
-            server=dict(body["server"]),
-            stream=dict(body.get("stream", {})),
-            uptime_s=None if uptime is None else float(uptime),
-            versions=dict(body.get("versions", {})),
-        )
+    uptime_s: Optional[float] = field(default=None, metadata={"omit_none": True})
 
 
 # -- streaming ingestion (v1-compatible vocabulary additions) --------------
 
 
 @dataclass(frozen=True)
-class StreamOpen:
+class StreamOpen(WireMessage):
     """Open (or resume) one user's record stream.
 
     ``resume=True`` re-attaches to a surviving session after a
@@ -680,31 +691,9 @@ class StreamOpen:
     gap_s: Optional[float] = None
     resume: bool = False
 
-    def to_body(self) -> Dict[str, Any]:
-        return {
-            "user_id": self.user_id,
-            "window": self.window,
-            "window_s": self.window_s,
-            "gap_s": self.gap_s,
-            "resume": bool(self.resume),
-        }
-
-    @classmethod
-    def from_body(cls, body: Dict[str, Any]) -> "StreamOpen":
-        window = body.get("window")
-        window_s = body.get("window_s")
-        gap_s = body.get("gap_s")
-        return cls(
-            user_id=str(body["user_id"]),
-            window=None if window is None else str(window),
-            window_s=None if window_s is None else float(window_s),
-            gap_s=None if gap_s is None else float(gap_s),
-            resume=bool(body.get("resume", False)),
-        )
-
 
 @dataclass(frozen=True)
-class StreamOpened:
+class StreamOpened(WireMessage):
     """Session attached.  ``watermark`` is the protected-and-durable
     frontier (-1 for a fresh session); ``next_ordinal`` the first
     ordinal the server has *not* buffered — resend from ``watermark+1``
@@ -715,51 +704,24 @@ class StreamOpened:
     next_ordinal: int
     resumed: bool = False
 
-    def to_body(self) -> Dict[str, Any]:
-        return {
-            "user_id": self.user_id,
-            "watermark": int(self.watermark),
-            "next_ordinal": int(self.next_ordinal),
-            "resumed": bool(self.resumed),
-        }
-
-    @classmethod
-    def from_body(cls, body: Dict[str, Any]) -> "StreamOpened":
-        return cls(
-            user_id=str(body["user_id"]),
-            watermark=int(body["watermark"]),
-            next_ordinal=int(body["next_ordinal"]),
-            resumed=bool(body.get("resumed", False)),
-        )
-
 
 @dataclass(frozen=True)
-class StreamRecord:
+class StreamRecord(WireMessage):
     """One batch of records: ``(ordinal, t, lat, lng)`` rows, ordinal-
     and time-ordered.  Ordinals are client-assigned, contiguous from 0
-    per session — they are the currency of the watermark contract."""
+    per session — they are the currency of the watermark contract.
+
+    The v1 body is the derived one (``records`` as ``[o, t, lat, lng]``
+    rows); the v2 body is columnar at the top level: ``o``, ``t``,
+    ``lat`` and ``lng`` blocks.
+    """
 
     user_id: str
     records: Tuple[Tuple[int, float, float, float], ...]
 
-    def to_body(self) -> Dict[str, Any]:
-        return {
-            "user_id": self.user_id,
-            "records": [[int(o), float(t), float(lat), float(lng)]
-                        for o, t, lat, lng in self.records],
-        }
-
-    @classmethod
-    def from_body(cls, body: Dict[str, Any]) -> "StreamRecord":
-        return cls(
-            user_id=str(body["user_id"]),
-            records=tuple(
-                (int(row[0]), float(row[1]), float(row[2]), float(row[3]))
-                for row in body["records"]
-            ),
-        )
-
-    def to_body_v2(self, blocks: "BlockWriter") -> Dict[str, Any]:
+    def to_body(self, blocks: Optional[BlockWriter] = None) -> Dict[str, Any]:
+        if blocks is None:
+            return super().to_body()
         ordinals = [int(o) for o, _, _, _ in self.records]
         # Ordinals ride an int64 block unless one overflows it (they are
         # client-assigned and unbounded by contract) — then they stay
@@ -769,7 +731,7 @@ class StreamRecord:
         else:
             o_body = ordinals
         return {
-            "user_id": self.user_id,
+            "user_id": str(self.user_id),
             "o": o_body,
             "t": blocks.add([float(t) for _, t, _, _ in self.records]),
             "lat": blocks.add([float(lat) for _, _, lat, _ in self.records]),
@@ -777,27 +739,33 @@ class StreamRecord:
         }
 
     @classmethod
-    def from_body_v2(
-        cls, body: Dict[str, Any], blocks: List["np.ndarray"]
+    def from_body(
+        cls, body: Dict[str, Any], blocks: Optional[List["np.ndarray"]] = None
     ) -> "StreamRecord":
+        if blocks is None:
+            return super().from_body(body)
         raw_o = body["o"]
         if isinstance(raw_o, list):
-            ordinals = [int(o) for o in raw_o]
+            ordinals = [_decode_int(o, None) for o in raw_o]
         else:
             ordinals = take_block(raw_o, blocks, dtype="<i8").tolist()
-        ts = take_block(body["t"], blocks).tolist()
-        lats = take_block(body["lat"], blocks).tolist()
-        lngs = take_block(body["lng"], blocks).tolist()
+        columns = []
+        for key in ("t", "lat", "lng"):
+            column = take_block(body[key], blocks)
+            if not np.isfinite(column).all():
+                raise ProtocolError(f"stream_record v2 column {key!r} is not finite")
+            columns.append(column.tolist())
+        ts, lats, lngs = columns
         if not (len(ordinals) == len(ts) == len(lats) == len(lngs)):
             raise ProtocolError("stream_record v2 columns disagree on length")
         return cls(
-            user_id=str(body["user_id"]),
+            user_id=_decode_str(body["user_id"], None),
             records=tuple(zip(ordinals, ts, lats, lngs)),
         )
 
 
 @dataclass(frozen=True)
-class StreamAck:
+class StreamAck(WireMessage):
     """Receipt for one record batch.
 
     ``accepted`` counts records consumed (including deduplicated
@@ -813,30 +781,9 @@ class StreamAck:
     status: str = "ok"
     reason: str = ""
 
-    def to_body(self) -> Dict[str, Any]:
-        return {
-            "user_id": self.user_id,
-            "accepted": int(self.accepted),
-            "next_ordinal": int(self.next_ordinal),
-            "watermark": int(self.watermark),
-            "status": self.status,
-            "reason": self.reason,
-        }
-
-    @classmethod
-    def from_body(cls, body: Dict[str, Any]) -> "StreamAck":
-        return cls(
-            user_id=str(body["user_id"]),
-            accepted=int(body["accepted"]),
-            next_ordinal=int(body["next_ordinal"]),
-            watermark=int(body["watermark"]),
-            status=str(body.get("status", "ok")),
-            reason=str(body.get("reason", "")),
-        )
-
 
 @dataclass(frozen=True)
-class StreamFlush:
+class StreamFlush(WireMessage):
     """Ack the client's durable frontier and fetch retained pieces.
 
     ``acked`` is the highest watermark the client has durably consumed
@@ -849,24 +796,9 @@ class StreamFlush:
     acked: int = -1
     close_window: bool = False
 
-    def to_body(self) -> Dict[str, Any]:
-        return {
-            "user_id": self.user_id,
-            "acked": int(self.acked),
-            "close_window": bool(self.close_window),
-        }
-
-    @classmethod
-    def from_body(cls, body: Dict[str, Any]) -> "StreamFlush":
-        return cls(
-            user_id=str(body["user_id"]),
-            acked=int(body.get("acked", -1)),
-            close_window=bool(body.get("close_window", False)),
-        )
-
 
 @dataclass(frozen=True)
-class StreamFlushed:
+class StreamFlushed(WireMessage):
     """The flush receipt: exactly which ordinals are protected-and-
     durable (``watermark``), plus the published pieces the client has
     not acknowledged yet.  Re-flushing after a lost reply returns the
@@ -874,48 +806,24 @@ class StreamFlushed:
 
     user_id: str
     watermark: int
-    pieces: Tuple[PublishedPiece, ...] = ()
+    #: Inline JSON traces under v2 as well: this verb's pieces predate
+    #: the v2 blocks, and older v2 peers reject ``$blk`` refs here.
+    pieces: Tuple[PublishedPiece, ...] = field(default=(), metadata={"inline": True})
     erased_records: int = 0
     #: Piece-log entries shed under ``overflow.piece_log_shed`` (their
     #: pieces stayed durable server-side, only the wire copies are gone).
     pieces_dropped: int = 0
 
-    def to_body(self) -> Dict[str, Any]:
-        return {
-            "user_id": self.user_id,
-            "watermark": int(self.watermark),
-            "pieces": [p.to_body() for p in self.pieces],
-            "erased_records": int(self.erased_records),
-            "pieces_dropped": int(self.pieces_dropped),
-        }
-
-    @classmethod
-    def from_body(cls, body: Dict[str, Any]) -> "StreamFlushed":
-        return cls(
-            user_id=str(body["user_id"]),
-            watermark=int(body["watermark"]),
-            pieces=tuple(PublishedPiece.from_body(p) for p in body.get("pieces", [])),
-            erased_records=int(body.get("erased_records", 0)),
-            pieces_dropped=int(body.get("pieces_dropped", 0)),
-        )
-
 
 @dataclass(frozen=True)
-class StreamClose:
+class StreamClose(WireMessage):
     """End one user's stream: flush the open window, retire the session."""
 
     user_id: str
 
-    def to_body(self) -> Dict[str, Any]:
-        return {"user_id": self.user_id}
-
-    @classmethod
-    def from_body(cls, body: Dict[str, Any]) -> "StreamClose":
-        return cls(user_id=str(body["user_id"]))
-
 
 @dataclass(frozen=True)
-class StreamClosed:
+class StreamClosed(WireMessage):
     """Final session tally (flush before closing to fetch the last
     window's pieces — close returns counters, not payloads)."""
 
@@ -927,79 +835,35 @@ class StreamClosed:
     pieces_published: int = 0
     windows_closed: int = 0
 
-    def to_body(self) -> Dict[str, Any]:
-        return {
-            "user_id": self.user_id,
-            "watermark": int(self.watermark),
-            "records_in": int(self.records_in),
-            "records_shed": int(self.records_shed),
-            "erased_records": int(self.erased_records),
-            "pieces_published": int(self.pieces_published),
-            "windows_closed": int(self.windows_closed),
-        }
-
-    @classmethod
-    def from_body(cls, body: Dict[str, Any]) -> "StreamClosed":
-        return cls(
-            user_id=str(body["user_id"]),
-            watermark=int(body["watermark"]),
-            records_in=int(body.get("records_in", 0)),
-            records_shed=int(body.get("records_shed", 0)),
-            erased_records=int(body.get("erased_records", 0)),
-            pieces_published=int(body.get("pieces_published", 0)),
-            windows_closed=int(body.get("windows_closed", 0)),
-        )
-
 
 @dataclass(frozen=True)
-class AuthRequest:
+class AuthRequest(WireMessage):
     """One leg of the shared-secret handshake (client → server).
 
-    Without ``proof`` it asks for a challenge; with ``proof`` (the
-    HMAC-blake2b of the server's nonce under the shared key, hex) it
-    completes the handshake.  A v1-compatible vocabulary addition: the
-    frame format is unchanged, servers without a key answer
-    :class:`AuthResponse` immediately, so mixed deployments interoperate.
+    Without ``proof`` it asks for a challenge (body ``{}``); with
+    ``proof`` (the HMAC-blake2b of the server's nonce under the shared
+    key, hex) it completes the handshake.  A v1-compatible vocabulary
+    addition: the frame format is unchanged, servers without a key
+    answer :class:`AuthResponse` immediately, so mixed deployments
+    interoperate.
     """
 
-    proof: Optional[str] = None
-
-    def to_body(self) -> Dict[str, Any]:
-        return {} if self.proof is None else {"proof": self.proof}
-
-    @classmethod
-    def from_body(cls, body: Dict[str, Any]) -> "AuthRequest":
-        proof = body.get("proof")
-        return cls(proof=None if proof is None else str(proof))
+    proof: Optional[str] = field(default=None, metadata={"omit_none": True})
 
 
 @dataclass(frozen=True)
-class AuthChallenge:
+class AuthChallenge(WireMessage):
     """Server → client: prove knowledge of the key over this nonce."""
 
     nonce: str
 
-    def to_body(self) -> Dict[str, Any]:
-        return {"nonce": self.nonce}
-
-    @classmethod
-    def from_body(cls, body: Dict[str, Any]) -> "AuthChallenge":
-        return cls(nonce=str(body["nonce"]))
-
 
 @dataclass(frozen=True)
-class AuthResponse:
+class AuthResponse(WireMessage):
     """Server → client: the handshake is complete; the connection is
     authenticated (or the server never required auth)."""
 
     ok: bool = True
-
-    def to_body(self) -> Dict[str, Any]:
-        return {"ok": bool(self.ok)}
-
-    @classmethod
-    def from_body(cls, body: Dict[str, Any]) -> "AuthResponse":
-        return cls(ok=bool(body.get("ok", True)))
 
 
 class AuthHandshakeRefused(ReproError):
@@ -1051,55 +915,37 @@ def client_auth_handshake(key: bytes):
 
 
 @dataclass(frozen=True)
-class HelloRequest:
+class HelloRequest(WireMessage):
     """Client → server: the wire versions this client can speak.
 
     Always sent as a JSON frame (tagged ``"v": 2`` so a pre-hello v1
     server rejects it with a version-mismatch envelope the client can
     downgrade on); a server that understands it answers
     :class:`HelloResponse` and the connection switches to the agreed
-    version from the next frame on.
+    version from the next frame on.  A body without ``versions`` is a
+    peer that lists nothing, which speaks v1.
     """
 
-    versions: Tuple[int, ...] = SUPPORTED_WIRE_VERSIONS
-
-    def to_body(self) -> Dict[str, Any]:
-        return {"versions": [int(v) for v in self.versions]}
-
-    @classmethod
-    def from_body(cls, body: Dict[str, Any]) -> "HelloRequest":
-        return cls(
-            versions=tuple(int(v) for v in body.get("versions", [WIRE_VERSION]))
-        )
+    versions: Tuple[int, ...] = field(
+        default=SUPPORTED_WIRE_VERSIONS, metadata={"absent": (WIRE_VERSION,)}
+    )
 
 
 @dataclass(frozen=True)
-class HelloResponse:
+class HelloResponse(WireMessage):
     """Server → client: the agreed wire version for this connection.
 
     ``version`` is the highest version both sides speak (``1`` when
     nothing higher is shared — v1 is the floor every peer speaks);
-    ``versions`` lists everything the server supports, for operators.
-    Frames after this reply travel in the agreed framing, both ways.
+    ``versions`` lists everything the server supports, for operators
+    (absent: v1 only).  Frames after this reply travel in the agreed
+    framing, both ways.
     """
 
     version: int
-    versions: Tuple[int, ...] = SUPPORTED_WIRE_VERSIONS
-
-    def to_body(self) -> Dict[str, Any]:
-        return {
-            "version": int(self.version),
-            "versions": [int(v) for v in self.versions],
-        }
-
-    @classmethod
-    def from_body(cls, body: Dict[str, Any]) -> "HelloResponse":
-        return cls(
-            version=int(body["version"]),
-            versions=tuple(
-                int(v) for v in body.get("versions", [WIRE_VERSION])
-            ),
-        )
+    versions: Tuple[int, ...] = field(
+        default=SUPPORTED_WIRE_VERSIONS, metadata={"absent": (WIRE_VERSION,)}
+    )
 
 
 def negotiate_wire_version(
@@ -1127,16 +973,7 @@ def encode_hello_frame(
     :func:`parse_frame_envelope` exempts ``hello_request`` from the
     version gate and negotiates.
     """
-    frame: Dict[str, Any] = {"v": WIRE_VERSION_V2, "type": "hello_request"}
-    if request_id is not None:
-        if not isinstance(request_id, (int, str)) or isinstance(request_id, bool):
-            raise MessageEncodeError(
-                f"request id must be an int or str, got {type(request_id).__name__}"
-            )
-        frame["id"] = request_id
-    frame["body"] = hello.to_body()
-    text = json.dumps(frame, separators=(",", ":"), allow_nan=False)
-    return (text + "\n").encode("utf-8")
+    return _encode_header(WIRE_VERSION_V2, hello, request_id) + b"\n"
 
 
 _PEER_VERSIONS_RE = re.compile(r"speaks \[?([0-9][0-9,\s]*)\]?")
@@ -1157,15 +994,13 @@ def peer_versions_from_error(message: str) -> Optional[Tuple[int, ...]]:
     match = _PEER_VERSIONS_RE.search(message)
     if match is None:
         return None
+    # The pattern admits only digits, commas and spaces: every token parses.
     tokens = match.group(1).replace(",", " ").split()
-    try:
-        return tuple(sorted({int(token) for token in tokens}))
-    except ValueError:
-        return None
+    return tuple(sorted({int(token) for token in tokens}))
 
 
 @dataclass(frozen=True)
-class ErrorEnvelope:
+class ErrorEnvelope(WireMessage):
     """The one shape every service-side fault travels in.
 
     ``code`` is machine-readable (``"protocol"``, ``"bad_request"``,
@@ -1176,39 +1011,19 @@ class ErrorEnvelope:
     code: str
     message: str
 
-    def to_body(self) -> Dict[str, Any]:
-        return {"code": self.code, "message": self.message}
-
-    @classmethod
-    def from_body(cls, body: Dict[str, Any]) -> "ErrorEnvelope":
-        return cls(code=str(body["code"]), message=str(body["message"]))
-
 
 # ---------------------------------------------------------------------------
 # Cluster control plane (v1-compatible vocabulary additions)
 # ---------------------------------------------------------------------------
-
-
-def _member_entries(value: Any) -> Tuple[Dict[str, Any], ...]:
-    """Normalise a wire ``members`` list: a tuple of plain dicts.
-
-    Member entries travel as open dicts (``endpoint``, ``worker_id``,
-    ``state``, ``capacity``, ``joined_epoch``, ``age_s``) rather than a
-    fixed dataclass so the registry can grow fields without a protocol
-    bump; consumers read keys defensively.
-    """
-    entries = []
-    for entry in value:
-        if not isinstance(entry, dict):
-            raise ProtocolError(
-                f"cluster member entry must be an object, got {type(entry).__name__}"
-            )
-        entries.append(dict(entry))
-    return tuple(entries)
+#
+# Member entries travel as open dicts (``endpoint``, ``worker_id``,
+# ``state``, ``capacity``, ``joined_epoch``, ``age_s``) rather than a
+# fixed dataclass so the registry can grow fields without a protocol
+# bump; consumers read keys defensively.
 
 
 @dataclass(frozen=True)
-class ClusterJoin:
+class ClusterJoin(WireMessage):
     """Announce a worker endpoint to a coordinator's membership registry.
 
     ``endpoint`` is the address *other* peers should dial (``host:port``
@@ -1221,48 +1036,18 @@ class ClusterJoin:
     worker_id: str = ""
     capacity: int = 0
 
-    def to_body(self) -> Dict[str, Any]:
-        return {
-            "endpoint": self.endpoint,
-            "worker_id": self.worker_id,
-            "capacity": self.capacity,
-        }
-
-    @classmethod
-    def from_body(cls, body: Dict[str, Any]) -> "ClusterJoin":
-        return cls(
-            endpoint=str(body["endpoint"]),
-            worker_id=str(body.get("worker_id", "")),
-            capacity=int(body.get("capacity", 0)),
-        )
-
 
 @dataclass(frozen=True)
-class ClusterJoined:
+class ClusterJoined(WireMessage):
     """Join acknowledgement: the registry epoch and a membership snapshot."""
 
     accepted: bool
     epoch: int
     members: Tuple[Dict[str, Any], ...] = ()
 
-    def to_body(self) -> Dict[str, Any]:
-        return {
-            "accepted": self.accepted,
-            "epoch": self.epoch,
-            "members": [dict(m) for m in self.members],
-        }
-
-    @classmethod
-    def from_body(cls, body: Dict[str, Any]) -> "ClusterJoined":
-        return cls(
-            accepted=bool(body["accepted"]),
-            epoch=int(body["epoch"]),
-            members=_member_entries(body.get("members", [])),
-        )
-
 
 @dataclass(frozen=True)
-class ClusterLeave:
+class ClusterLeave(WireMessage):
     """Deregister an endpoint from the data plane (graceful departure).
 
     Leaving stops *new* shard dispatch to the member; requests already
@@ -1273,77 +1058,38 @@ class ClusterLeave:
     endpoint: str
     reason: str = ""
 
-    def to_body(self) -> Dict[str, Any]:
-        return {"endpoint": self.endpoint, "reason": self.reason}
-
-    @classmethod
-    def from_body(cls, body: Dict[str, Any]) -> "ClusterLeave":
-        return cls(
-            endpoint=str(body["endpoint"]), reason=str(body.get("reason", ""))
-        )
-
 
 @dataclass(frozen=True)
-class ClusterLeft:
+class ClusterLeft(WireMessage):
     """Leave acknowledgement; ``removed`` is False for unknown members."""
 
     removed: bool
     epoch: int
 
-    def to_body(self) -> Dict[str, Any]:
-        return {"removed": self.removed, "epoch": self.epoch}
-
-    @classmethod
-    def from_body(cls, body: Dict[str, Any]) -> "ClusterLeft":
-        return cls(removed=bool(body["removed"]), epoch=int(body["epoch"]))
-
 
 @dataclass(frozen=True)
-class ClusterHeartbeat:
+class ClusterHeartbeat(WireMessage):
     """Liveness refresh for a joined member (``inflight`` is advisory load)."""
 
     endpoint: str
     inflight: int = 0
 
-    def to_body(self) -> Dict[str, Any]:
-        return {"endpoint": self.endpoint, "inflight": self.inflight}
-
-    @classmethod
-    def from_body(cls, body: Dict[str, Any]) -> "ClusterHeartbeat":
-        return cls(
-            endpoint=str(body["endpoint"]), inflight=int(body.get("inflight", 0))
-        )
-
 
 @dataclass(frozen=True)
-class ClusterHeartbeatAck:
+class ClusterHeartbeatAck(WireMessage):
     """Heartbeat reply; ``known=False`` tells the worker to re-join."""
 
     known: bool
     epoch: int
 
-    def to_body(self) -> Dict[str, Any]:
-        return {"known": self.known, "epoch": self.epoch}
-
-    @classmethod
-    def from_body(cls, body: Dict[str, Any]) -> "ClusterHeartbeatAck":
-        return cls(known=bool(body["known"]), epoch=int(body["epoch"]))
-
 
 @dataclass(frozen=True)
-class ClusterMembershipRequest:
+class ClusterMembershipRequest(WireMessage):
     """Ask the coordinator for its current membership view."""
 
-    def to_body(self) -> Dict[str, Any]:
-        return {}
-
-    @classmethod
-    def from_body(cls, body: Dict[str, Any]) -> "ClusterMembershipRequest":
-        return cls()
-
 
 @dataclass(frozen=True)
-class ClusterMembershipResponse:
+class ClusterMembershipResponse(WireMessage):
     """The registry snapshot elastic clients subscribe to.
 
     ``epoch`` increments on every join/leave, so a subscriber can skip
@@ -1353,31 +1099,14 @@ class ClusterMembershipResponse:
     epoch: int
     members: Tuple[Dict[str, Any], ...] = ()
 
-    def to_body(self) -> Dict[str, Any]:
-        return {"epoch": self.epoch, "members": [dict(m) for m in self.members]}
-
-    @classmethod
-    def from_body(cls, body: Dict[str, Any]) -> "ClusterMembershipResponse":
-        return cls(
-            epoch=int(body["epoch"]),
-            members=_member_entries(body.get("members", [])),
-        )
-
 
 @dataclass(frozen=True)
-class MetricsRequest:
+class MetricsRequest(WireMessage):
     """Ask one endpoint for its operator metrics (``repro top`` polls this)."""
 
-    def to_body(self) -> Dict[str, Any]:
-        return {}
-
-    @classmethod
-    def from_body(cls, body: Dict[str, Any]) -> "MetricsRequest":
-        return cls()
-
 
 @dataclass(frozen=True)
-class MetricsResponse:
+class MetricsResponse(WireMessage):
     """One endpoint's live operator metrics, grouped by subsystem.
 
     Every block is an open dict (same growth rule as member entries):
@@ -1393,36 +1122,13 @@ class MetricsResponse:
     * ``cluster`` — the local registry view (``epoch`` + ``members``).
     """
 
-    uptime_s: float = 0.0
+    uptime_s: float
     versions: Dict[str, Any] = field(default_factory=dict)
     transport: Dict[str, Any] = field(default_factory=dict)
     service: Dict[str, Any] = field(default_factory=dict)
     stream: Dict[str, Any] = field(default_factory=dict)
     feature_cache: Dict[str, Any] = field(default_factory=dict)
     cluster: Dict[str, Any] = field(default_factory=dict)
-
-    def to_body(self) -> Dict[str, Any]:
-        return {
-            "uptime_s": self.uptime_s,
-            "versions": dict(self.versions),
-            "transport": dict(self.transport),
-            "service": dict(self.service),
-            "stream": dict(self.stream),
-            "feature_cache": dict(self.feature_cache),
-            "cluster": dict(self.cluster),
-        }
-
-    @classmethod
-    def from_body(cls, body: Dict[str, Any]) -> "MetricsResponse":
-        return cls(
-            uptime_s=float(body["uptime_s"]),
-            versions=dict(body.get("versions", {})),
-            transport=dict(body.get("transport", {})),
-            service=dict(body.get("service", {})),
-            stream=dict(body.get("stream", {})),
-            feature_cache=dict(body.get("feature_cache", {})),
-            cluster=dict(body.get("cluster", {})),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -1466,6 +1172,12 @@ MESSAGE_TYPES: Dict[str, Type[Any]] = {
 }
 
 _SLUG_OF = {cls: slug for slug, cls in MESSAGE_TYPES.items()}
+
+# Build every registered message's field plan now: an annotation with
+# no wire form fails the import instead of the first frame.
+for _cls in MESSAGE_TYPES.values():
+    _plan(_cls)
+del _cls
 
 #: Any message of the protocol.
 Message = Union[
@@ -1511,6 +1223,53 @@ class MessageEncodeError(ProtocolError):
     so cluster clients propagate it instead of blaming the endpoint."""
 
 
+def _is_request_id(value: Any) -> bool:
+    return isinstance(value, (int, str)) and not isinstance(value, bool)
+
+
+def _encode_header(
+    version: int,
+    message: Message,
+    request_id: Optional[RequestId],
+    blocks: Optional[BlockWriter] = None,
+) -> bytes:
+    """The JSON object framing *message* in both wire versions.
+
+    ``{"v", "type", ["id",] "body"}`` — plus ``"blocks"`` (the payload
+    spec) when the body put columns into *blocks*.  Under v1 this is
+    the whole line; under v2 it is the frame header.  Non-finite floats
+    are a :class:`MessageEncodeError`: ``json.dumps`` would otherwise
+    emit ``NaN``/``Infinity`` tokens, which are not JSON.
+    """
+    slug = _SLUG_OF.get(type(message))
+    if slug is None:
+        raise MessageEncodeError(f"{type(message).__name__} is not a wire message")
+    header: Dict[str, Any] = {"v": version, "type": slug}
+    if request_id is not None:
+        if not _is_request_id(request_id):
+            raise MessageEncodeError(
+                f"request id must be an int or str, got {type(request_id).__name__}"
+            )
+        header["id"] = request_id
+    try:
+        header["body"] = message.to_body(blocks)
+    except ProtocolError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MessageEncodeError(f"{slug} body is not encodable: {exc}") from exc
+    spec = blocks.spec() if blocks is not None else None
+    if spec:
+        header["blocks"] = spec
+    try:
+        text = json.dumps(header, separators=(",", ":"), allow_nan=False)
+    except ValueError as exc:
+        raise MessageEncodeError(
+            f"{slug} contains a non-finite float (NaN/Infinity), which has "
+            f"no JSON encoding: {exc}"
+        ) from exc
+    return text.encode("utf-8")
+
+
 def encode_message(
     message: Message, request_id: Optional[RequestId] = None
 ) -> bytes:
@@ -1519,29 +1278,69 @@ def encode_message(
     With *request_id*, the frame carries an ``"id"`` key so the peer can
     correlate the reply to this request even when replies come back out
     of order (concurrent per-connection handling).  Non-finite floats
-    are a :class:`MessageEncodeError` (a :class:`~repro.errors.ProtocolError`):
-    ``json.dumps`` would otherwise emit ``NaN``/``Infinity`` tokens,
-    which are not JSON.
+    are a :class:`MessageEncodeError` (a :class:`~repro.errors.ProtocolError`).
     """
-    slug = _SLUG_OF.get(type(message))
-    if slug is None:
-        raise MessageEncodeError(f"{type(message).__name__} is not a wire message")
-    frame: Dict[str, Any] = {"v": WIRE_VERSION, "type": slug}
-    if request_id is not None:
-        if not isinstance(request_id, (int, str)) or isinstance(request_id, bool):
-            raise MessageEncodeError(
-                f"request id must be an int or str, got {type(request_id).__name__}"
-            )
-        frame["id"] = request_id
-    frame["body"] = message.to_body()
-    try:
-        text = json.dumps(frame, separators=(",", ":"), allow_nan=False)
-    except ValueError as exc:
-        raise MessageEncodeError(
-            f"{slug} contains a non-finite float (NaN/Infinity), which has "
-            f"no JSON encoding: {exc}"
-        ) from exc
-    return (text + "\n").encode("utf-8")
+    return _encode_header(WIRE_VERSION, message, request_id) + b"\n"
+
+
+def _check_header(
+    frame: Any, what: str, version: int, framing: str
+) -> Tuple[Optional[RequestId], str, Type[Any], Dict[str, Any]]:
+    """The envelope checks both framings share: the frame's shape, its
+    id, version and type, and the body's shape.
+
+    *what* names the frame in a shape error; *framing* describes this
+    framing in a version-mismatch error, which also names every version
+    this side speaks so the peer can fall back instead of giving up
+    (see :func:`peer_versions_from_error`).  Errors carry
+    ``request_id`` once the tag itself was readable.
+    """
+    if not isinstance(frame, dict):
+        raise ProtocolError(f"{what} must be an object, got {type(frame).__name__}")
+    request_id = frame.get("id")
+    if request_id is not None and not _is_request_id(request_id):
+        # Silently downgrading to "untagged" would make the reply come
+        # back without an id and leave the sender's pending future
+        # hanging until timeout — reject loudly instead (mirroring the
+        # encode side).  The bogus tag is not echoed.
+        raise ProtocolError(
+            f"request id must be an int or str, got {type(request_id).__name__}"
+        )
+
+    def fail(message: str) -> "ProtocolError":
+        exc = ProtocolError(message)
+        exc.request_id = request_id
+        return exc
+
+    sent = frame.get("v")
+    slug = frame.get("type")
+    # hello_request is exempt in JSON framing: it deliberately arrives
+    # tagged with the version the client *wants* so old servers reject
+    # it here (and the client downgrades on their reply).
+    if sent != version and not (version == WIRE_VERSION and slug == "hello_request"):
+        raise fail(
+            f"unsupported protocol version: peer sent {sent!r}, "
+            f"this side speaks {list(SUPPORTED_WIRE_VERSIONS)} ({framing})"
+        )
+    cls = MESSAGE_TYPES.get(slug) if isinstance(slug, str) else None
+    if cls is None:
+        # The full vocabulary stays out of the wire error: this envelope
+        # reaches peers the server has not authenticated yet, and 30+
+        # verb slugs is a free protocol map.  Operators get the list in
+        # the server-side log instead.
+        logger.info(
+            "rejecting unknown message type %r; registered types: %s",
+            slug,
+            sorted(MESSAGE_TYPES),
+        )
+        raise fail(
+            f"unknown message type {slug!r} (not one of this side's "
+            f"{len(MESSAGE_TYPES)} registered types)"
+        )
+    body = frame.get("body")
+    if not isinstance(body, dict):
+        raise fail(f"message body must be an object, got {type(body).__name__}")
+    return request_id, slug, cls, body
 
 
 def parse_frame_envelope(
@@ -1564,66 +1363,25 @@ def parse_frame_envelope(
         frame = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ProtocolError(f"invalid JSON on the wire: {exc}") from exc
-    if not isinstance(frame, dict):
-        raise ProtocolError(f"wire frame must be an object, got {type(frame).__name__}")
-    request_id = frame.get("id")
-    if request_id is not None and (
-        not isinstance(request_id, (int, str)) or isinstance(request_id, bool)
-    ):
-        # Silently downgrading to "untagged" would make the reply come
-        # back without an id and leave the sender's pending future
-        # hanging until timeout — reject loudly instead (mirroring the
-        # encode side).  The bogus tag is not echoed.
-        raise ProtocolError(
-            f"request id must be an int or str, got {type(request_id).__name__}"
-        )
-
-    def fail(message: str) -> "ProtocolError":
-        exc = ProtocolError(message)
-        exc.request_id = request_id
-        return exc
-
-    version = frame.get("v")
-    slug = frame.get("type")
-    if version != WIRE_VERSION and slug != "hello_request":
-        # hello_request is exempt: it deliberately arrives tagged with
-        # the version the client *wants* so old servers reject it here
-        # (and the client downgrades on their reply).  The error names
-        # what both sides speak so the peer can fall back instead of
-        # giving up — see peer_versions_from_error().
-        raise fail(
-            f"unsupported protocol version: peer sent {version!r}, "
-            f"this side speaks {list(SUPPORTED_WIRE_VERSIONS)} "
-            f"(JSON framing is v{WIRE_VERSION}; negotiate higher with "
-            f"hello_request)"
-        )
-    cls = MESSAGE_TYPES.get(slug)
-    if cls is None:
-        # The full vocabulary stays out of the wire error: this envelope
-        # reaches peers the server has not authenticated yet, and 30+
-        # verb slugs is a free protocol map.  Operators get the list in
-        # the server-side log instead.
-        logger.info(
-            "rejecting unknown message type %r; registered types: %s",
-            slug,
-            sorted(MESSAGE_TYPES),
-        )
-        raise fail(
-            f"unknown message type {slug!r} (not one of this side's "
-            f"{len(MESSAGE_TYPES)} registered types)"
-        )
-    body = frame.get("body")
-    if not isinstance(body, dict):
-        raise fail(f"message body must be an object, got {type(body).__name__}")
-    return request_id, slug, cls, body
+    return _check_header(
+        frame,
+        "wire frame",
+        WIRE_VERSION,
+        f"JSON framing is v{WIRE_VERSION}; negotiate higher with hello_request",
+    )
 
 
-def materialize_frame(
-    request_id: Optional[RequestId], slug: str, cls: Type[Any], body: Dict[str, Any]
+def _materialize(
+    request_id: Optional[RequestId],
+    slug: str,
+    cls: Type[Any],
+    body: Dict[str, Any],
+    blocks: Optional[List["np.ndarray"]],
 ) -> Message:
-    """Second stage of :func:`decode_frame`: body dict → message."""
+    """Body → message for either framing; every malformed body becomes
+    a :class:`~repro.errors.ProtocolError` carrying the request id."""
     try:
-        return cls.from_body(body)
+        return cls.from_body(body, blocks)
     except ProtocolError as exc:
         exc.request_id = request_id
         raise
@@ -1631,6 +1389,13 @@ def materialize_frame(
         fail = ProtocolError(f"malformed {slug} body: {exc}")
         fail.request_id = request_id
         raise fail from exc
+
+
+def materialize_frame(
+    request_id: Optional[RequestId], slug: str, cls: Type[Any], body: Dict[str, Any]
+) -> Message:
+    """Second stage of :func:`decode_frame`: body dict → message."""
+    return _materialize(request_id, slug, cls, body, None)
 
 
 def decode_frame(
@@ -1659,13 +1424,7 @@ def encode_reply(message: Message, request_id: Optional[RequestId] = None) -> by
     by the engine) must not kill the connection or leak a half-written
     frame: the peer gets a well-formed ``error`` envelope instead.
     """
-    try:
-        return encode_message(message, request_id=request_id)
-    except ProtocolError as exc:
-        return encode_message(
-            ErrorEnvelope(code="internal", message=f"reply not encodable: {exc}"),
-            request_id=request_id,
-        )
+    return encode_reply_for(WIRE_VERSION, message, request_id=request_id)
 
 
 # ---------------------------------------------------------------------------
@@ -1713,30 +1472,8 @@ def encode_message_v2(
     every other message carries its v1 JSON body inside the header, so
     one framing speaks the whole vocabulary.
     """
-    slug = _SLUG_OF.get(type(message))
-    if slug is None:
-        raise MessageEncodeError(f"{type(message).__name__} is not a wire message")
-    header: Dict[str, Any] = {"v": WIRE_VERSION_V2, "type": slug}
-    if request_id is not None:
-        if not isinstance(request_id, (int, str)) or isinstance(request_id, bool):
-            raise MessageEncodeError(
-                f"request id must be an int or str, got {type(request_id).__name__}"
-            )
-        header["id"] = request_id
     blocks = BlockWriter()
-    to_body_v2 = getattr(message, "to_body_v2", None)
-    header["body"] = message.to_body() if to_body_v2 is None else to_body_v2(blocks)
-    spec = blocks.spec()
-    if spec:
-        header["blocks"] = spec
-    try:
-        text = json.dumps(header, separators=(",", ":"), allow_nan=False)
-    except ValueError as exc:
-        raise MessageEncodeError(
-            f"{slug} contains a non-finite float (NaN/Infinity), which has "
-            f"no JSON encoding: {exc}"
-        ) from exc
-    head = text.encode("utf-8")
+    head = _encode_header(WIRE_VERSION_V2, message, request_id, blocks)
     payload = blocks.payload()
     return b"".join(
         (WIRE_MAGIC_V2, _V2_PREFIX.pack(len(head), len(payload)), head, payload)
@@ -1768,51 +1505,16 @@ def parse_frame_v2(
         header = json.loads(data[V2_PREFIX_LEN : V2_PREFIX_LEN + header_len])
     except (UnicodeDecodeError, json.JSONDecodeError, ValueError) as exc:
         raise ProtocolError(f"invalid v2 frame header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise ProtocolError(
-            f"v2 frame header must be an object, got {type(header).__name__}"
-        )
-    request_id = header.get("id")
-    if request_id is not None and (
-        not isinstance(request_id, (int, str)) or isinstance(request_id, bool)
-    ):
-        raise ProtocolError(
-            f"request id must be an int or str, got {type(request_id).__name__}"
-        )
-
-    def fail(message: str) -> "ProtocolError":
-        exc = ProtocolError(message)
-        exc.request_id = request_id
-        return exc
-
-    version = header.get("v")
-    if version != WIRE_VERSION_V2:
-        raise fail(
-            f"unsupported protocol version: peer sent {version!r}, "
-            f"this side speaks {list(SUPPORTED_WIRE_VERSIONS)} "
-            f"(binary framing is v{WIRE_VERSION_V2})"
-        )
-    slug = header.get("type")
-    cls = MESSAGE_TYPES.get(slug)
-    if cls is None:
-        logger.info(
-            "rejecting unknown message type %r; registered types: %s",
-            slug,
-            sorted(MESSAGE_TYPES),
-        )
-        raise fail(
-            f"unknown message type {slug!r} (not one of this side's "
-            f"{len(MESSAGE_TYPES)} registered types)"
-        )
-    body = header.get("body")
-    if not isinstance(body, dict):
-        raise fail(f"message body must be an object, got {type(body).__name__}")
+    request_id, slug, cls, body = _check_header(
+        header, "v2 frame header", WIRE_VERSION_V2, f"binary framing is v{WIRE_VERSION_V2}"
+    )
     try:
         parsed = split_blocks(
             header.get("blocks", []), memoryview(data)[V2_PREFIX_LEN + header_len :]
         )
     except ProtocolError as exc:
-        raise fail(str(exc)) from exc
+        exc.request_id = request_id
+        raise
     return request_id, slug, cls, body, parsed
 
 
@@ -1824,18 +1526,7 @@ def materialize_frame_v2(
     blocks: List["np.ndarray"],
 ) -> Message:
     """Second stage of :func:`decode_frame_v2`: header body → message."""
-    from_body_v2 = getattr(cls, "from_body_v2", None)
-    try:
-        if from_body_v2 is None:
-            return cls.from_body(body)
-        return from_body_v2(body, blocks)
-    except ProtocolError as exc:
-        exc.request_id = request_id
-        raise
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        fail = ProtocolError(f"malformed {slug} body: {exc}")
-        fail.request_id = request_id
-        raise fail from exc
+    return _materialize(request_id, slug, cls, body, blocks)
 
 
 def decode_frame_v2(data: bytes) -> Tuple[Optional[RequestId], Message]:
@@ -2150,16 +1841,7 @@ class ProtectionService:
         return StreamFlushed(
             user_id=request.user_id,
             watermark=outcome.watermark,
-            pieces=tuple(
-                PublishedPiece(
-                    pseudonym=p.pseudonym,
-                    mechanism=p.mechanism,
-                    distortion_m=p.distortion_m,
-                    trace=p.published,
-                    original_records=len(p.original),
-                )
-                for p in outcome.pieces
-            ),
+            pieces=tuple(PublishedPiece.of(p) for p in outcome.pieces),
             erased_records=outcome.erased_records,
             pieces_dropped=outcome.pieces_dropped,
         )
@@ -2199,16 +1881,7 @@ class ProtectionService:
                     continue
                 result = self.proxy.protect_chunk(UploadChunk(trace.user_id, i, chunk))
                 erased += result.erased_records
-                pieces.extend(
-                    PublishedPiece(
-                        pseudonym=p.pseudonym,
-                        mechanism=p.mechanism,
-                        distortion_m=p.distortion_m,
-                        trace=p.published,
-                        original_records=len(p.original),
-                    )
-                    for p in result.pieces
-                )
+                pieces.extend(PublishedPiece.of(p) for p in result.pieces)
         return ProtectResponse(
             user_id=trace.user_id,
             pieces=tuple(pieces),

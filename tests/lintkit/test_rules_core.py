@@ -84,7 +84,7 @@ class TestRegistry:
     def test_all_rules_sorted_and_nonempty(self):
         ids = [r.id for r in all_rules()]
         assert ids == sorted(ids)
-        assert {"DET001", "CONC001", "PROTO001"} <= set(ids)
+        assert {"DET001", "CONC001", "PROTO002"} <= set(ids)
 
     def test_catalogue_has_rationales(self):
         for entry in rule_catalogue():

@@ -1,5 +1,10 @@
 """Tests for the service API v2: messages, codec, facade, loopback."""
 
+import asyncio
+import struct
+from dataclasses import dataclass
+from typing import Set
+
 import numpy as np
 import pytest
 
@@ -20,6 +25,7 @@ from repro.service.api import (
     ClusterMembershipResponse,
     ErrorEnvelope,
     LoopbackClient,
+    MessageEncodeError,
     MetricsRequest,
     MetricsResponse,
     ProtectRequest,
@@ -40,9 +46,12 @@ from repro.service.api import (
     StreamRecord,
     UploadRequest,
     UploadResponse,
+    WireMessage,
     decode_frame,
+    decode_frame_v2,
     decode_message,
     encode_message,
+    encode_message_v2,
     encode_reply,
     trace_from_wire,
     trace_to_wire,
@@ -254,6 +263,9 @@ class TestCodec:
     def test_unknown_type_rejected(self):
         with pytest.raises(ProtocolError, match="unknown message type"):
             decode_message(b'{"v":1,"type":"teleport_request","body":{}}')
+        # An unhashable slug used to escape the registry lookup as TypeError.
+        with pytest.raises(ProtocolError, match="unknown message type"):
+            decode_message(b'{"v":1,"type":[],"body":{}}')
 
     def test_invalid_json_rejected(self):
         with pytest.raises(ProtocolError, match="invalid JSON"):
@@ -517,6 +529,113 @@ class TestClusterCodec:
     def test_malformed_cluster_bodies_raise_protocol_error(self, payload):
         with pytest.raises(ProtocolError):
             decode_message(payload)
+
+
+def _frame(slug, body):
+    return b'{"v":1,"type":"%s","body":%s}' % (slug.encode(), body.encode())
+
+
+_TRACE = '{"user_id":"u","t":[0,1,2],"lat":[45.0,45.0,45.0],"lng":[4.0,4.0,4.0]}'
+_NAN_TRACE = '{"user_id":"u","t":[0,1,2],"lat":[NaN,45.0,45.0],"lng":[4.0,4.0,Infinity]}'
+
+
+class TestMalformedBodies:
+    """Every malformed body is a ``ProtocolError`` — no other exception
+    escapes the decoder, no value is silently coerced, and no non-finite
+    float gets past it."""
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            # A short row used to escape as IndexError.
+            _frame("stream_record", '{"user_id":"u","records":[[0,1.0,45.0]]}'),
+            # json.loads accepts Infinity; int() of it used to overflow.
+            _frame("upload_request", '{"trace":%s,"day_index":Infinity}' % _TRACE),
+        ],
+        ids=["short-row", "infinite-int"],
+    )
+    def test_decoder_exceptions_become_protocol_errors(self, payload):
+        with pytest.raises(ProtocolError, match="malformed"):
+            decode_message(payload)
+        service = ProtectionService(stub_engine())
+        reply = decode_message(asyncio.run(service.handle_wire(payload)))
+        assert isinstance(reply, ErrorEnvelope) and reply.code == "protocol"
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            _frame("upload_request", '{"trace":%s}' % _NAN_TRACE),
+            _frame("protect_request", '{"trace":%s,"chunk_s":NaN}' % _TRACE),
+            _frame("query_request", '{"kind":"count","lat":1e400,"lng":4.0}'),
+            _frame(
+                "stream_record", '{"user_id":"u","records":[[0,NaN,45.0,4.0]]}'
+            ),
+        ],
+        ids=["trace-columns", "chunk_s", "lat", "record-row"],
+    )
+    def test_non_finite_values_are_malformed(self, payload):
+        with pytest.raises(ProtocolError, match="malformed"):
+            decode_message(payload)
+
+    def test_non_finite_upload_changes_no_counter(self):
+        service = ProtectionService(stub_engine())
+        payload = _frame("upload_request", '{"trace":%s}' % _NAN_TRACE)
+        reply = decode_message(asyncio.run(service.handle_wire(payload)))
+        assert isinstance(reply, ErrorEnvelope) and reply.code == "protocol"
+        with LoopbackClient(service) as client:
+            stats = client.stats()
+            assert client.top_cells(k=3) == ()
+        assert stats.proxy == {
+            "chunks_processed": 0,
+            "records_in": 0,
+            "records_published": 0,
+            "records_erased": 0,
+            "pieces_published": 0,
+            "mechanism_usage": {},
+        }
+        assert set(stats.server.values()) == {0}
+
+    def test_non_finite_v2_blocks_are_malformed(self):
+        nan = struct.pack("<d", float("nan"))
+        upload = encode_message_v2(UploadRequest(trace=random_trace(n=3)))
+        records = encode_message_v2(
+            StreamRecord(user_id="u", records=((0, 1.5, 45.0, 4.0),))
+        )
+        for frame in (upload, records):
+            # The last block is a lng column: overwrite its last value.
+            poisoned = frame[: -len(nan)] + nan
+            with pytest.raises(ProtocolError, match="finite"):
+                decode_frame_v2(poisoned)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            _frame("protect_request", '{"trace":%s,"daily":"false"}' % _TRACE),
+            _frame("stream_open", '{"user_id":"u","resume":"false"}'),
+            _frame("upload_request", '{"trace":%s,"day_index":1.9}' % _TRACE),
+            _frame("query_request", '{"kind":"top_cells","k":true}'),
+            _frame("stream_flush", '{"user_id":"u","acked":"7"}'),
+            _frame("cluster_join", '{"endpoint":["x"]}'),
+            _frame("stats_response", '{"proxy":[["a",1]],"server":{}}'),
+            _frame("protect_request", '{"trace":%s,"chunk_s":"1"}' % _TRACE),
+        ],
+        ids=["daily", "resume", "day_index", "k", "acked", "endpoint", "proxy", "chunk_s"],
+    )
+    def test_mistyped_values_are_malformed_not_coerced(self, payload):
+        with pytest.raises(ProtocolError, match="malformed"):
+            decode_message(payload)
+
+    def test_uncoercible_value_is_an_encode_error(self):
+        with pytest.raises(MessageEncodeError, match="not encodable"):
+            encode_message(UploadRequest(trace=day_trace(), day_index="first"))
+
+    def test_field_without_a_wire_form_fails_its_plan(self):
+        @dataclass(frozen=True)
+        class Tagged(WireMessage):
+            tags: Set[str]
+
+        with pytest.raises(TypeError, match="no wire form"):
+            Tagged(tags={"a"}).to_body()
 
 
 class TestClusterVerbs:

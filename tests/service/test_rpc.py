@@ -117,6 +117,25 @@ class TestTcpTransport:
                 fh.flush()
                 assert fh.readline()
 
+    def test_malformed_tagged_frame_is_answered_and_the_connection_survives(self):
+        """Regression: a short ``stream_record`` row escaped the decoder
+        as IndexError, the server dropped the connection without a
+        reply, and the request queued behind it was never answered."""
+        bad = (
+            b'{"v":1,"id":5,"type":"stream_record",'
+            b'"body":{"user_id":"u","records":[[0,1.0,45.0]]}}\n'
+        )
+        with ServiceServer(ProtectionService(stub_engine()), port=0) as server:
+            host, port = server.address
+            with socket.create_connection((host, port), timeout=10) as sock:
+                fh = sock.makefile("rwb")
+                fh.write(bad + encode_message(StatsRequest(), request_id=6))
+                fh.flush()
+                replies = dict(decode_frame(fh.readline()) for _ in range(2))
+        assert isinstance(replies[5], ErrorEnvelope)
+        assert replies[5].code == "protocol" and "malformed" in replies[5].message
+        assert isinstance(replies[6], StatsResponse)
+
     def test_concurrent_clients_never_share_a_pseudonym(self):
         """Parallel uploads of one user must get distinct pseudonyms."""
         import threading

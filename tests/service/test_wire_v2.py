@@ -129,6 +129,9 @@ class TestNegotiationHelpers:
         assert peer_versions_from_error("unknown message type 'hello'") is None
         assert peer_versions_from_error("authentication required") is None
 
+    def test_version_error_naming_no_versions_yields_none(self):
+        assert peer_versions_from_error("unsupported protocol version") is None
+
     def test_hello_frame_is_a_v2_tagged_json_line(self):
         frame = encode_hello_frame(HelloRequest(versions=(1, 2)), request_id=0)
         assert frame.endswith(b"\n") and not is_v2_frame(frame)
@@ -546,6 +549,61 @@ class TestV2FramingFaults:
         assert time.monotonic() - start < 8.0  # poisoned fast, not by timeout
 
 
+class TestServerV2ReadFaults:
+    """The server's side of a broken v2 stream: bad magic from a peer
+    that negotiated v2 is answered once, then the connection closes; a
+    peer that vanishes mid-frame just ends its connection."""
+
+    def test_peer_breaking_the_v2_framing_gets_one_envelope(self):
+        with ServiceServer(ProtectionService(stub_engine()), port=0) as server:
+            host, port = server.address
+            with socket.create_connection((host, port), timeout=30) as sock:
+                fh = sock.makefile("rwb")
+                assert _negotiate_raw(fh) == WIRE_VERSION_V2
+                fh.write(b"JUNK" + bytes(V2_PREFIX_LEN - 4))
+                fh.flush()
+                reply_id, reply = decode_frame_v2(_read_v2_frame(fh))
+                assert reply_id is None and isinstance(reply, ErrorEnvelope)
+                assert reply.code == "protocol"
+                assert "broke the negotiated v2 framing" in reply.message
+                assert fh.read() == b""
+
+    def test_peer_vanishing_mid_frame_ends_its_connection(self):
+        frame = encode_message_v2(StatsRequest(), request_id=1)
+        with ServiceServer(ProtectionService(stub_engine()), port=0) as server:
+            host, port = server.address
+            with socket.create_connection((host, port), timeout=30) as sock:
+                fh = sock.makefile("rwb")
+                assert _negotiate_raw(fh) == WIRE_VERSION_V2
+                fh.write(frame[: V2_PREFIX_LEN + 3])
+                fh.flush()
+                sock.shutdown(socket.SHUT_WR)
+                assert fh.read() == b""  # nobody left to answer
+            with ServiceClient(host=host, port=port) as client:
+                assert client.stats().server["uploads"] == 0
+
+
+class TestAsyncClientEndpoints:
+    def test_unknown_wire_version_rejected(self):
+        with pytest.raises(ConfigurationError, match="unsupported wire version"):
+            AsyncServiceClient(parse_endpoint("127.0.0.1:1"), wire_versions=(1, 3))
+
+    def test_round_trip_over_a_unix_socket(self, tmp_path):
+        path = str(tmp_path / "mood.sock")
+
+        async def scenario():
+            client = AsyncServiceClient(parse_endpoint(f"unix:{path}"))
+            await client.connect()
+            try:
+                assert client._wire_version == WIRE_VERSION_V2
+                return await client.request(StatsRequest())
+            finally:
+                await client.close()
+
+        with ServiceServer(ProtectionService(stub_engine()), unix_path=path):
+            assert isinstance(asyncio.run(scenario()), StatsResponse)
+
+
 class TestDowngradeIsolation:
     def test_v1_only_server_never_emits_a_v2_frame(self):
         """The hard interop rule: every byte a v1-only endpoint writes is
@@ -761,7 +819,7 @@ class TestBlockPrimitives:
             "lng": {"$blk": 2},
         }
         with pytest.raises(ProtocolError, match="disagree on length"):
-            StreamRecord.from_body_v2(body, blocks)
+            StreamRecord.from_body(body, blocks)
 
 
 class TestEncodeFaults:

@@ -9,8 +9,7 @@ policies — the design choices DESIGN.md §5 calls out.
 import pytest
 
 from benchmarks.conftest import get_context, run_once
-from repro.core.mood import Mood
-from repro.core.pipeline import evaluate_mood
+from repro.core.engine import ProtectionEngine
 from repro.core.search import GreedySuccessSearch
 from repro.lppm import Promesse, SpatialCloaking
 
@@ -22,25 +21,31 @@ def ctx():
 
 class TestSearchStrategyAblation:
     def test_exhaustive_baseline(self, benchmark, ctx):
-        mood = ctx.mood()
-        ev = run_once(benchmark, lambda: evaluate_mood(mood, ctx.test, composition_only=True))
+        mood = ctx.engine()
+        ev = run_once(
+            benchmark,
+            lambda: mood.evaluate("mood", ctx.test, composition_only=True).result,
+        )
         print(f"\nexhaustive: {len(ev.composition_survivors())} survivors, "
               f"{mood.evaluations} candidate evaluations")
         assert mood.evaluations > 0
 
     def test_greedy_heuristic(self, benchmark, ctx):
-        exhaustive = ctx.mood()
-        evaluate_mood(exhaustive, ctx.test, composition_only=True)
-        greedy = Mood(
+        exhaustive = ctx.engine()
+        exhaustive.evaluate("mood", ctx.test, composition_only=True)
+        greedy = ProtectionEngine(
             ctx.lppms, ctx.attacks, seed=ctx.seed,
             search_strategy=GreedySuccessSearch(),
         )
-        ev = run_once(benchmark, lambda: evaluate_mood(greedy, ctx.test, composition_only=True))
+        ev = run_once(
+            benchmark,
+            lambda: greedy.evaluate("mood", ctx.test, composition_only=True).result,
+        )
         print(f"\ngreedy: {len(ev.composition_survivors())} survivors, "
               f"{greedy.evaluations} evaluations "
               f"(exhaustive: {exhaustive.evaluations})")
         # The heuristic must not protect fewer users...
-        base = evaluate_mood(ctx.mood(), ctx.test, composition_only=True)
+        base = ctx.engine().evaluate("mood", ctx.test, composition_only=True).result
         assert len(ev.composition_survivors()) <= len(base.composition_survivors()) + 1
         # ...while spending fewer attack evaluations.
         assert greedy.evaluations <= exhaustive.evaluations
@@ -54,13 +59,16 @@ class TestSuiteSizeAblation:
         ]
         # Cap chains at length 2 to keep the 325-candidate space tractable
         # at bench scale while still exercising the extended suite.
-        mood = Mood(
+        mood = ProtectionEngine(
             extended, ctx.attacks, seed=ctx.seed,
             max_composition_length=2,
             search_strategy=GreedySuccessSearch(),
         )
-        ev = run_once(benchmark, lambda: evaluate_mood(mood, ctx.test, composition_only=True))
-        base = evaluate_mood(ctx.mood(), ctx.test, composition_only=True)
+        ev = run_once(
+            benchmark,
+            lambda: mood.evaluate("mood", ctx.test, composition_only=True).result,
+        )
+        base = ctx.engine().evaluate("mood", ctx.test, composition_only=True).result
         print(f"\nn=5 (len≤2, greedy): {len(ev.composition_survivors())} survivors "
               f"vs n=3 exhaustive: {len(base.composition_survivors())}")
         assert len(ev.composition_survivors()) <= len(ctx.test)
@@ -69,7 +77,7 @@ class TestSuiteSizeAblation:
 class TestSplitPolicyAblation:
     @pytest.mark.parametrize("policy", ["half", "gap", "inter-poi"])
     def test_policy_loss(self, benchmark, ctx, policy):
-        mood = Mood(ctx.lppms, ctx.attacks, seed=ctx.seed, split_policy=policy)
-        ev = run_once(benchmark, lambda: evaluate_mood(mood, ctx.test))
+        mood = ProtectionEngine(ctx.lppms, ctx.attacks, seed=ctx.seed, split_policy=policy)
+        ev = run_once(benchmark, lambda: mood.evaluate("mood", ctx.test).result)
         print(f"\nsplit={policy}: data loss {100 * ev.data_loss():.2f}%")
         assert 0.0 <= ev.data_loss() <= 1.0

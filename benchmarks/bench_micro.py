@@ -20,8 +20,7 @@ from repro.attacks.reference import (
 )
 from repro.bench import CITY_LAT, synthetic_background, synthetic_trace, time_fn
 from repro.core.composition import composition_count, enumerate_compositions
-from repro.core.mood import Mood
-from repro.core.pipeline import evaluate_mood
+from repro.core.engine import ProtectionEngine
 from repro.core.split import split_fixed_time, split_on_gaps
 from repro.lppm import GeoInd, Trilateration
 from repro.poi.clustering import extract_pois
@@ -190,7 +189,7 @@ class TestCompositionAblation:
         assert len(chains) == composition_count(n)
 
     def test_mood_protect_one_user(self, benchmark, ctx):
-        mood = ctx.mood()
+        mood = ctx.engine()
         trace = ctx.test.traces()[0]
         result = benchmark.pedantic(
             lambda: mood.protect(trace), rounds=1, iterations=1
@@ -203,11 +202,11 @@ class TestDeltaAblation:
 
     @pytest.mark.parametrize("delta_h", [2.0, 4.0, 12.0])
     def test_delta_sweep(self, benchmark, ctx, delta_h):
-        mood = Mood(
+        mood = ProtectionEngine(
             ctx.lppms, ctx.attacks, delta_s=delta_h * 3600.0, seed=ctx.seed
         )
         ev = benchmark.pedantic(
-            lambda: evaluate_mood(mood, ctx.test), rounds=1, iterations=1
+            lambda: mood.evaluate("mood", ctx.test).result, rounds=1, iterations=1
         )
         losses = ev.data_loss()
         print(f"\nδ={delta_h}h → data loss {100 * losses:.2f}%")

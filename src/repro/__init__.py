@@ -43,7 +43,6 @@ from repro.core import (
     ComposedLPPM,
     EvaluationReport,
     MobilityDataset,
-    Mood,
     MoodResult,
     ProtectedPiece,
     ProtectionEngine,
@@ -52,9 +51,6 @@ from repro.core import (
     Trace,
     composition_count,
     enumerate_compositions,
-    evaluate_hybrid,
-    evaluate_lppm,
-    evaluate_mood,
     merge_traces,
     most_active_window,
     split_fixed_time,
@@ -116,15 +112,11 @@ __all__ = [
     "ProtectionEngine",
     "ProtectionReport",
     "EvaluationReport",
-    "Mood",
     "MoodResult",
     "ProtectedPiece",
     "ComposedLPPM",
     "composition_count",
     "enumerate_compositions",
-    "evaluate_lppm",
-    "evaluate_hybrid",
-    "evaluate_mood",
     # registries
     "register",
     "build",

@@ -18,7 +18,7 @@ Two entry points:
 * :func:`run_service` — the service-path suite: requests/s through the
   loopback and TCP transports (same engine, same upload stream, replies
   asserted identical) and ``protect_dataset`` throughput per executor
-  backend (serial vs async vs sharded, published datasets asserted
+  backend (serial vs process vs sharded, published datasets asserted
   byte-identical).  ``smoke=True`` is the <60 s CI variant; the full
   run emits ``BENCH_3.json``.
 * :func:`run_remote` — the multi-host suite: ``protect_dataset`` through
@@ -355,7 +355,7 @@ def run_service(
     reference_csv: Optional[str] = None
     backends = [
         ("serial", "serial", 1),
-        ("async", "async", 2),
+        ("process", "process", 2),
         ("sharded", {"name": "sharded", "shards": 2}, 2),
     ]
     for label, spec, jobs in backends:
@@ -1003,7 +1003,7 @@ def run_scale(
        10×-larger population (prefix-stability: tier size must not leak
        into any random stream).
     3. **Protection** — feed the first *protect_users* users through
-       ``ProtectionEngine.protect_dataset`` on the serial, async, and
+       ``ProtectionEngine.protect_dataset`` on the serial, process, and
        sharded executors with a fresh :class:`FeatureCache` per leg,
        recording users/s and the cache hit rate; published datasets are
        asserted byte-identical across executors.
@@ -1086,7 +1086,7 @@ def run_scale(
     reference_csv: Optional[str] = None
     backends = [
         ("serial", "serial", 1),
-        ("async", "async", 2),
+        ("process", "process", 2),
         ("sharded", {"name": "sharded", "shards": 2}, 2),
     ]
     for label, exec_spec, jobs in backends:

@@ -76,7 +76,7 @@ class ProtectionConfig:
     #: ``search_strategy``).
     search_strategy: Optional[Dict[str, Any]] = None
     #: Batch execution backend (registry kind ``executor``): a bare name
-    #: (``"serial"``, ``"process"``, ``"async"``, ``"sharded"``) or a
+    #: (``"serial"``, ``"process"``, ``"sharded"``) or a
     #: spec dict with backend kwargs (``{"name": "sharded", "shards": 8}``,
     #: ``{"name": "remote", "endpoints": ["host:7464"], "shards": 8}``).
     executor: Union[str, Dict[str, Any]] = "serial"

@@ -10,19 +10,13 @@ from repro.core.engine import (
     DEFAULT_CHUNK_S,
     DEFAULT_DELTA_S,
     EvaluationReport,
+    HybridEvaluation,
+    LppmEvaluation,
+    MoodEvaluation,
     MoodResult,
     ProtectedPiece,
     ProtectionEngine,
     ProtectionReport,
-)
-from repro.core.mood import Mood
-from repro.core.pipeline import (
-    HybridEvaluation,
-    LppmEvaluation,
-    MoodEvaluation,
-    evaluate_hybrid,
-    evaluate_lppm,
-    evaluate_mood,
 )
 from repro.core.record import Record
 from repro.core.search import (
@@ -52,7 +46,6 @@ __all__ = [
     "ComposedLPPM",
     "composition_count",
     "enumerate_compositions",
-    "Mood",
     "MoodResult",
     "ProtectedPiece",
     "ProtectionEngine",
@@ -66,7 +59,4 @@ __all__ = [
     "LppmEvaluation",
     "HybridEvaluation",
     "MoodEvaluation",
-    "evaluate_lppm",
-    "evaluate_hybrid",
-    "evaluate_mood",
 ]

@@ -6,22 +6,19 @@ This module is the system's front door.  It hosts:
   three stages of Algorithm 1 (single-LPPM search, multi-LPPM
   composition search, recursive fine-grained splitting) for one user;
 * the dataset-level batch API — :meth:`ProtectionEngine.protect_dataset`
-  and the unified :meth:`ProtectionEngine.evaluate` (subsuming the
-  legacy ``evaluate_lppm`` / ``evaluate_hybrid`` / ``evaluate_mood``
-  trio) fan the per-user work out over a pluggable executor;
-* the executors — ``serial``, ``process`` (multiprocessing), ``async``
-  (asyncio fan-out over a thread/process pool, for the service/proxy
-  path), and ``sharded`` (deterministic user-hash partitioning across
-  per-shard process pools, for campaign-scale corpora).  Per-user
-  protection is embarrassingly parallel and every random draw derives
-  from :func:`repro.rng.stable_user_seed`, so every backend publishes
+  and :meth:`ProtectionEngine.evaluate` (the ``lppm``, ``hybrid`` and
+  ``mood`` protocols) fan the per-user work out over a pluggable
+  executor;
+* the executors — ``serial``, ``process`` (multiprocessing), ``sharded``
+  (deterministic user-hash partitioning across per-shard process pools,
+  for campaign-scale corpora) and ``remote`` (the same partitioning,
+  dispatched to ``repro serve`` endpoints).  Per-user protection is
+  embarrassingly parallel and every random draw derives from
+  :func:`repro.rng.stable_user_seed`, so every backend publishes
   byte-identical datasets to the serial one;
 * the declarative entry point — :meth:`ProtectionEngine.from_config`
   rebuilds the whole engine from a :class:`repro.config.ProtectionConfig`
   via the component registries.
-
-The legacy :class:`repro.core.mood.Mood` class is a thin deprecated
-subclass of :class:`ProtectionEngine`.
 """
 
 from __future__ import annotations
@@ -220,6 +217,20 @@ def _split_between_pois(trace: Trace) -> Tuple[Trace, Trace]:
 # Executors (registry kind "executor")
 # ---------------------------------------------------------------------------
 
+
+def _check_count(name: str, value: Any, optional: bool = False) -> Any:
+    """Return *value* if it is an int >= 1 (or ``None`` when *optional*).
+
+    ``bool`` and ``float`` are rejected rather than coerced: ``True``
+    would pass as 1 and ``2.7`` would silently truncate to 2.
+    """
+    if value is None and optional:
+        return value
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigurationError(f"{name} must be >= 1, got {value!r}")
+    return value
+
+
 # Worker-process state for ProcessExecutor: the engine is shipped once per
 # worker via the pool initializer instead of once per task.
 _WORKER: Dict[str, Any] = {}
@@ -381,6 +392,7 @@ class SerialExecutor:
     """Run the per-item work in-process, one item at a time."""
 
     def __init__(self, jobs: Optional[int] = None) -> None:
+        _check_count("jobs", jobs, optional=True)
         self.jobs = 1
 
     def map(
@@ -405,7 +417,7 @@ class ProcessExecutor:
     """
 
     def __init__(self, jobs: Optional[int] = None) -> None:
-        self.jobs = jobs
+        self.jobs = _check_count("jobs", jobs, optional=True)
 
     def map(
         self,
@@ -418,8 +430,7 @@ class ProcessExecutor:
         import os
 
         items = list(items)
-        jobs = self.jobs or os.cpu_count() or 1
-        jobs = max(1, min(int(jobs), len(items) or 1))
+        jobs = min(self.jobs or os.cpu_count() or 1, len(items) or 1)
         if jobs == 1:
             return SerialExecutor().map(engine, method, items, kwargs)
         shipment = _EngineShipment(engine, method, kwargs)
@@ -431,119 +442,6 @@ class ProcessExecutor:
                 out = pool.map(_pool_run, items)
         finally:
             shipment.close()
-        engine.evaluations += sum(delta for _, delta in out)
-        return [result for result, _ in out]
-
-
-# Thread-worker state for AsyncExecutor's thread pool: each worker thread
-# owns a private engine clone, so no mutable state (evaluation counter,
-# feature cache, fitted attacks) is ever shared between threads.  Created
-# eagerly at import time — a lazy check-then-set would race when two
-# worker initializers run concurrently.
-_THREAD_STATE = threading.local()
-
-
-def _thread_clone_init(payload: bytes, method: str, kwargs: Dict[str, Any]) -> None:
-    import pickle
-
-    _THREAD_STATE.engine = pickle.loads(payload)
-    _THREAD_STATE.method = method
-    _THREAD_STATE.kwargs = kwargs
-
-
-def _thread_clone_run(item: Any) -> Tuple[Any, int]:
-    engine = _THREAD_STATE.engine
-    before = engine.evaluations
-    out = getattr(engine, _THREAD_STATE.method)(item, **_THREAD_STATE.kwargs)
-    return out, engine.evaluations - before
-
-
-@register_executor("async")
-class AsyncExecutor:
-    """Asyncio fan-out with the CPU kernels offloaded to a worker pool.
-
-    Built for the service/proxy path: the items are dispatched from an
-    asyncio event loop onto a pool — ``pool="thread"`` (default; each
-    worker thread gets a pickled *clone* of the engine so no mutable
-    state is shared) or ``pool="process"`` (the multiprocessing worker
-    protocol shared with :class:`ProcessExecutor`).  Results come back
-    in submission order and every random draw derives from
-    :func:`repro.rng.stable_user_seed`, so published datasets are
-    byte-identical to the serial backend; the evaluation counter is
-    reconciled from per-task deltas.
-    """
-
-    def __init__(self, jobs: Optional[int] = None, pool: str = "thread") -> None:
-        if pool not in ("thread", "process"):
-            raise ConfigurationError(
-                f"async executor pool must be 'thread' or 'process', got {pool!r}"
-            )
-        self.jobs = jobs
-        self.pool = pool
-
-    def map(
-        self,
-        engine: "ProtectionEngine",
-        method: str,
-        items: Sequence[Any],
-        kwargs: Dict[str, Any],
-    ) -> List[Any]:
-        import asyncio
-        import os
-
-        items = list(items)
-        jobs = self.jobs or os.cpu_count() or 1
-        jobs = max(1, min(int(jobs), len(items) or 1))
-        if jobs == 1 or len(items) <= 1:
-            return SerialExecutor().map(engine, method, items, kwargs)
-        shipment: Optional[_EngineShipment] = None
-        if self.pool == "process":
-            from concurrent.futures import ProcessPoolExecutor
-
-            shipment = _EngineShipment(engine, method, kwargs)
-            initializer, initargs = shipment.pool_hooks()
-
-            def pool_factory() -> Any:
-                return ProcessPoolExecutor(
-                    jobs, initializer=initializer, initargs=initargs
-                )
-
-            run = _pool_run
-        else:
-            import pickle
-
-            payload = pickle.dumps(engine)
-            from concurrent.futures import ThreadPoolExecutor
-
-            def pool_factory() -> Any:
-                return ThreadPoolExecutor(
-                    jobs,
-                    initializer=_thread_clone_init,
-                    initargs=(payload, method, kwargs),
-                )
-
-            run = _thread_clone_run
-
-        async def gather() -> List[Tuple[Any, int]]:
-            loop = asyncio.get_running_loop()
-            with pool_factory() as pool:
-                futures = [loop.run_in_executor(pool, run, item) for item in items]
-                return await asyncio.gather(*futures)
-
-        try:
-            try:
-                asyncio.get_running_loop()
-            except RuntimeError:
-                out = asyncio.run(gather())
-            else:
-                # Called from inside a live event loop (a server handler):
-                # blocking this thread on a nested loop is forbidden, so
-                # drive the pool directly — same results, same order.
-                with pool_factory() as pool:
-                    out = list(pool.map(run, items))
-        finally:
-            if shipment is not None:
-                shipment.close()
         engine.evaluations += sum(delta for _, delta in out)
         return [result for result, _ in out]
 
@@ -598,10 +496,8 @@ class ShardedExecutor:
     """
 
     def __init__(self, jobs: Optional[int] = None, shards: int = 4) -> None:
-        if int(shards) < 1:
-            raise ConfigurationError(f"shards must be >= 1, got {shards}")
-        self.jobs = jobs
-        self.shards = int(shards)
+        self.jobs = _check_count("jobs", jobs, optional=True)
+        self.shards = _check_count("shards", shards)
 
     def map(
         self,
@@ -618,7 +514,7 @@ class ShardedExecutor:
             return []
         # Placement first: host-independent, worker-budget-independent.
         buckets = _partition_items(items, self.shards)
-        total_jobs = int(self.jobs or os.cpu_count() or 1)
+        total_jobs = self.jobs or os.cpu_count() or 1
         if total_jobs == 1 or len(items) == 1 or len(buckets) == 1:
             # One worker (or one bucket) degenerates to serial execution;
             # the logical placement above is unchanged, so this is
@@ -793,12 +689,8 @@ class RemoteExecutor:
         self.join_grace_s = float(join_grace_s)
         if shards is None:
             shards = max(1, len(self.endpoints))
-        if int(shards) < 1:
-            raise ConfigurationError(f"shards must be >= 1, got {shards}")
-        self.shards = int(shards)
-        if jobs is not None and int(jobs) < 1:
-            raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
+        self.shards = _check_count("shards", shards)
+        self.jobs = _check_count("jobs", jobs, optional=True)
         self.timeout = float(timeout)
         self.retry_budget = int(retry_budget)
         self.backoff = self._parse_backoff(backoff)
@@ -867,7 +759,7 @@ class RemoteExecutor:
             self.endpoints,
             membership=membership,
             timeout=self.timeout,
-            max_inflight=int(self.jobs or self.DEFAULT_INFLIGHT),
+            max_inflight=self.jobs or self.DEFAULT_INFLIGHT,
             retry_budget=self.retry_budget,
             backoff_base=self.backoff["base"],
             backoff_factor=self.backoff["factor"],
@@ -1201,11 +1093,13 @@ class ProtectionEngine:
     executor:
         Batch backend for :meth:`protect_dataset`/:meth:`evaluate`: a
         registered name or spec (``"serial"``, ``"process"``,
-        ``"async"``, ``{"name": "sharded", "shards": 8}``) or an
-        executor instance.  All built-in backends publish byte-identical
-        datasets.
+        ``{"name": "sharded", "shards": 8}``, ``{"name": "remote", ...}``)
+        or an executor instance.  A name or spec is built here, so a bad
+        one fails at construction.  All built-in backends publish
+        byte-identical datasets.
     jobs:
-        Worker count for parallel executors (``None`` = all cores).
+        Worker count for parallel executors (``None`` = all cores); the
+        default for a name or spec that does not set its own ``jobs``.
     """
 
     def __init__(
@@ -1226,8 +1120,7 @@ class ProtectionEngine:
             raise ConfigurationError("the protection engine needs at least one attack")
         if delta_s <= 0:
             raise ConfigurationError(f"delta_s must be positive, got {delta_s}")
-        if jobs is not None and jobs < 1:
-            raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
+        _check_count("jobs", jobs, optional=True)
         self.lppms = list(lppms)
         self.attacks = list(attacks)
         self.delta_s = float(delta_s)
@@ -1245,6 +1138,12 @@ class ProtectionEngine:
             self.search_strategy = build("search_strategy", search_strategy)
         self.executor = executor
         self.jobs = jobs
+        if isinstance(executor, (str, dict)):
+            spec = normalize_spec(executor)
+            spec.setdefault("jobs", jobs)
+            executor = build("executor", spec)
+        #: The backend :attr:`executor` names, built once.
+        self._executor = executor
         #: Number of (mechanism, trace) evaluations performed — the §6
         #: brute-force cost counter the search strategies aim to reduce.
         self.evaluations = 0
@@ -1446,14 +1345,12 @@ class ProtectionEngine:
         * ``"lppm"`` — apply one mechanism (*lppm*: an instance, a name
           of one of the engine's LPPMs, or a registry spec; default: the
           engine's first LPPM) to every trace and record the verdict of
-          **every** attack (the legacy ``evaluate_lppm``);
+          **every** attack;
         * ``"hybrid"`` — the user-centric single-LPPM baseline [22]
-          (*hybrid* overrides the mechanism order; the legacy
-          ``evaluate_hybrid``);
+          (*hybrid* overrides the mechanism order);
         * ``"mood"`` — the full cascade; ``composition_only=True``
           disables the fine-grained recursion (δ = ∞, the Figures 6/7
-          readout), otherwise survivors run the §4.5 daily-chunk mode
-          (the legacy ``evaluate_mood``).
+          readout), otherwise survivors run the §4.5 daily-chunk mode.
         """
         t0 = time.perf_counter()
         traces = test.traces()
@@ -1561,11 +1458,7 @@ class ProtectionEngine:
         self, method: str, items: Sequence[Any], kwargs: Dict[str, Any]
     ) -> List[Any]:
         """Run ``getattr(self, method)(item, **kwargs)`` on the executor."""
-        executor = self.executor
-        if isinstance(executor, (str, dict)):
-            spec = normalize_spec(executor)
-            spec.setdefault("jobs", self.jobs)
-            executor = build("executor", spec)
+        executor = self._executor
         if getattr(self.search_strategy, "stateful", False) and not isinstance(
             executor, SerialExecutor
         ):

@@ -26,7 +26,8 @@ class Trace:
     ----------
     user_id:
         Owner of the trace.  Fine-grained protection publishes sub-traces
-        under renewed pseudonyms (see :func:`repro.core.mood.renew_ids`).
+        under renewed pseudonyms (see
+        :meth:`repro.core.engine.ProtectionEngine.finalize`).
     timestamps, lats, lngs:
         Parallel arrays.  ``timestamps`` must be non-decreasing.
     """

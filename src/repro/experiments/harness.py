@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Sequence
 from repro.attacks import ApAttack, Attack, PitAttack, PoiAttack
 from repro.core.dataset import MobilityDataset
 from repro.core.engine import DEFAULT_DELTA_S, ProtectionEngine
-from repro.core.mood import Mood
 from repro.core.split import train_test_split
 from repro.datasets.generators import SPECS, generate_dataset
 from repro.lppm import GeoInd, HeatmapConfusion, HybridLPPM, Trilateration
@@ -77,16 +76,6 @@ class ExperimentContext:
             executor=executor,
             jobs=jobs,
             **kwargs,
-        )
-
-    def mood(
-        self,
-        attacks: Optional[Sequence[Attack]] = None,
-        delta_s: float = DEFAULT_DELTA_S,
-    ) -> Mood:
-        """Deprecated: the legacy MooD engine (use :meth:`engine`)."""
-        return Mood(
-            self.lppms, list(attacks or self.attacks), delta_s=delta_s, seed=self.seed
         )
 
 

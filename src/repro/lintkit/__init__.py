@@ -5,7 +5,7 @@ tree that machine-checks the two invariants every PR since the seed has
 staked correctness on:
 
 * **Determinism** — published datasets must be byte-identical across
-  the serial/process/async/sharded/remote/elastic/stream paths, so no
+  the serial/process/sharded/remote/elastic/stream paths, so no
   publish-path code may draw unseeded randomness, read the wall clock,
   enumerate a ``set`` into ordered output, or format floats lossily
   near the wire codec (:mod:`repro.lintkit.determinism`).

@@ -2,7 +2,7 @@
 
 The repository's core guarantee is that published datasets are
 byte-identical across every execution path — serial, process pools,
-async, sharded, remote, elastic churn, and streaming.  That only holds
+sharded, remote, elastic churn, and streaming.  That only holds
 while every random draw derives from ``stable_user_seed`` via
 :mod:`repro.rng`, no publish-path code reads the wall clock, and
 nothing enumerates a ``set`` into ordered output.  These rules make

@@ -26,7 +26,7 @@ from repro.errors import ConfigurationError
 from repro.service.api import LoopbackClient, ProtectionService
 from repro.service.client import MobileClient
 from repro.service.events import EventLoop
-from repro.service.proxy import MoodProxy, ProxyStats, coerce_engine
+from repro.service.proxy import MoodProxy, ProxyStats
 from repro.service.server import CollectionServer, ServerStats
 
 
@@ -57,18 +57,15 @@ class CrowdsensingCampaign:
         engine: Optional[ProtectionEngine] = None,
         chunk_s: float = 86_400.0,
         *,
-        mood: Optional[ProtectionEngine] = None,
         service: Optional[ProtectionService] = None,
     ) -> None:
         self.raw = raw
-        if service is None:
-            service = ProtectionService(coerce_engine(engine, mood, "CrowdsensingCampaign"))
-        elif engine is not None or mood is not None:
+        if (engine is None) == (service is None):
+            got = "neither" if engine is None else "both"
             raise ConfigurationError(
-                "CrowdsensingCampaign got both a 'service' and an engine — "
-                "pass one or the other"
+                f"CrowdsensingCampaign takes an engine or a 'service'; got {got}"
             )
-        self.service = service
+        self.service = service if service is not None else ProtectionService(engine)
         self.chunk_s = float(chunk_s)
         self.clients: List[MobileClient] = [
             MobileClient(trace, chunk_s) for trace in raw.traces() if len(trace) > 0

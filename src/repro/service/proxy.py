@@ -22,34 +22,7 @@ from typing import Dict, List, Optional
 
 from repro.core.engine import MoodResult, ProtectedPiece, ProtectionEngine
 from repro.core.trace import Trace
-from repro.errors import ConfigurationError
 from repro.service.client import UploadChunk
-
-
-def coerce_engine(
-    engine: Optional[ProtectionEngine],
-    mood: Optional[ProtectionEngine],
-    who: str,
-) -> ProtectionEngine:
-    """Accept the legacy ``mood=`` keyword (with a deprecation warning)."""
-    if mood is not None:
-        if engine is not None:
-            raise ConfigurationError(f"{who} got both 'engine' and legacy 'mood'")
-        import warnings
-
-        warnings.warn(
-            f"the {who} 'mood' keyword is deprecated; pass 'engine' instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return mood
-    if engine is None:
-        raise ConfigurationError(f"{who} needs a ProtectionEngine")
-    return engine
-
-
-#: Deprecated alias kept for callers of the old private name.
-_coerce_engine = coerce_engine
 
 
 class PseudonymProvider:
@@ -112,19 +85,13 @@ class MoodProxy:
 
     def __init__(
         self,
-        engine: Optional[ProtectionEngine] = None,
+        engine: ProtectionEngine,
         *,
-        mood: Optional[ProtectionEngine] = None,
         pseudonyms: Optional[PseudonymProvider] = None,
     ) -> None:
-        self.engine = coerce_engine(engine, mood, "MoodProxy")
+        self.engine = engine
         self.stats = ProxyStats()
         self.pseudonyms = pseudonyms if pseudonyms is not None else SessionPseudonyms()
-
-    @property
-    def mood(self) -> ProtectionEngine:
-        """Backwards-compatible alias for :attr:`engine`."""
-        return self.engine
 
     def protect_chunk(self, chunk: UploadChunk) -> MoodResult:
         """Protect one daily chunk; pieces carry session-scoped pseudonyms.

@@ -2,8 +2,8 @@
 
 Covers the declarative path (config JSON → engine → cascade), the
 executor backends (serial vs. process determinism), the unified
-``evaluate`` API and its parity with the deprecated shims, and the
-public ``search_whole_trace``/``finalize`` hooks.
+``evaluate`` API, and the public ``search_whole_trace``/``finalize``
+hooks.
 """
 
 import json
@@ -19,8 +19,6 @@ from repro.core.engine import (
     ProtectionEngine,
     ProtectionReport,
 )
-from repro.core.mood import Mood
-from repro.core.pipeline import evaluate_hybrid, evaluate_lppm, evaluate_mood
 from repro.core.search import GreedySuccessSearch
 from repro.core.split import train_test_split
 from repro.core.trace import Trace
@@ -131,14 +129,12 @@ class TestExecutorDeterminism:
     def test_all_backends_registered(self):
         from repro.registry import available
 
-        assert {"serial", "process", "async", "sharded"} <= set(available("executor"))
+        assert {"serial", "process", "sharded"} <= set(available("executor"))
 
     @pytest.mark.parametrize(
         "executor",
         [
             "process",
-            "async",
-            {"name": "async", "pool": "process"},
             {"name": "sharded", "shards": 2},
             {"name": "sharded", "shards": 3},
         ],
@@ -233,12 +229,45 @@ class TestExecutorDeterminism:
         assert len(pool_of_shard) > 3
 
     def test_invalid_executor_params_rejected(self):
-        from repro.core.engine import AsyncExecutor, ShardedExecutor
+        from repro.core.engine import (
+            ProcessExecutor,
+            RemoteExecutor,
+            SerialExecutor,
+            ShardedExecutor,
+        )
 
         with pytest.raises(ConfigurationError):
-            AsyncExecutor(pool="fiber")
-        with pytest.raises(ConfigurationError):
             ShardedExecutor(shards=0)
+        # jobs is None or an int >= 1, shards an int >= 1: negatives used
+        # to crash (sharded) or run serially (process), and bools and
+        # floats used to be truncated instead of rejected.
+        endpoints = ["127.0.0.1:1"]
+        for bad in (
+            lambda: ShardedExecutor(jobs=-1),
+            lambda: ShardedExecutor(shards=2.7),
+            lambda: ShardedExecutor(shards=True),
+            lambda: ProcessExecutor(jobs=-3),
+            lambda: ProcessExecutor(jobs=2.5),
+            lambda: SerialExecutor(jobs=0),
+            lambda: RemoteExecutor(endpoints, jobs=1.5),
+            lambda: RemoteExecutor(endpoints, jobs=True),
+            lambda: RemoteExecutor(endpoints, shards=2.7),
+            lambda: ProtectionEngine([_Shift()], [_ThresholdAttack()], jobs=2.5),
+            lambda: ProtectionEngine([_Shift()], [_ThresholdAttack()], jobs=False),
+        ):
+            with pytest.raises(ConfigurationError, match="must be >= 1"):
+                bad()
+        # The engine builds its executor up front, so a config carrying a
+        # bad spec fails at construction, not at the first batch.
+        for executor in (
+            {"name": "sharded", "jobs": -1},
+            {"name": "process", "jobs": -3},
+            {"name": "sharded", "shards": 2.7},
+            {"name": "sharded", "shards": 0},
+            {"name": "sharded", "shard": 4},
+        ):
+            with pytest.raises(ConfigurationError):
+                ProtectionEngine.from_config(ProtectionConfig(executor=executor))
 
     def test_sharded_worker_budget_is_capped_by_jobs(self, monkeypatch):
         """shards > jobs must not spawn more than `jobs` processes."""
@@ -304,15 +333,6 @@ class TestUnifiedEvaluate:
         with pytest.raises(ConfigurationError):
             micro_ctx.engine().evaluate("quantum", micro_ctx.test)
 
-    def test_lppm_strategy_matches_legacy_shim(self, micro_ctx):
-        engine = micro_ctx.engine()
-        lppm = micro_ctx.lppms[0]
-        new = engine.evaluate("lppm", micro_ctx.test, lppm=lppm).result
-        with pytest.warns(DeprecationWarning):
-            old = evaluate_lppm(lppm, micro_ctx.test, micro_ctx.attacks, seed=micro_ctx.seed)
-        assert new.guesses == old.guesses
-        assert new.distortions == old.distortions
-
     def test_lppm_strategy_resolves_by_name_and_spec(self, micro_ctx):
         engine = micro_ctx.engine()
         by_name = engine.evaluate("lppm", micro_ctx.test, lppm="Geo-I").result
@@ -329,27 +349,6 @@ class TestUnifiedEvaluate:
         assert engine._resolve_lppm("geoi") is engine._resolve_lppm("Geo-I")
         with pytest.raises(ConfigurationError, match="engine's LPPMs"):
             engine.evaluate("lppm", micro_ctx.test, lppm="promesse")
-
-    def test_hybrid_strategy_matches_legacy_shim(self, micro_ctx):
-        engine = micro_ctx.engine()
-        hybrid = micro_ctx.hybrid()
-        new = engine.evaluate("hybrid", micro_ctx.test, hybrid=hybrid).result
-        with pytest.warns(DeprecationWarning):
-            old = evaluate_hybrid(hybrid, micro_ctx.test)
-        assert new.non_protected() == old.non_protected()
-        assert new.distortions() == old.distortions()
-
-    def test_mood_strategy_matches_legacy_shim(self, micro_ctx):
-        engine = micro_ctx.engine()
-        new = engine.evaluate("mood", micro_ctx.test, composition_only=True).result
-        with pytest.warns(DeprecationWarning):
-            mood = micro_ctx.mood()
-        with pytest.warns(DeprecationWarning):
-            old = evaluate_mood(mood, micro_ctx.test, composition_only=True)
-        assert new.non_protected() == old.non_protected()
-        assert {u: r.data_loss for u, r in new.results.items()} == {
-            u: r.data_loss for u, r in old.results.items()
-        }
 
     def test_report_unified_accessors(self, micro_ctx):
         engine = micro_ctx.engine()
@@ -394,15 +393,3 @@ class TestPublicHooks:
         assert piece.mechanism == "strong"
         result = engine.protect(_trace())
         assert result.pieces[0].pseudonym == "u#0"
-
-    def test_legacy_private_alias_still_works(self):
-        with pytest.warns(DeprecationWarning):
-            mood = Mood([_Shift("strong", 0.3)], [_ThresholdAttack(0.2)])
-        piece = mood._search_protecting_lppm(_trace())
-        assert piece is not None
-
-    def test_mood_is_an_engine(self):
-        with pytest.warns(DeprecationWarning):
-            mood = Mood([_Shift("strong", 0.3)], [_ThresholdAttack(0.2)])
-        assert isinstance(mood, ProtectionEngine)
-        assert mood.SPLIT_POLICIES == ("half", "gap", "inter-poi")

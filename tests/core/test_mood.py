@@ -1,4 +1,4 @@
-"""Tests for repro.core.mood — Algorithm 1.
+"""Tests for Algorithm 1 — :meth:`ProtectionEngine.protect` and friends.
 
 Uses stub LPPMs and attacks so each branch of the cascade (single,
 composition, fine-grained, erasure) can be forced deterministically.
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.dataset import MobilityDataset
-from repro.core.mood import DEFAULT_DELTA_S, Mood, MoodResult
+from repro.core.engine import DEFAULT_DELTA_S, MoodResult, ProtectionEngine
 from repro.core.trace import Trace
 from repro.errors import ConfigurationError
 from repro.lppm.base import LPPM
@@ -72,19 +72,21 @@ def hours_trace(user="u", hours=24, period_s=600.0):
 class TestConstruction:
     def test_requires_lppms(self):
         with pytest.raises(ConfigurationError):
-            Mood([], [_ThresholdAttack("a", 0.1)])
+            ProtectionEngine([], [_ThresholdAttack("a", 0.1)])
 
     def test_requires_attacks(self):
         with pytest.raises(ConfigurationError):
-            Mood([_ShiftLppm("s", 0.1)], [])
+            ProtectionEngine([_ShiftLppm("s", 0.1)], [])
 
     def test_requires_positive_delta(self):
         with pytest.raises(ConfigurationError):
-            Mood([_ShiftLppm("s", 0.1)], [_ThresholdAttack("a", 0.1)], delta_s=0.0)
+            ProtectionEngine(
+                [_ShiftLppm("s", 0.1)], [_ThresholdAttack("a", 0.1)], delta_s=0.0
+            )
 
     def test_composition_sets(self):
         lppms = [_ShiftLppm(n, 0.1) for n in "abc"]
-        mood = Mood(lppms, [_ThresholdAttack("atk", 99.0)])
+        mood = ProtectionEngine(lppms, [_ThresholdAttack("atk", 99.0)])
         assert len(mood.singles) == 3
         assert len(mood.chains) == 12  # 15 − 3
 
@@ -92,7 +94,7 @@ class TestConstruction:
 class TestSingleLppmBranch:
     def test_single_lppm_protects(self):
         # One shift of 0.2° defeats the 0.15° threshold.
-        mood = Mood(
+        mood = ProtectionEngine(
             [_ShiftLppm("small", 0.05), _ShiftLppm("big", 0.2)],
             [_ThresholdAttack("atk", 0.15)],
         )
@@ -103,7 +105,7 @@ class TestSingleLppmBranch:
 
     def test_lowest_distortion_single_wins(self):
         # Both protect; the smaller displacement has lower STD.
-        mood = Mood(
+        mood = ProtectionEngine(
             [_ShiftLppm("huge", 1.0), _ShiftLppm("okay", 0.2)],
             [_ThresholdAttack("atk", 0.15)],
         )
@@ -111,7 +113,7 @@ class TestSingleLppmBranch:
         assert result.pieces[0].mechanism == "okay"
 
     def test_distortion_recorded(self):
-        mood = Mood([_ShiftLppm("s", 0.2)], [_ThresholdAttack("atk", 0.1)])
+        mood = ProtectionEngine([_ShiftLppm("s", 0.2)], [_ThresholdAttack("atk", 0.1)])
         result = mood.protect(hours_trace())
         # 0.2° of latitude ≈ 22.2 km.
         assert result.pieces[0].distortion_m == pytest.approx(22_240, rel=0.01)
@@ -120,7 +122,7 @@ class TestSingleLppmBranch:
 class TestCompositionBranch:
     def test_composition_needed(self):
         # Each LPPM shifts 0.1°; only a chain of two reaches the 0.15° bar.
-        mood = Mood(
+        mood = ProtectionEngine(
             [_ShiftLppm("a", 0.1), _ShiftLppm("b", 0.1)],
             [_ThresholdAttack("atk", 0.15)],
         )
@@ -131,7 +133,9 @@ class TestCompositionBranch:
     def test_max_composition_length_respected(self):
         lppms = [_ShiftLppm(n, 0.05) for n in "abc"]
         # Need 3 chained shifts (0.15°) but chains are capped at 2.
-        mood = Mood(lppms, [_ThresholdAttack("atk", 0.14)], max_composition_length=2)
+        mood = ProtectionEngine(
+            lppms, [_ThresholdAttack("atk", 0.14)], max_composition_length=2
+        )
         result = mood.protect(hours_trace(hours=2))
         assert not result.fully_protected
 
@@ -141,7 +145,7 @@ class TestFineGrainedBranch:
         # Attack catches only the first 6 h; halving isolates it.
         trace = hours_trace(hours=24)
         attack = _TimeWindowAttack(0.0, 6 * 3600.0)
-        mood = Mood([_ShiftLppm("noop", 0.0)], [attack], delta_s=4 * 3600.0)
+        mood = ProtectionEngine([_ShiftLppm("noop", 0.0)], [attack], delta_s=4 * 3600.0)
         result = mood.protect(trace)
         assert 0 < result.published_records < len(trace)
         assert result.erased_records > 0
@@ -150,14 +154,14 @@ class TestFineGrainedBranch:
     def test_erased_subtrace_shorter_than_delta(self):
         trace = hours_trace(hours=24)
         attack = _TimeWindowAttack(0.0, 6 * 3600.0)
-        mood = Mood([_ShiftLppm("noop", 0.0)], [attack], delta_s=4 * 3600.0)
+        mood = ProtectionEngine([_ShiftLppm("noop", 0.0)], [attack], delta_s=4 * 3600.0)
         result = mood.protect(trace)
         for erased in result.erased:
             assert erased.duration_s() < 2 * 4 * 3600.0
 
     def test_hopeless_trace_fully_erased(self):
         attack = _TimeWindowAttack(-1.0, 1e12)  # catches everything
-        mood = Mood([_ShiftLppm("noop", 0.0)], [attack])
+        mood = ProtectionEngine([_ShiftLppm("noop", 0.0)], [attack])
         result = mood.protect(hours_trace(hours=24))
         assert result.erased_records == result.original_records
         assert not result.fully_protected
@@ -166,7 +170,7 @@ class TestFineGrainedBranch:
     def test_short_trace_not_split(self):
         # Below δ the trace is erased without recursion.
         attack = _TimeWindowAttack(-1.0, 1e12)
-        mood = Mood([_ShiftLppm("noop", 0.0)], [attack], delta_s=DEFAULT_DELTA_S)
+        mood = ProtectionEngine([_ShiftLppm("noop", 0.0)], [attack], delta_s=DEFAULT_DELTA_S)
         trace = hours_trace(hours=2)
         result = mood.protect(trace)
         assert len(result.erased) == 1
@@ -176,7 +180,7 @@ class TestPseudonyms:
     def test_pieces_get_fresh_ids(self):
         trace = hours_trace(hours=24)
         attack = _TimeWindowAttack(0.0, 3600.0)
-        mood = Mood([_ShiftLppm("noop", 0.0)], [attack], delta_s=3600.0)
+        mood = ProtectionEngine([_ShiftLppm("noop", 0.0)], [attack], delta_s=3600.0)
         result = mood.protect(trace)
         pseudonyms = [p.pseudonym for p in result.pieces]
         assert len(pseudonyms) == len(set(pseudonyms))
@@ -186,7 +190,7 @@ class TestPseudonyms:
             assert piece.original_user == "u"
 
     def test_empty_trace(self):
-        mood = Mood([_ShiftLppm("s", 0.2)], [_ThresholdAttack("atk", 0.1)])
+        mood = ProtectionEngine([_ShiftLppm("s", 0.2)], [_ThresholdAttack("atk", 0.1)])
         result = mood.protect(Trace.empty("u"))
         assert result.original_records == 0
         assert not result.fully_protected
@@ -196,7 +200,7 @@ class TestProtectDaily:
     def test_chunks_protected_independently(self):
         trace = hours_trace(hours=72)
         attack = _TimeWindowAttack(0.0, 24 * 3600.0)  # catches day 1 only
-        mood = Mood([_ShiftLppm("noop", 0.0)], [attack], delta_s=4 * 3600.0)
+        mood = ProtectionEngine([_ShiftLppm("noop", 0.0)], [attack], delta_s=4 * 3600.0)
         result = mood.protect_daily(trace, chunk_s=24 * 3600.0)
         # Days 2 and 3 publish as whole chunks; day 1 is shredded/erased.
         assert result.published_records >= 2 * 24 * 6 - 2
@@ -205,7 +209,7 @@ class TestProtectDaily:
     def test_determinism(self):
         trace = hours_trace(hours=48)
         def build():
-            return Mood(
+            return ProtectionEngine(
                 [_ShiftLppm("a", 0.1), _ShiftLppm("b", 0.1)],
                 [_ThresholdAttack("atk", 0.15)],
                 seed=99,
@@ -220,7 +224,7 @@ class TestMoodResult:
     def test_mean_distortion_weighting(self):
         result = MoodResult(user_id="u", original_records=10)
         t1 = hours_trace(hours=1)
-        from repro.core.mood import ProtectedPiece
+        from repro.core.engine import ProtectedPiece
 
         result.pieces.append(
             ProtectedPiece("u#0", "u", t1, t1, "m", distortion_m=100.0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.mood import Mood
+from repro.core.engine import ProtectionEngine
 from repro.core.search import ExhaustiveSearch, GreedySuccessSearch
 from repro.core.trace import Trace
 from repro.lppm.base import LPPM
@@ -73,7 +73,7 @@ class TestGreedySuccessSearch:
 
 class TestMoodWithStrategy:
     def _mood(self, strategy):
-        return Mood(
+        return ProtectionEngine(
             [_Shift("weak", 0.05), _Shift("strong", 0.3)],
             [_ThresholdAttack(0.2)],
             search_strategy=strategy,
@@ -120,7 +120,7 @@ class TestSplitPolicies:
             def reidentify(self, t):
                 return t.user_id
 
-        return Mood(
+        return ProtectionEngine(
             [_Shift("noop", 0.0)], [_Always()],
             delta_s=4 * 3600.0, split_policy=policy,
         )
@@ -135,7 +135,9 @@ class TestSplitPolicies:
         from repro.errors import ConfigurationError
 
         with pytest.raises(ConfigurationError):
-            Mood([_Shift("s", 0.1)], [_ThresholdAttack(0.05)], split_policy="zigzag")
+            ProtectionEngine(
+                [_Shift("s", 0.1)], [_ThresholdAttack(0.05)], split_policy="zigzag"
+            )
 
     @pytest.mark.parametrize("policy", ["half", "gap", "inter-poi"])
     def test_policies_are_lossless(self, policy):
@@ -145,14 +147,14 @@ class TestSplitPolicies:
         assert result.erased_records + result.published_records == len(t)
 
     def test_gap_policy_cuts_at_hole(self):
-        from repro.core.mood import _split_at_largest_gap
+        from repro.core.engine import _split_at_largest_gap
 
         left, right = _split_at_largest_gap(self._gappy_trace())
         assert len(left) == 40
         assert len(right) == 40
 
     def test_inter_poi_fallback_to_half(self):
-        from repro.core.mood import _split_between_pois
+        from repro.core.engine import _split_between_pois
 
         # No POIs in a fast-moving trace: behaves like halving.
         n = 60

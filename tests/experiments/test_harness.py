@@ -27,7 +27,7 @@ class TestPrepareContext:
 
     def test_mood_attack_subset(self, micro_ctx):
         ap = [micro_ctx.attack_by_name["AP-attack"]]
-        mood = micro_ctx.mood(ap)
+        mood = micro_ctx.engine(ap)
         assert [a.name for a in mood.attacks] == ["AP-attack"]
 
     def test_default_split_even(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.dataset import MobilityDataset
-from repro.core.mood import Mood
+from repro.core.engine import ProtectionEngine
 from repro.core.trace import Trace
 from repro.lppm.base import LPPM
 from repro.service.campaign import CrowdsensingCampaign
@@ -39,7 +39,7 @@ class TestCampaignStub:
     """Campaign mechanics with stub protection (fast, deterministic)."""
 
     def _run(self, n_users=3, days=3):
-        mood = Mood([_Noop()], [_NeverAttack()])
+        mood = ProtectionEngine([_Noop()], [_NeverAttack()])
         return CrowdsensingCampaign(corpus(n_users, days), mood).run()
 
     def test_all_chunks_processed(self):
@@ -61,14 +61,14 @@ class TestCampaignStub:
         assert report.count_query_fidelity == pytest.approx(1.0)
 
     def test_server_sees_only_pseudonyms(self):
-        mood = Mood([_Noop()], [_NeverAttack()])
+        mood = ProtectionEngine([_Noop()], [_NeverAttack()])
         campaign = CrowdsensingCampaign(corpus(), mood)
         campaign.run()
         collected = campaign.server.as_dataset()
         assert all("#" in uid for uid in collected.user_ids())
 
     def test_empty_campaign_rejected(self):
-        mood = Mood([_Noop()], [_NeverAttack()])
+        mood = ProtectionEngine([_Noop()], [_NeverAttack()])
         with pytest.raises(ValueError):
             CrowdsensingCampaign(MobilityDataset("empty"), mood).run()
 
@@ -77,7 +77,7 @@ class TestCampaignRealMood:
     """End-to-end with the real LPPMs/attacks on a micro corpus."""
 
     def test_realistic_campaign(self, micro_ctx):
-        campaign = CrowdsensingCampaign(micro_ctx.test, micro_ctx.mood())
+        campaign = CrowdsensingCampaign(micro_ctx.test, micro_ctx.engine())
         report = campaign.run()
         assert report.clients == len(micro_ctx.test)
         assert report.proxy.chunks_processed >= report.clients
@@ -98,7 +98,7 @@ class TestCampaignThroughServiceApi:
     def test_campaign_owns_a_protection_service(self):
         from repro.service.api import ProtectionService
 
-        engine = Mood([_Noop()], [_NeverAttack()])
+        engine = ProtectionEngine([_Noop()], [_NeverAttack()])
         campaign = CrowdsensingCampaign(corpus(), engine)
         assert isinstance(campaign.service, ProtectionService)
         assert campaign.proxy is campaign.service.proxy
@@ -107,7 +107,7 @@ class TestCampaignThroughServiceApi:
     def test_injected_service_is_used(self):
         from repro.service.api import ProtectionService
 
-        service = ProtectionService(Mood([_Noop()], [_NeverAttack()]))
+        service = ProtectionService(ProtectionEngine([_Noop()], [_NeverAttack()]))
         campaign = CrowdsensingCampaign(corpus(), service=service)
         report = campaign.run()
         assert campaign.service is service
@@ -118,10 +118,12 @@ class TestCampaignThroughServiceApi:
         from repro.errors import ConfigurationError
         from repro.service.api import ProtectionService
 
-        engine = Mood([_Noop()], [_NeverAttack()])
-        service = ProtectionService(Mood([_Noop()], [_NeverAttack()]))
+        engine = ProtectionEngine([_Noop()], [_NeverAttack()])
+        service = ProtectionService(ProtectionEngine([_Noop()], [_NeverAttack()]))
         with pytest.raises(ConfigurationError, match="both"):
             CrowdsensingCampaign(corpus(), engine, service=service)
+        with pytest.raises(ConfigurationError, match="neither"):
+            CrowdsensingCampaign(corpus())
 
     def test_campaign_report_matches_direct_proxy_loop(self):
         """Service + codec round-trip must not change campaign outcomes."""
@@ -131,10 +133,10 @@ class TestCampaignThroughServiceApi:
         from repro.service.server import CollectionServer
 
         report = CrowdsensingCampaign(
-            corpus(), Mood([_Noop()], [_NeverAttack()])
+            corpus(), ProtectionEngine([_Noop()], [_NeverAttack()])
         ).run()
 
-        proxy = MoodProxy(Mood([_Noop()], [_NeverAttack()]))
+        proxy = MoodProxy(ProtectionEngine([_Noop()], [_NeverAttack()]))
         server = CollectionServer()
         for trace in corpus().traces():
             for day, chunk in enumerate(split_fixed_time(trace, DAY)):
@@ -145,53 +147,3 @@ class TestCampaignThroughServiceApi:
         collected = {t.user_id for t in server.as_dataset()}
         assert report.server.distinct_pseudonyms == len(collected)
 
-
-class TestLegacyMoodKeyword:
-    def test_mood_keyword_still_accepted_with_warning(self, micro_ctx):
-        import pytest as _pytest
-
-        from repro.service.proxy import MoodProxy
-
-        engine = micro_ctx.engine()
-        with _pytest.warns(DeprecationWarning, match="mood"):
-            proxy = MoodProxy(mood=engine)
-        assert proxy.engine is engine
-        with _pytest.warns(DeprecationWarning, match="mood"):
-            campaign = CrowdsensingCampaign(micro_ctx.test, mood=engine)
-        assert campaign.proxy.engine is engine
-
-    def test_engine_and_mood_together_rejected(self, micro_ctx):
-        import pytest as _pytest
-
-        from repro.errors import ConfigurationError
-        from repro.service.proxy import MoodProxy
-
-        engine = micro_ctx.engine()
-        with _pytest.raises(ConfigurationError):
-            MoodProxy(engine, mood=engine)
-
-    def test_campaign_engine_and_mood_together_rejected(self, micro_ctx):
-        import pytest as _pytest
-
-        from repro.errors import ConfigurationError
-
-        engine = micro_ctx.engine()
-        with _pytest.raises(ConfigurationError, match="both"):
-            CrowdsensingCampaign(micro_ctx.test, engine, mood=engine)
-
-    def test_coerce_engine_is_public_and_aliased(self):
-        """`coerce_engine` lost its underscore; the old name must survive."""
-        import pytest as _pytest
-
-        from repro.errors import ConfigurationError
-        from repro.service.proxy import _coerce_engine, coerce_engine
-
-        assert _coerce_engine is coerce_engine
-        engine = Mood([_Noop()], [_NeverAttack()])
-        assert coerce_engine(engine, None, "X") is engine
-        with _pytest.warns(DeprecationWarning, match="deprecated"):
-            assert coerce_engine(None, engine, "X") is engine
-        with _pytest.raises(ConfigurationError, match="both"):
-            coerce_engine(engine, engine, "X")
-        with _pytest.raises(ConfigurationError, match="needs"):
-            coerce_engine(None, None, "X")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.dataset import MobilityDataset
-from repro.core.mood import Mood
+from repro.core.engine import ProtectionEngine
 from repro.core.trace import Trace
 from repro.geo.grid import MetricGrid
 from repro.lppm.base import LPPM
@@ -69,7 +69,7 @@ class TestMobileClient:
 
 class TestMoodProxy:
     def _proxy(self, attack):
-        mood = Mood([_Noop()], [attack], delta_s=4 * 3600.0)
+        mood = ProtectionEngine([_Noop()], [attack], delta_s=4 * 3600.0)
         return MoodProxy(mood)
 
     def test_protecting_proxy_publishes(self):

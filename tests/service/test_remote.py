@@ -107,7 +107,6 @@ class TestRemoteByteIdentity:
         [
             "serial",
             "process",
-            "async",
             {"name": "sharded", "shards": 3},
             "remote",
         ],

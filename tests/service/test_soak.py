@@ -121,7 +121,7 @@ class TestChaosMatrix:
 
     @pytest.mark.parametrize(
         "executor",
-        ["serial", "async", {"name": "sharded", "shards": 3}],
+        ["serial", "process", {"name": "sharded", "shards": 3}],
         ids=lambda e: e if isinstance(e, str) else e["name"],
     )
     def test_local_executors_byte_identical(

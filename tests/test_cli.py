@@ -231,7 +231,7 @@ class TestCommands:
         assert snapshot["mode"] == "service"
         assert snapshot["transports_identical"] is True
         assert snapshot["executors_identical"] is True
-        assert set(snapshot["executors"]) == {"serial", "async", "sharded"}
+        assert set(snapshot["executors"]) == {"serial", "process", "sharded"}
         for entry in snapshot["transports"].values():
             assert entry["requests_per_s"] > 0
         assert "transport" in capsys.readouterr().out
@@ -324,6 +324,19 @@ class TestConfigCommands:
         code = main(["config", "validate", str(path)])
         assert code == 1
         assert "geoi" in capsys.readouterr().err
+        # Executor specs are built too, so specs that used to pass here
+        # and then fail in protect_dataset are rejected up front.
+        for executor in (
+            '"async"',
+            '{"name": "sharded", "shards": 0}',
+            '{"name": "sharded", "shard": 4}',
+            '{"name": "sharded", "jobs": -1}',
+            '{"name": "process", "jobs": -3}',
+            '{"name": "sharded", "shards": 2.7}',
+        ):
+            path.write_text(f'{{"executor": {executor}}}')
+            assert main(["config", "validate", str(path)]) == 1, executor
+            assert "invalid config" in capsys.readouterr().err
 
     def test_config_validate_missing_file(self, capsys):
         code = main(["config", "validate", "/no/such/file.json"])

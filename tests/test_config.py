@@ -115,7 +115,7 @@ class TestValidation:
         assert "sharded" in cfg.describe()
 
     def test_new_executor_names_validate(self):
-        for name in ("async", "sharded"):
+        for name in ("process", "sharded"):
             assert ProtectionConfig(executor=name).validate().executor == name
 
     def test_invalid_json_text(self):

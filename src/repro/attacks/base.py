@@ -146,6 +146,25 @@ class Attack(abc.ABC):
             ),
         )
 
+    def _cached_poi_places(
+        self, trace: Trace, diameter_m: float, min_dwell_s: float
+    ) -> Any:
+        """The merged places of *trace* (its POI visits fused within
+        *diameter_m*), heaviest first and uncapped, cached under one key:
+        the POI-attack profiles their head, the PIT-attack's MMC takes
+        its states from it, and each trace is merged once."""
+        from repro.poi.clustering import merge_nearby_pois
+
+        return self._cached(
+            "poi-places",
+            trace,
+            (diameter_m, min_dwell_s),
+            lambda: merge_nearby_pois(
+                self._cached_poi_visits(trace, diameter_m, min_dwell_s),
+                merge_radius_m=diameter_m,
+            ),
+        )
+
     # -- attack -------------------------------------------------------------
 
     def top1(self, trace: Trace) -> Optional[Tuple[str, float]]:

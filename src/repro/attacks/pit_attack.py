@@ -141,15 +141,16 @@ class PitAttack(Attack):
 
     def _model(self, trace: Trace) -> MarkovChain:
         def build() -> MarkovChain:
-            # The visit extraction is shared with the POI-attack, so a
-            # trace attacked by both is clustered once per cache lifetime.
-            visits = self._cached_poi_visits(trace, self.diameter_m, self.min_dwell_s)
+            # The visits and merged places are shared with the POI-attack,
+            # so a trace attacked by both is clustered and merged once per
+            # cache lifetime.
             return build_mmc(
                 trace,
                 diameter_m=self.diameter_m,
                 min_dwell_s=self.min_dwell_s,
                 max_states=self.max_states,
-                visits=visits,
+                visits=self._cached_poi_visits(trace, self.diameter_m, self.min_dwell_s),
+                places=self._cached_poi_places(trace, self.diameter_m, self.min_dwell_s),
             )
 
         return self._cached(

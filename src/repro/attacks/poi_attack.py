@@ -33,12 +33,7 @@ from repro.registry import register_attack
 from repro.core.dataset import MobilityDataset
 from repro.core.trace import Trace
 from repro.geo.geodesy import equirectangular_distance_m_vec
-from repro.poi.clustering import (
-    POI,
-    PlaceIndex,
-    merge_nearby_pois,
-    validate_profile_params,
-)
+from repro.poi.clustering import POI, PlaceIndex, validate_profile_params
 
 
 def _poi_arrays(pois: Sequence[POI]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -94,18 +89,9 @@ class PoiAttack(Attack):
     # -- profiles ---------------------------------------------------------
 
     def _extract(self, trace: Trace) -> List[POI]:
-        def build() -> List[POI]:
-            visits = self._cached_poi_visits(trace, self.diameter_m, self.min_dwell_s)
-            places = merge_nearby_pois(visits, merge_radius_m=self.diameter_m)
-            places.sort(key=lambda p: (-p.weight, p.t_enter))
-            return places[: self.max_pois]
-
-        return self._cached(
-            "poi-profile",
-            trace,
-            (self.diameter_m, self.min_dwell_s, self.max_pois),
-            build,
-        )
+        """The ``max_pois`` heaviest merged places of *trace*."""
+        places = self._cached_poi_places(trace, self.diameter_m, self.min_dwell_s)
+        return places[: self.max_pois]
 
     def _build_profiles(self, background: MobilityDataset) -> None:
         self._profiles = {}

@@ -17,27 +17,35 @@ here, byte-for-byte, as the ground truth for:
 
 They take a *fitted* attack (or HMC) and reuse its profiles, so
 reference and fast path see identical training state.
+:func:`best_protecting_reference` likewise takes an engine: it is the
+exhaustive composition search that the bounded one must publish the
+same winner as.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.attacks.ap_attack import ApAttack, _topsoe_rows
 from repro.attacks.pit_attack import PIT_DISTANCES, PitAttack
 from repro.attacks.poi_attack import PoiAttack
+from repro.core.composition import ComposedLPPM
+from repro.core.engine import ProtectionEngine
 from repro.core.trace import Trace
 from repro.geo.grid import Cell
 from repro.lppm.hmc import HeatmapConfusion
+from repro.lppm.hybrid import is_protected
+from repro.metrics.distortion import spatial_temporal_distortion
 from repro.metrics.divergence import topsoe
 from repro.poi.clustering import POI
 from repro.poi.heatmap import Heatmap, build_heatmap
 
 __all__ = [
     "ap_rank_reference",
+    "best_protecting_reference",
     "hmc_target_reference",
     "pit_rank_reference",
     "poi_set_distance_reference",
@@ -191,3 +199,34 @@ def pit_rank_reference(attack: PitAttack, trace: Trace) -> List[Tuple[str, float
     scored = [(u, d) for u, d in scored if math.isfinite(d)]
     scored.sort(key=lambda ud: (ud[1], ud[0]))
     return scored
+
+
+def best_protecting_reference(
+    engine: ProtectionEngine, trace: Trace, mechanisms: Sequence[ComposedLPPM]
+) -> Optional[Tuple[Trace, str, float]]:
+    """The original :meth:`ProtectionEngine._best_protecting`: attack
+    every candidate, then keep the lowest-STD protecting one (first on a
+    tie).  Counts one :attr:`~ProtectionEngine.evaluations` per attacked
+    candidate and feeds the engine's search strategy as the original did."""
+    ordered = list(mechanisms)
+    strategy = engine.search_strategy
+    if strategy is not None:
+        by_name = {m.name: m for m in mechanisms}
+        ordered = [by_name[n] for n in strategy.order(list(by_name))]
+    best: Optional[Tuple[Trace, str, float]] = None
+    for mech in ordered:
+        candidate = engine._candidate(trace, mech)
+        if len(candidate) == 0:
+            continue
+        engine.evaluations += 1
+        protected = is_protected(candidate, trace.user_id, engine.attacks)
+        if strategy is not None:
+            strategy.record_outcome(mech.name, protected)
+        if not protected:
+            continue
+        distortion = spatial_temporal_distortion(trace, candidate)
+        if best is None or distortion < best[2]:
+            best = (candidate, mech.name, distortion)
+        if strategy is not None and strategy.stop_at_first_success:
+            break
+    return best

@@ -17,9 +17,10 @@ Two entry points:
   emitting the committed ``BENCH_<k>.json`` trajectory snapshots.
 * :func:`run_service` — the service-path suite: requests/s through the
   loopback and TCP transports (same engine, same upload stream, replies
-  asserted identical) and ``protect_dataset`` throughput per executor
-  backend (serial vs process vs sharded, published datasets asserted
-  byte-identical).  ``smoke=True`` is the <60 s CI variant; the full
+  asserted identical) and one ``protect_dataset`` per executor backend
+  (serial vs process vs sharded, published datasets asserted
+  byte-identical; its wall time includes pool start-up, so it does not
+  rank the backends).  ``smoke=True`` is the <60 s CI variant; the full
   run emits ``BENCH_3.json``.
 * :func:`run_remote` — the multi-host suite: ``protect_dataset`` through
   the ``remote`` executor against a loopback cluster of two freshly
@@ -46,8 +47,8 @@ Two entry points:
   corpus digest is reproducible (full regeneration **and** as the head
   of the 10×-larger population — tier prefix-stability), then push a
   CI-capped head of the corpus through ``protect_dataset`` per executor
-  with a fresh FeatureCache each.  The 10k tier is the <60 s CI job;
-  snapshots are committed as ``BENCH_6.json``.
+  with a fresh FeatureCache each (byte-identity asserted).  The 10k
+  tier is the <60 s CI job; snapshots are committed as ``BENCH_6.json``.
 * :func:`run_stream` — the streaming-ingestion yardstick (PR 7): replay
   a slice of the synthetic Saigon corpus through the ``stream_*`` verbs
   recording records/s (floor asserted), assert the flushed output is
@@ -75,6 +76,7 @@ harness and scale to thousands of users in seconds.
 
 from __future__ import annotations
 
+import functools
 import json
 import platform
 import sys
@@ -88,6 +90,7 @@ from repro.attacks.pit_attack import PitAttack
 from repro.attacks.poi_attack import PoiAttack, poi_set_distance
 from repro.attacks.reference import (
     ap_rank_reference,
+    best_protecting_reference,
     pit_rank_reference,
     poi_rank_reference,
     poi_set_distance_reference,
@@ -237,18 +240,45 @@ def bench_feature_kernels(seed: int = 7, repeat: int = 5) -> Dict[str, Dict[str,
 def bench_engine_smoke(
     n_users: int = 8, days: int = 6, seed: int = 123
 ) -> Dict[str, Any]:
-    """End-to-end ``protect_dataset`` users/sec on a tiny real context."""
+    """End-to-end ``protect_dataset`` users/sec on a tiny real context.
+
+    The same context is then protected again with the exhaustive
+    composition search (:func:`best_protecting_reference`): the published
+    dataset, every piece's mechanism and distortion must match the
+    incumbent-bounded search's, and both attack-suite run counts are
+    reported.
+    """
+    from repro.datasets.io import to_csv_string
     from repro.experiments.harness import prepare_context
 
     ctx = prepare_context("privamov", seed=seed, n_users=n_users, days=days)
     engine = ctx.engine()
     report = engine.protect_dataset(ctx.test)
+    exhaustive = ctx.engine()
+    exhaustive._best_protecting = functools.partial(best_protecting_reference, exhaustive)
+    reference = exhaustive.protect_dataset(ctx.test)
+
+    def pieces(rep: Any) -> List[Tuple[str, str, float]]:
+        return [
+            (p.pseudonym, p.mechanism, p.distortion_m)
+            for user in sorted(rep.results)
+            for p in rep.results[user].pieces
+        ]
+
+    if pieces(report) != pieces(reference) or to_csv_string(
+        report.published_dataset()
+    ) != to_csv_string(reference.published_dataset()):
+        raise AssertionError(
+            "the bounded composition search published differently from the "
+            "exhaustive reference search"
+        )
     return {
         "dataset": ctx.name,
         "users": len(report.results),
         "wall_time_s": report.wall_time_s,
         "users_per_second": report.users_per_second,
         "evaluations": report.evaluations,
+        "reference_evaluations": reference.evaluations,
         "data_loss": report.data_loss(),
         "feature_cache": engine.feature_cache.stats(),
     }
@@ -303,7 +333,9 @@ def run_service(
     asserted on the spot: the TCP transport must return byte-identical
     receipts to the loopback one, and every executor backend must
     publish the byte-identical dataset — a failed assertion fails the
-    bench (and CI).
+    bench (and CI).  An executor entry's ``wall_s`` includes starting
+    its worker pool, which on a handful of users outweighs the
+    protection itself, so the entries carry no users/s.
     """
     from repro.core.split import split_fixed_time
     from repro.datasets.io import to_csv_string
@@ -370,7 +402,6 @@ def run_service(
             )
         executors[label] = {
             "wall_s": report.wall_time_s,
-            "users_per_s": report.users_per_second,
             "evaluations": float(report.evaluations),
         }
 
@@ -1005,8 +1036,11 @@ def run_scale(
     3. **Protection** — feed the first *protect_users* users through
        ``ProtectionEngine.protect_dataset`` on the serial, process, and
        sharded executors with a fresh :class:`FeatureCache` per leg,
-       recording users/s and the cache hit rate; published datasets are
-       asserted byte-identical across executors.
+       recording wall time, attack-suite runs and the cache hit rate;
+       published datasets are asserted byte-identical across executors.
+       A few users take less time than a process pool takes to start,
+       so ``wall_s`` (which includes that start-up) does not rank the
+       backends and no users/s is reported.
     """
     import hashlib
     import resource
@@ -1110,7 +1144,6 @@ def run_scale(
         lookups = stats["hits"] + stats["misses"]
         executors[label] = {
             "wall_s": report.wall_time_s,
-            "users_per_s": report.users_per_second,
             "evaluations": float(report.evaluations),
             "feature_cache": stats,
             # Process-pool backends pickle an empty cache into workers,
@@ -1409,6 +1442,11 @@ def format_stream_snapshot(snapshot: Dict[str, Any]) -> str:
     )
 
 
+#: The executor legs protect a handful of users, so their wall times
+#: are mostly pool start-up and cannot rank the backends.
+_EXECUTOR_WALL_NOTE = "executor wall times include pool start-up; they do not rank backends"
+
+
 def format_scale_snapshot(snapshot: Dict[str, Any]) -> str:
     """Human-readable digest of a :func:`run_scale` dict."""
     corpus = snapshot["corpus"]
@@ -1430,13 +1468,14 @@ def format_scale_snapshot(snapshot: Dict[str, Any]) -> str:
         f"prefix identical   : {det['prefix_identical']} "
         f"(head of {det['prefix_of_users']:.0f} users, {det['prefix_wall_s']:.2f}s)",
     ]
+    lines.append(_EXECUTOR_WALL_NOTE)
     for name, entry in snapshot["protection"]["executors"].items():
         cache = entry["feature_cache"]
         lines.append(
-            f"executor {name:10s}: {entry['users_per_s']:.2f} users/s "
-            f"({entry['wall_s']:.2f}s, cache hit rate "
+            f"executor {name:10s}: {entry['wall_s']:.2f}s, "
+            f"{entry['evaluations']:.0f} evaluations, cache hit rate "
             f"{100.0 * entry['cache_hit_rate']:.0f}% — "
-            f"{cache['hits']}/{cache['hits'] + cache['misses']})"
+            f"{cache['hits']}/{cache['hits'] + cache['misses']}"
         )
     lines.append(f"executors identical : {snapshot['executors_identical']}")
     return "\n".join(lines)
@@ -1544,10 +1583,11 @@ def format_service_snapshot(snapshot: Dict[str, Any]) -> str:
     lines.append(
         f"transports identical: {snapshot['transports_identical']}"
     )
+    lines.append(_EXECUTOR_WALL_NOTE)
     for name, entry in snapshot["executors"].items():
         lines.append(
-            f"executor {name:10s}: {entry['users_per_s']:.2f} users/s "
-            f"({entry['wall_s']:.2f}s, {entry['evaluations']:.0f} evaluations)"
+            f"executor {name:10s}: {entry['wall_s']:.2f}s, "
+            f"{entry['evaluations']:.0f} evaluations"
         )
     lines.append(
         f"executors identical : {snapshot['executors_identical']}"
@@ -1580,7 +1620,11 @@ def format_snapshot(snapshot: Dict[str, Any]) -> str:
     eng = snapshot["engine"]
     lines.append(
         f"engine smoke       : {eng['users']} users in {eng['wall_time_s']:.2f}s "
-        f"({eng['users_per_second']:.2f} users/s, {eng['evaluations']} evaluations)"
+        f"({eng['users_per_second']:.2f} users/s)"
+    )
+    lines.append(
+        f"attack-suite runs  : {eng['evaluations']} bounded search, "
+        f"{eng['reference_evaluations']} exhaustive reference (same bytes)"
     )
     cache = eng["feature_cache"]
     lines.append(

@@ -984,7 +984,7 @@ class ProtectionReport(MoodEvaluation):
 
     #: Wall-clock seconds spent protecting the dataset.
     wall_time_s: float = 0.0
-    #: (mechanism, trace) evaluations spent — the §6 cost counter.
+    #: Attack-suite runs spent — the §6 cost counter.
     evaluations: int = 0
 
     @property
@@ -1144,11 +1144,12 @@ class ProtectionEngine:
             executor = build("executor", spec)
         #: The backend :attr:`executor` names, built once.
         self._executor = executor
-        #: Number of (mechanism, trace) evaluations performed — the §6
-        #: brute-force cost counter the search strategies aim to reduce.
+        #: Number of attack-suite runs (``is_protected`` calls) performed —
+        #: the §6 brute-force cost counter the search strategies aim to reduce.
         self.evaluations = 0
         #: Shared per-trace feature cache (trace fingerprint → heatmap /
-        #: POI visits / MMC), attached to every attack that supports it.
+        #: POI visits / merged places / MMC), attached to every attack
+        #: that supports it.
         #: The split recursion and the daily-chunk mode revisit identical
         #: sub-traces — and every candidate output is deterministic in
         #: (user, mechanism, sub-trace) — so features are built once and
@@ -1499,10 +1500,18 @@ class ProtectionEngine:
     ) -> Optional[Tuple[Trace, str, float]]:
         """Lowest-STD output among the mechanisms that defeat all attacks.
 
+        Once a protecting candidate is held, a later candidate is
+        attacked only when its STD is strictly below the incumbent's:
+        one at or above it could not have replaced the incumbent, so the
+        winner is that of the exhaustive loop
+        (:func:`repro.attacks.reference.best_protecting_reference`) for
+        fewer attack-suite runs.  :attr:`evaluations` counts those runs.
+
         With a :attr:`search_strategy`, candidates are tried in the
-        strategy's order; a strategy with ``stop_at_first_success``
-        returns the first protecting output (trading utility for fewer
-        attack evaluations, §6).
+        strategy's order and :meth:`~CompositionSearchStrategy.record_outcome`
+        hears every attacked candidate; a strategy with
+        ``stop_at_first_success`` returns the first protecting output
+        (trading utility for fewer attack evaluations, §6).
         """
         ordered = list(mechanisms)
         strategy = self.search_strategy
@@ -1511,27 +1520,37 @@ class ProtectionEngine:
             ordered = [by_name[n] for n in strategy.order(list(by_name))]
         best: Optional[Tuple[Trace, str, float]] = None
         for mech in ordered:
-            rng = make_rng(
-                stable_user_seed(
-                    self.seed,
-                    f"{trace.user_id}|{mech.name}|{trace.start_time():.0f}|{len(trace)}",
-                )
-            )
-            candidate = mech.apply(trace, rng)
+            candidate = self._candidate(trace, mech)
             if len(candidate) == 0:
                 continue
+            distortion = None
+            if best is not None:
+                distortion = spatial_temporal_distortion(trace, candidate)
+                if not distortion < best[2]:
+                    continue
             self.evaluations += 1
             protected = is_protected(candidate, trace.user_id, self.attacks)
             if strategy is not None:
                 strategy.record_outcome(mech.name, protected)
             if not protected:
                 continue
-            distortion = spatial_temporal_distortion(trace, candidate)
-            if best is None or distortion < best[2]:
-                best = (candidate, mech.name, distortion)
+            if distortion is None:
+                distortion = spatial_temporal_distortion(trace, candidate)
+            best = (candidate, mech.name, distortion)
             if strategy is not None and strategy.stop_at_first_success:
                 break
         return best
+
+    def _candidate(self, trace: Trace, mech: ComposedLPPM) -> Trace:
+        """*mech*'s output on *trace*, drawn from the (user, mechanism,
+        sub-trace) child seed."""
+        rng = make_rng(
+            stable_user_seed(
+                self.seed,
+                f"{trace.user_id}|{mech.name}|{trace.start_time():.0f}|{len(trace)}",
+            )
+        )
+        return mech.apply(trace, rng)
 
     def __repr__(self) -> str:
         return (

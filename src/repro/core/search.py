@@ -45,7 +45,11 @@ class CompositionSearchStrategy(abc.ABC):
         """Return *candidate_names* in the order they should be tried."""
 
     def record_outcome(self, candidate_name: str, protected: bool) -> None:
-        """Feed back whether *candidate_name* protected the trace."""
+        """Feed back whether *candidate_name* protected the trace.
+
+        Called for every candidate the engine attacks; a candidate whose
+        STD cannot beat the protecting one already held is not attacked
+        and not reported."""
 
 
 @register_search_strategy("exhaustive")

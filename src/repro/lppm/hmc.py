@@ -90,12 +90,20 @@ class HeatmapConfusion(LPPM):
 
     # -- target selection ----------------------------------------------------
 
-    def select_target(self, trace: Trace) -> Tuple[str, Heatmap]:
-        """Closest other-user profile by Topsoe divergence (ties: smallest user id)."""
+    def select_target(
+        self, trace: Trace, heatmap: Optional[Heatmap] = None
+    ) -> Tuple[str, Heatmap]:
+        """Closest other-user profile by Topsoe divergence (ties: smallest user id).
+
+        *heatmap* is *trace*'s own heatmap when the caller already built
+        it (:meth:`apply` does); it is built here otherwise.
+        """
         if not self._profiles:
             raise NotFittedError("call HeatmapConfusion.fit() before apply()")
+        if heatmap is None:
+            heatmap = build_heatmap(trace, self.grid)
         # fit() keeps at least two users, so masking one leaves a candidate.
-        user, _ = self.index.nearest(build_heatmap(trace, self.grid), exclude=trace.user_id)
+        user, _ = self.index.nearest(heatmap, exclude=trace.user_id)
         return (user, self._profiles[user])
 
     # -- obfuscation ------------------------------------------------------------
@@ -103,13 +111,16 @@ class HeatmapConfusion(LPPM):
     def apply(self, trace: Trace, rng: Optional[SeedLike] = None) -> Trace:
         if len(trace) == 0:
             return trace
-        _, target = self.select_target(trace)
         grid = self.grid
+        # One cell reduction serves both the query heatmap and the mapping.
+        record_keys = pack_cells(*grid.cells_of(trace.lats, trace.lngs))
+        keys, inverse, counts = np.unique(
+            record_keys, return_inverse=True, return_counts=True
+        )
+        _, target = self.select_target(trace, Heatmap.from_counts(grid, keys, counts))
         t_keys, t_mass = target.packed()
         t_lat, t_lng = grid.centers_of(*unpack_cells(t_keys))
         bonus = self.popularity_weight * np.log10(t_mass + 1e-12)
-        record_keys = pack_cells(*grid.cells_of(trace.lats, trace.lngs))
-        keys, inverse = np.unique(record_keys, return_inverse=True)
         s_lat, s_lng = grid.centers_of(*unpack_cells(keys))
         # Map every source cell to its best target cell: distance in cell
         # units (so the weight means "cells of detour per decade of target

@@ -65,6 +65,15 @@ class Heatmap:
         )
         self._views: Optional[_Views] = None
 
+    @classmethod
+    def from_counts(cls, grid: MetricGrid, keys: np.ndarray, counts: np.ndarray) -> "Heatmap":
+        """The heatmap of record *counts* per packed cell, *keys* ascending
+        and unique (as :func:`numpy.unique` returns them)."""
+        heatmap = cls.__new__(cls)
+        heatmap.grid, heatmap._views = grid, None
+        heatmap._packed = (keys, counts / float(counts.sum()))
+        return heatmap
+
     def _view(self) -> _Views:
         """The cell views, built on first use: the Topsoe kernels read only
         :meth:`packed`, so most heatmaps never create :class:`Cell` objects.
@@ -129,10 +138,7 @@ def build_heatmap(trace: Trace, grid: MetricGrid) -> Heatmap:
         raise EmptyTraceError(f"trace of user {trace.user_id!r} is empty")
     record_keys = pack_cells(*grid.cells_of(trace.lats, trace.lngs))
     keys, counts = np.unique(record_keys, return_counts=True)
-    heatmap = Heatmap.__new__(Heatmap)
-    heatmap.grid, heatmap._views = grid, None
-    heatmap._packed = (keys, counts / float(counts.sum()))
-    return heatmap
+    return Heatmap.from_counts(grid, keys, counts)
 
 
 def aggregate_heatmaps(grid: MetricGrid, heatmaps: Iterable[Heatmap]) -> Heatmap:

@@ -69,6 +69,7 @@ def build_mmc(
     max_states: int = 10,
     smoothing: float = 0.05,
     visits: Optional[Sequence[POI]] = None,
+    places: Optional[Sequence[POI]] = None,
 ) -> MarkovChain:
     """Build the MMC of *trace*.
 
@@ -81,13 +82,16 @@ def build_mmc(
 
     *visits* short-circuits the extraction with precomputed chronological
     POI visits (they must come from :func:`extract_pois` with the same
-    parameters) — the PIT-attack passes its cached extraction here so
-    one trace is clustered at most once across the whole attack suite.
+    parameters), and *places* the merge with the merged places of those
+    visits, heaviest first (as :func:`merge_nearby_pois` returns them
+    with ``merge_radius_m=diameter_m``).  The PIT-attack passes its
+    cached features here, so one trace is clustered and merged at most
+    once across the whole attack suite.
     """
     if visits is None:
         visits = extract_pois(trace, diameter_m=diameter_m, min_dwell_s=min_dwell_s)
-    places = merge_nearby_pois(visits, merge_radius_m=diameter_m)
-    places.sort(key=lambda p: (-p.weight, p.t_enter))
+    if places is None:
+        places = merge_nearby_pois(visits, merge_radius_m=diameter_m)
     states = places[:max_states]
     n = len(states)
     if n == 0:

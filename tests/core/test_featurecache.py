@@ -12,6 +12,7 @@ from repro.bench import synthetic_background, synthetic_trace
 from repro.core.featurecache import FeatureCache
 from repro.core.engine import ProtectionEngine
 from repro.lppm.geoi import GeoInd
+from repro.poi.clustering import extract_pois, merge_nearby_pois
 
 
 class TestFeatureCache:
@@ -91,6 +92,27 @@ class TestAttackCacheWiring:
         assert cache.misses > 0
         assert cache.hits >= 6
         assert misses_after_poi >= 6
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_poi_profile_and_mmc_states_are_heads_of_one_place_list(self, shared):
+        background = synthetic_background(12, seed=3)
+        cache = FeatureCache() if shared else None
+        poi = PoiAttack(max_pois=3).use_feature_cache(cache).fit(background)
+        pit = PitAttack(max_states=2).use_feature_cache(cache).fit(background)
+        capped = 0
+        for trace in background.traces():
+            places = merge_nearby_pois(extract_pois(trace, 200.0, 3600.0), 200.0)
+            assert poi.profile_of(trace.user_id) == places[:3]
+            assert pit.profile_of(trace.user_id).states == tuple(places[:2])
+            capped += len(places) > 3
+        assert capped > 0  # the caps cut real place lists
+        if shared:
+            kinds = [key[0] for key in cache._entries]
+            assert kinds.count("poi-places") == len(background)
+            # One merge per trace: both profiles hold the same place objects.
+            for trace in background.traces():
+                head = poi.profile_of(trace.user_id)[:2]
+                assert all(a is b for a, b in zip(head, pit.profile_of(trace.user_id).states))
 
     def test_repeated_rank_hits_cache(self):
         cache = FeatureCache()

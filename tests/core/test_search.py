@@ -1,8 +1,13 @@
-"""Tests for repro.core.search — composition-search strategies (§6)."""
+"""Tests for repro.core.search — composition-search strategies (§6) —
+and the engine's incumbent-bounded composition search."""
+
+import functools
 
 import numpy as np
 import pytest
 
+from repro.attacks.base import Attack
+from repro.attacks.reference import best_protecting_reference
 from repro.core.engine import ProtectionEngine
 from repro.core.search import ExhaustiveSearch, GreedySuccessSearch
 from repro.core.trace import Trace
@@ -162,3 +167,128 @@ class TestSplitPolicies:
         left, right = _split_between_pois(t)
         assert len(left) + len(right) == n
         assert abs(len(left) - len(right)) <= n // 3
+
+
+class _CountingAttack(Attack):
+    """Confused once the latitude moved by at least *threshold*; records
+    the mean latitude of every trace its ``top1`` is asked about."""
+
+    name = "counting"
+
+    def __init__(self, threshold):
+        super().__init__()
+        self.threshold = threshold
+        self.calls = []
+        self._fitted = True
+
+    def _build_profiles(self, background):
+        pass
+
+    def rank(self, trace):
+        top = self.top1(trace)
+        return [] if top is None else [top]
+
+    def top1(self, trace):
+        shift = float(np.mean(trace.lats)) - 45.0
+        self.calls.append(round(shift, 6))
+        return ("<confused>" if shift >= self.threshold else trace.user_id, 0.0)
+
+
+class _Erase(LPPM):
+    name = "erase"
+
+    def apply(self, trace, rng=None):
+        return Trace.empty(trace.user_id)
+
+
+class _RecordingGreedy(GreedySuccessSearch):
+    def __init__(self):
+        super().__init__()
+        self.outcomes = []
+
+    def record_outcome(self, candidate_name, protected):
+        self.outcomes.append((candidate_name, protected))
+        super().record_outcome(candidate_name, protected)
+
+
+def _with_reference_search(engine):
+    """*engine* searching with the exhaustive reference loop."""
+    engine._best_protecting = functools.partial(best_protecting_reference, engine)
+    return engine
+
+
+def _same_winner(bounded, reference):
+    if bounded is None or reference is None:
+        return bounded is None and reference is None
+    (b_trace, b_mech, b_std), (r_trace, r_mech, r_std) = bounded, reference
+    return (
+        b_trace.fingerprint == r_trace.fingerprint
+        and b_trace.user_id == r_trace.user_id
+        and (b_mech, b_std) == (r_mech, r_std)
+    )
+
+
+class TestBoundedSearch:
+    """Only a candidate whose STD beats the incumbent's is attacked."""
+
+    def _engine(self, attack):
+        return ProtectionEngine(
+            [
+                _Erase(),                  # empty output: neither attacked nor counted
+                _Shift("first", 0.25),     # protects: the first incumbent
+                _Shift("farther", 0.5),    # protects, STD above the incumbent
+                _Shift("as-far", 0.25),    # protects, STD equal to the incumbent
+                _Shift("nearer", 0.22),    # protects, STD below: the winner
+                _Shift("too-near", 0.1),   # STD below the winner, re-identified
+            ],
+            [attack],
+            max_composition_length=1,
+        )
+
+    def test_candidate_at_or_above_the_incumbent_is_not_attacked(self):
+        attack = _CountingAttack(0.2)
+        engine = self._engine(attack)
+        piece = engine.search_whole_trace(trace())
+        assert (piece.mechanism, attack.calls) == ("nearer", [0.25, 0.22, 0.1])
+        assert engine.evaluations == len(attack.calls) == 3
+
+    def test_reference_attacks_every_candidate_for_the_same_winner(self):
+        attack = _CountingAttack(0.2)
+        engine = self._engine(attack)
+        winner = best_protecting_reference(engine, trace(), engine.singles)
+        assert winner[1] == "nearer"
+        assert attack.calls == [0.25, 0.5, 0.25, 0.22, 0.1]
+        assert engine.evaluations == 5
+
+    @pytest.mark.parametrize("context", ["micro_ctx", "micro_cab_ctx"])
+    def test_publishes_what_the_exhaustive_search_publishes(self, context, request):
+        ctx = request.getfixturevalue(context)
+        engine = ctx.engine()
+        for t in ctx.test.traces():
+            singles = best_protecting_reference(engine, t, engine.singles)
+            chains = best_protecting_reference(engine, t, engine.chains)
+            assert _same_winner(engine._best_protecting(t, engine.singles), singles)
+            assert _same_winner(engine._best_protecting(t, engine.chains), chains)
+            piece = engine.search_whole_trace(t)
+            whole = (
+                None
+                if piece is None
+                else (piece.published, piece.mechanism, piece.distortion_m)
+            )
+            assert _same_winner(whole, singles if singles is not None else chains)
+
+    def test_greedy_hears_the_same_outcomes(self, micro_ctx):
+        bounded = micro_ctx.engine(search_strategy=_RecordingGreedy())
+        reference = _with_reference_search(
+            micro_ctx.engine(search_strategy=_RecordingGreedy())
+        )
+        for t in micro_ctx.test.traces():
+            ours, theirs = bounded.protect(t), reference.protect(t)
+            assert [
+                (p.published.fingerprint, p.mechanism, p.distortion_m) for p in ours.pieces
+            ] == [
+                (p.published.fingerprint, p.mechanism, p.distortion_m) for p in theirs.pieces
+            ]
+        outcomes = bounded.search_strategy.outcomes
+        assert outcomes and outcomes == reference.search_strategy.outcomes
+        assert bounded.evaluations == reference.evaluations == len(outcomes)

@@ -77,6 +77,23 @@ class TestTargetSelection:
         target, _ = hmc.select_target(cluster_trace("stranger", 45.01, 4.01))
         assert target in {"u1", "u2", "u3"}
 
+    def test_apply_passes_its_own_heatmap_bit_identical(self, past):
+        # apply() reduces the trace to cells once and hands the resulting
+        # query heatmap to select_target: it must equal build_heatmap's.
+        hmc = HeatmapConfusion(ref_lat=45.0).fit(past)
+        seen = []
+        select_target = hmc.select_target
+        hmc.select_target = lambda trace, heatmap=None: (
+            seen.append(heatmap) or select_target(trace, heatmap)
+        )
+        trace = cluster_trace("u1", 45.00, 4.00, seed=9)
+        hmc.apply(trace)
+        (query,) = seen
+        for ours, built in zip(query.packed(), build_heatmap(trace, hmc.grid).packed()):
+            assert ours.dtype == built.dtype
+            assert ours.tobytes() == built.tobytes()
+        assert select_target(trace, query) == select_target(trace)
+
 
 class TestObfuscation:
     def test_output_lands_in_target_support(self, past):

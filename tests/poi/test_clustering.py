@@ -1,4 +1,4 @@
-"""Tests for repro.poi.clustering — POI extraction."""
+"""Tests for repro.poi.clustering — POI extraction and place merging."""
 
 import math
 
@@ -117,6 +117,70 @@ class TestMergeNearbyPois:
         a = merge_nearby_pois(pois, merge_radius_m=150.0)
         b = merge_nearby_pois(pois, merge_radius_m=150.0)
         assert [(p.lat, p.weight) for p in a] == [(p.lat, p.weight) for p in b]
+
+    def test_first_anchor_wins_not_the_nearest(self):
+        # Anchors 150 m apart stay separate; a POI 80 m from the heavier
+        # anchor and 70 m from the lighter one joins the heavier: anchors
+        # are scanned heaviest first and the first within the radius wins.
+        a = self._poi(45.0, 4.0, weight=30)
+        b = self._poi(45.0 + 150.0 / 111_195.0, 4.0, weight=20)
+        c = self._poi(45.0 + 80.0 / 111_195.0, 4.0, weight=5)
+        heavy, light = merge_nearby_pois([c, b, a], merge_radius_m=100.0)
+        assert (heavy.weight, light) == (35, b)
+
+    def test_anchor_moves_with_each_fusion(self):
+        # B fuses into A and drags the anchor 45 m north; C, 140 m from A
+        # but 95 m from the fused centroid, then joins as well.
+        a = self._poi(45.0, 4.0, weight=30, t=0.0)
+        b = self._poi(45.0 + 90.0 / 111_195.0, 4.0, weight=30, t=1.0)
+        c = self._poi(45.0 + 140.0 / 111_195.0, 4.0, weight=10)
+        (place,) = merge_nearby_pois([a, b, c], merge_radius_m=100.0)
+        assert place.weight == 70
+        assert merge_nearby_pois([a, c], merge_radius_m=100.0) == [a, c]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_merge_invariants(self, seed):
+        rng = np.random.default_rng(seed)
+        pois = [
+            POI(
+                lat=45.76 + rng.uniform(-0.01, 0.01),
+                lng=4.84 + rng.uniform(-0.01, 0.01),
+                weight=int(rng.integers(1, 20)),
+                dwell_s=float(rng.uniform(3600, 40000)),
+                t_enter=float(rng.uniform(0, 1e6)),
+                t_exit=float(rng.uniform(1e6, 2e6)),
+            )
+            for _ in range(int(rng.integers(2, 60)))
+        ]
+        shuffled = [pois[i] for i in rng.permutation(len(pois))]
+        for radius in (50.0, 100.0, 400.0):
+            places = merge_nearby_pois(pois, radius)
+            # Input order is irrelevant: the scan sorts first.
+            assert merge_nearby_pois(shuffled, radius) == places
+            assert places == sorted(places, key=lambda p: (-p.weight, p.t_enter))
+            # Every visit lands in exactly one place.
+            assert sum(p.weight for p in places) == sum(p.weight for p in pois)
+            assert sum(p.dwell_s for p in places) == pytest.approx(
+                sum(p.dwell_s for p in pois)
+            )
+            assert min(p.t_enter for p in places) == min(p.t_enter for p in pois)
+            assert max(p.t_exit for p in places) == max(p.t_exit for p in pois)
+            # Places only grow: the heaviest outweighs every visit.
+            assert places[0].weight >= max(p.weight for p in pois)
+        # Radius 0 fuses nothing; a continent-wide radius fuses everything.
+        assert merge_nearby_pois(pois, 0.0) == sorted(
+            pois, key=lambda p: (-p.weight, p.t_enter)
+        )
+        (everything,) = merge_nearby_pois(pois, 1e7)
+        weights = np.array([p.weight for p in pois], dtype=float)
+        assert everything.lat == pytest.approx(
+            float(np.dot(weights, [p.lat for p in pois]) / weights.sum())
+        )
+
+    def test_trivial_sizes(self):
+        assert merge_nearby_pois([]) == []
+        one = [self._poi(45.0, 4.0)]
+        assert merge_nearby_pois(one) == one
 
 
 class TestPoiDistance:

@@ -232,6 +232,10 @@ class TestCommands:
         assert snapshot["transports_identical"] is True
         assert snapshot["executors_identical"] is True
         assert set(snapshot["executors"]) == {"serial", "process", "sharded"}
+        # Pool start-up dominates 4 users: wall time only, no users/s.
+        entries = list(snapshot["executors"].values())
+        assert all(set(e) == {"wall_s", "evaluations"} for e in entries)
+        assert len({e["evaluations"] for e in entries}) == 1
         for entry in snapshot["transports"].values():
             assert entry["requests_per_s"] > 0
         assert "transport" in capsys.readouterr().out
@@ -289,6 +293,8 @@ class TestCommands:
         assert entry["fast_s"] > 0 and entry["reference_s"] > 0
         assert "speedup" in entry
         assert "users_per_second" in snapshot["engine"]
+        engine = snapshot["engine"]
+        assert 0 < engine["evaluations"] < engine["reference_evaluations"]
         assert "ap_rank" in capsys.readouterr().out
 
 

@@ -6,8 +6,8 @@ clustering).  These tests pin them, on randomised traces, to the
 retained original implementations in :mod:`repro.attacks.reference` and
 :mod:`repro.poi.clustering`:
 
-* clustering (``extract_pois`` / ``merge_nearby_pois``) must be
-  **bit-identical** — same arithmetic, same POIs, all fields;
+* POI extraction (``extract_pois``) must be **bit-identical** — same
+  arithmetic, same POIs, all fields;
 * rankings must be identical wherever they carry information — order
   and distances agree, with reordering permitted only inside
   floating-point-degenerate tie groups (see
@@ -46,13 +46,7 @@ from repro.lppm.geoi import GeoInd
 from repro.lppm.hmc import HeatmapConfusion
 from repro.lppm.trl import Trilateration
 from repro.poi.heatmap import build_heatmap
-from repro.poi.clustering import (
-    POI,
-    extract_pois,
-    extract_pois_reference,
-    merge_nearby_pois,
-    merge_nearby_pois_reference,
-)
+from repro.poi.clustering import POI, extract_pois, extract_pois_reference
 
 
 def random_walk_trace(seed, n=400, lat0=45.76, lng0=4.84, step_m=60.0):
@@ -108,19 +102,6 @@ class TestClusteringEquivalence:
 
     def test_extract_pois_empty_trace(self):
         assert extract_pois(Trace.empty("u")) == []
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_merge_bit_identical(self, seed):
-        pois = random_pois(seed, n=int(np.random.default_rng(seed).integers(2, 60)))
-        for radius in (50.0, 100.0, 400.0):
-            assert merge_nearby_pois(pois, radius) == merge_nearby_pois_reference(
-                pois, radius
-            )
-
-    def test_merge_trivial_sizes(self):
-        assert merge_nearby_pois([]) == []
-        one = random_pois(1, 1)
-        assert merge_nearby_pois(one) == one
 
 
 class TestRankingsEquivalent:

@@ -27,7 +27,7 @@ from repro.registry import register_attack
 from repro.core.dataset import MobilityDataset
 from repro.core.trace import Trace
 from repro.geo.grid import MetricGrid
-from repro.poi.heatmap import Heatmap, TopsoeIndex, build_heatmap
+from repro.poi.heatmap import Heatmap, TopsoeIndex, build_heatmap, build_heatmaps
 
 _EPS = 1e-12
 
@@ -46,9 +46,14 @@ class ApAttack(Attack):
         self.index = TopsoeIndex({})
 
     def _build_profiles(self, background: MobilityDataset) -> None:
-        self._profiles = {
-            t.user_id: self._heatmap(t) for t in background.traces() if len(t) > 0
-        }
+        traces = [t for t in background.traces() if len(t) > 0]
+        heatmaps = self._cached_many(
+            "heatmap",
+            traces,
+            (self.grid.cell_size_m, self.grid.ref_lat),
+            lambda missing: build_heatmaps(missing, self.grid),
+        )
+        self._profiles = dict(zip((t.user_id for t in traces), heatmaps))
         self.index = TopsoeIndex(self._profiles)
 
     supports_refit = True

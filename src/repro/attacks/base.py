@@ -29,15 +29,13 @@ Two query surfaces
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.dataset import MobilityDataset
+from repro.core.featurecache import FeatureCache, cached_many
 from repro.core.trace import Trace
 from repro.errors import ConfigurationError, NotFittedError
 from repro.types import NO_GUESS, UNKNOWN_USER  # noqa: F401  (public home)
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.featurecache import FeatureCache
 
 
 class Attack(abc.ABC):
@@ -53,7 +51,7 @@ class Attack(abc.ABC):
 
     def __init__(self) -> None:
         self._fitted = False
-        self._feature_cache: "Optional[FeatureCache]" = None
+        self._feature_cache: Optional[FeatureCache] = None
 
     # -- training ----------------------------------------------------------
 
@@ -97,7 +95,7 @@ class Attack(abc.ABC):
 
     # -- feature cache -----------------------------------------------------
 
-    def use_feature_cache(self, cache: "Optional[FeatureCache]") -> "Attack":
+    def use_feature_cache(self, cache: Optional[FeatureCache]) -> "Attack":
         """Attach (or detach, with ``None``) a shared per-trace feature cache.
 
         The cache is consulted by :meth:`_cached`; attacks sharing one
@@ -109,7 +107,7 @@ class Attack(abc.ABC):
         return self
 
     @property
-    def feature_cache(self) -> "Optional[FeatureCache]":
+    def feature_cache(self) -> Optional[FeatureCache]:
         return self._feature_cache
 
     def _cached(
@@ -128,6 +126,17 @@ class Attack(abc.ABC):
         if cache is None:
             return builder()
         return cache.get_or_build((kind, trace.fingerprint, params), builder)
+
+    def _cached_many(
+        self,
+        kind: str,
+        traces: Sequence[Trace],
+        params: Hashable,
+        build_many: Callable[[List[Trace]], Sequence[Any]],
+    ) -> List[Any]:
+        """:meth:`_cached` for every trace of *traces*, the misses built
+        together by one ``build_many(missing_traces)`` call."""
+        return cached_many(self._feature_cache, kind, traces, params, build_many)
 
     def _cached_poi_visits(
         self, trace: Trace, diameter_m: float, min_dwell_s: float
@@ -164,6 +173,33 @@ class Attack(abc.ABC):
                 merge_radius_m=diameter_m,
             ),
         )
+
+    def _cached_poi_visits_many(
+        self, traces: Sequence[Trace], diameter_m: float, min_dwell_s: float
+    ) -> List[Any]:
+        """:meth:`_cached_poi_visits` of every trace, the missing ones
+        extracted in bulk (:func:`~repro.poi.clustering.extract_pois_many`)."""
+        from repro.poi.clustering import extract_pois_many
+
+        return self._cached_many(
+            "poi-visits",
+            traces,
+            (diameter_m, min_dwell_s),
+            lambda missing: extract_pois_many(missing, diameter_m, min_dwell_s),
+        )
+
+    def _cached_poi_places_many(
+        self, traces: Sequence[Trace], diameter_m: float, min_dwell_s: float
+    ) -> List[Any]:
+        """:meth:`_cached_poi_places` of every trace, the visits of the
+        missing ones extracted in bulk."""
+        from repro.poi.clustering import merge_nearby_pois
+
+        def merge(missing: List[Trace]) -> List[Any]:
+            visits = self._cached_poi_visits_many(missing, diameter_m, min_dwell_s)
+            return [merge_nearby_pois(v, merge_radius_m=diameter_m) for v in visits]
+
+        return self._cached_many("poi-places", traces, (diameter_m, min_dwell_s), merge)
 
     # -- attack -------------------------------------------------------------
 

@@ -158,9 +158,24 @@ class PitAttack(Attack):
         )
 
     def _build_profiles(self, background: MobilityDataset) -> None:
+        traces = background.traces()
+        d, dwell = self.diameter_m, self.min_dwell_s
+        # Each trace's visits and merged places, one batch each (the
+        # POI-attack's, when it fitted first on the same cache).
+        visits = self._cached_poi_visits_many(traces, d, dwell)
+        places = self._cached_poi_places_many(traces, d, dwell)
+        features = {t.fingerprint: (v, p) for t, v, p in zip(traces, visits, places)}
+
+        def build(missing: List[Trace]) -> List[MarkovChain]:
+            chains = []
+            for t in missing:
+                v, p = features[t.fingerprint]
+                chains.append(build_mmc(t, d, dwell, self.max_states, visits=v, places=p))
+            return chains
+
+        models = self._cached_many("mmc", traces, (d, dwell, self.max_states), build)
         self._profiles = {}
-        for trace in background.traces():
-            mmc = self._model(trace)
+        for trace, mmc in zip(traces, models):
             if len(mmc) > 0:
                 self._profiles[trace.user_id] = mmc
         self.index = PlaceIndex(

@@ -94,9 +94,11 @@ class PoiAttack(Attack):
         return places[: self.max_pois]
 
     def _build_profiles(self, background: MobilityDataset) -> None:
+        traces = background.traces()
+        places = self._cached_poi_places_many(traces, self.diameter_m, self.min_dwell_s)
         self._profiles = {}
-        for trace in background.traces():
-            pois = self._extract(trace)
+        for trace, trace_places in zip(traces, places):
+            pois = trace_places[: self.max_pois]
             if pois:
                 self._profiles[trace.user_id] = pois
         self._pack()

@@ -15,6 +15,9 @@ here, byte-for-byte, as the ground truth for:
   are measured against these functions, not against a remembered
   number.
 
+:func:`fit_per_trace` fits an engine from per-trace features, the
+reference for the bulk background fit.
+
 They take a *fitted* attack (or HMC) and reuse its profiles, so
 reference and fast path see identical training state.
 :func:`best_protecting_reference` likewise takes an engine: it is the
@@ -33,6 +36,7 @@ from repro.attacks.ap_attack import ApAttack, _topsoe_rows
 from repro.attacks.pit_attack import PIT_DISTANCES, PitAttack
 from repro.attacks.poi_attack import PoiAttack
 from repro.core.composition import ComposedLPPM
+from repro.core.dataset import MobilityDataset
 from repro.core.engine import ProtectionEngine
 from repro.core.trace import Trace
 from repro.geo.grid import Cell
@@ -46,6 +50,7 @@ from repro.poi.heatmap import Heatmap, build_heatmap
 __all__ = [
     "ap_rank_reference",
     "best_protecting_reference",
+    "fit_per_trace",
     "hmc_target_reference",
     "pit_rank_reference",
     "poi_set_distance_reference",
@@ -230,3 +235,26 @@ def best_protecting_reference(
         if strategy is not None and strategy.stop_at_first_success:
             break
     return best
+
+
+def fit_per_trace(engine: ProtectionEngine, background: MobilityDataset) -> ProtectionEngine:
+    """Fit the unfitted *engine* from features built one trace at a time.
+
+    Every background trace's merged places (:func:`extract_pois` then
+    :func:`merge_nearby_pois`), MMC (:func:`build_mmc`) and heatmap
+    (:func:`build_heatmap`) go into the engine's feature cache through
+    the attacks' per-trace methods, the protect path's; :meth:`fit` then
+    finds them all cached and only assembles profiles and indexes.  A
+    fit through the bulk kernels must leave the same fitted state.  The
+    engine's cache must hold the whole background (four entries per
+    trace) or the fit rebuilds evicted features in bulk.
+    """
+    for trace in background.traces():
+        for attack in engine.attacks:
+            if isinstance(attack, PitAttack):
+                attack._model(trace)
+            elif isinstance(attack, PoiAttack):
+                attack._extract(trace)
+            elif isinstance(attack, ApAttack) and len(trace) > 0:
+                attack._heatmap(trace)
+    return engine.fit(background)

@@ -10,9 +10,11 @@ in the same process.
 
 Two entry points:
 
-* :func:`run_smoke` — a sub-minute sanity pass (100-user kernels + a
-  tiny engine run), wired into ``python -m repro bench smoke`` together
-  with the tier-1 test suite; this is the CI job.
+* :func:`run_smoke` — a sub-minute sanity pass (100-user kernels, a
+  tiny engine run, and a 1000-user background fit through the bulk and
+  the per-trace kernels, fitted states asserted bit-identical), wired
+  into ``python -m repro bench smoke`` together with the tier-1 test
+  suite; this is the CI job.
 * :func:`run_micro` — the full micro suite at N ∈ {100, 1000} users,
   emitting the committed ``BENCH_<k>.json`` trajectory snapshots.
 * :func:`run_service` — the service-path suite: requests/s through the
@@ -284,6 +286,69 @@ def bench_engine_smoke(
     }
 
 
+def fitted_state(engine: Any) -> Dict[str, Any]:
+    """The fitted state of *engine*'s attacks and HMC in comparable form:
+    every index array and profile (POI places, MMC states and matrices,
+    heatmap arrays) as dtype, shape and bytes, keyed by component.  Two
+    engines' states are equal exactly when they are bit-identical."""
+    state: Dict[str, Any] = {}
+
+    def array(value: Any) -> Tuple[str, Tuple[int, ...], bytes]:
+        a = np.asarray(value)
+        return (a.dtype.str, a.shape, a.tobytes())
+
+    def places(pois: Sequence[Any]) -> Tuple[Any, ...]:
+        return tuple(
+            tuple((type(v).__name__, v.hex() if isinstance(v, float) else v) for v in vars(p).values())
+            for p in pois
+        )
+
+    for i, component in enumerate(list(engine.attacks) + list(engine.lppms)):
+        name = f"{i}:{type(component).__name__}"
+        index = getattr(component, "index", None)
+        for slot in getattr(type(index), "__slots__", ()):
+            state[f"{name}.index.{slot}"] = array(getattr(index, slot))
+        for user, profile in getattr(component, "_profiles", {}).items():
+            if isinstance(profile, list):  # POI places
+                state[f"{name}.{user}"] = places(profile)
+            elif hasattr(profile, "transitions"):  # MMC
+                state[f"{name}.{user}"] = (
+                    places(profile.states),
+                    array(profile.transitions),
+                    array(profile.stationary),
+                )
+            else:  # heatmap
+                state[f"{name}.{user}"] = tuple(array(a) for a in profile.packed())
+    return state
+
+
+def bench_fit_smoke(n_users: int = 1000, seed: int = 7) -> Dict[str, Any]:
+    """Fit the default engine on :func:`synthetic_background` twice: through
+    the bulk kernels, and from per-trace features
+    (:func:`~repro.attacks.reference.fit_per_trace`).  Any difference in
+    the fitted state (:func:`fitted_state`) fails the bench."""
+    from repro.attacks.reference import fit_per_trace
+    from repro.config import ProtectionConfig
+    from repro.core.engine import ProtectionEngine
+
+    background = synthetic_background(n_users, seed=seed)
+    bulk = ProtectionEngine.from_config(ProtectionConfig())
+    t0 = time.perf_counter()
+    bulk.fit(background)
+    bulk_s = time.perf_counter() - t0
+    per_trace = ProtectionEngine.from_config(ProtectionConfig())
+    t0 = time.perf_counter()
+    fit_per_trace(per_trace, background)
+    per_trace_s = time.perf_counter() - t0
+    if per_trace.feature_cache.evictions:
+        raise AssertionError("the per-trace fit's features did not fit in its cache")
+    if fitted_state(bulk) != fitted_state(per_trace):
+        raise AssertionError(
+            "the bulk background fit differs from the fit on per-trace features"
+        )
+    return {"users": n_users, "bulk_fit_s": bulk_s, "per_trace_fit_s": per_trace_s}
+
+
 def _snapshot_header() -> Dict[str, Any]:
     return {
         "schema": "mood-bench",
@@ -301,6 +366,7 @@ def run_smoke(seed: int = 7) -> Dict[str, Any]:
     snapshot["rank_at_users"] = {"100": bench_rank_at_scale(100, seed=seed, repeat=2)}
     snapshot["feature_kernels"] = bench_feature_kernels(seed=seed, repeat=3)
     snapshot["engine"] = bench_engine_smoke()
+    snapshot["fit"] = bench_fit_smoke()
     return snapshot
 
 
@@ -317,6 +383,7 @@ def run_micro(
     }
     snapshot["feature_kernels"] = bench_feature_kernels(seed=seed)
     snapshot["engine"] = bench_engine_smoke()
+    snapshot["fit"] = bench_fit_smoke()
     if out_path:
         with open(out_path, "w") as f:
             json.dump(snapshot, f, indent=2, sort_keys=True)
@@ -1625,6 +1692,11 @@ def format_snapshot(snapshot: Dict[str, Any]) -> str:
     lines.append(
         f"attack-suite runs  : {eng['evaluations']} bounded search, "
         f"{eng['reference_evaluations']} exhaustive reference (same bytes)"
+    )
+    fit = snapshot["fit"]
+    lines.append(
+        f"background fit     : {fit['users']} users, bulk {fit['bulk_fit_s']:.2f}s, "
+        f"per-trace {fit['per_trace_fit_s']:.2f}s (same fitted state)"
     )
     cache = eng["feature_cache"]
     lines.append(

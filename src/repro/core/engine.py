@@ -1100,6 +1100,11 @@ class ProtectionEngine:
     jobs:
         Worker count for parallel executors (``None`` = all cores); the
         default for a name or spec that does not set its own ``jobs``.
+
+    The engine shares one :class:`~repro.core.featurecache.FeatureCache`
+    (:attr:`feature_cache`) between its attacks and the LPPMs that take
+    one (HMC): :meth:`fit` featurises the background in bulk through it,
+    and HMC's fit reuses the AP-attack's background heatmaps.
     """
 
     def __init__(
@@ -1149,7 +1154,8 @@ class ProtectionEngine:
         self.evaluations = 0
         #: Shared per-trace feature cache (trace fingerprint → heatmap /
         #: POI visits / merged places / MMC), attached to every attack
-        #: that supports it.
+        #: and LPPM that supports it (HMC fits its profiles from the
+        #: AP-attack's background heatmaps).
         #: The split recursion and the daily-chunk mode revisit identical
         #: sub-traces — and every candidate output is deterministic in
         #: (user, mechanism, sub-trace) — so features are built once and
@@ -1162,12 +1168,11 @@ class ProtectionEngine:
         # safe and avoids re-featurising across engines); otherwise
         # create a fresh one.  Either way ``self.feature_cache`` is the
         # cache the attacks actually use, so its stats are meaningful.
+        components = self.attacks + self.lppms
         adopted = next(
             (
                 cache
-                for cache in (
-                    getattr(a, "feature_cache", None) for a in self.attacks
-                )
+                for cache in (getattr(c, "feature_cache", None) for c in components)
                 if cache is not None
             ),
             None,
@@ -1175,9 +1180,9 @@ class ProtectionEngine:
         # NB: an empty FeatureCache is falsy (it has __len__), so this
         # must be an identity check, not an ``or``.
         self.feature_cache = FeatureCache() if adopted is None else adopted
-        for attack in self.attacks:
-            use = getattr(attack, "use_feature_cache", None)
-            if use is not None and getattr(attack, "feature_cache", None) is None:
+        for component in components:
+            use = getattr(component, "use_feature_cache", None)
+            if use is not None and getattr(component, "feature_cache", None) is None:
                 use(self.feature_cache)
         self.singles: List[ComposedLPPM] = enumerate_compositions(
             self.lppms, min_length=1, max_length=1
@@ -1226,7 +1231,10 @@ class ProtectionEngine:
         )
 
     def fit(self, background: MobilityDataset) -> "ProtectionEngine":
-        """Fit every attack and fittable LPPM on the background knowledge."""
+        """Fit every attack and fittable LPPM on the background knowledge.
+
+        Attacks fit first, so HMC finds the AP-attack's heatmaps of the
+        background in the shared feature cache."""
         for component in list(self.attacks) + list(self.lppms):
             fit = getattr(component, "fit", None)
             if fit is None:

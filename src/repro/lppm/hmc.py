@@ -36,12 +36,20 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.core.dataset import MobilityDataset
+from repro.core.featurecache import FeatureCache, cached_many
 from repro.core.trace import Trace
 from repro.errors import ConfigurationError, NotFittedError
 from repro.geo.grid import MetricGrid
 from repro.lppm.base import LPPM
 from repro.registry import register_lppm
-from repro.poi.heatmap import Heatmap, TopsoeIndex, build_heatmap, pack_cells, unpack_cells
+from repro.poi.heatmap import (
+    Heatmap,
+    TopsoeIndex,
+    build_heatmap,
+    build_heatmaps,
+    pack_cells,
+    unpack_cells,
+)
 from repro.rng import SeedLike
 
 
@@ -68,14 +76,32 @@ class HeatmapConfusion(LPPM):
         self._profiles: Dict[str, Heatmap] = {}
         #: The fitted candidate pool (``None`` before :meth:`fit`).
         self.index: Optional[TopsoeIndex] = None
+        self._feature_cache: Optional[FeatureCache] = None
 
     # -- training --------------------------------------------------------
 
+    def use_feature_cache(self, cache: Optional[FeatureCache]) -> "HeatmapConfusion":
+        """Attach (or detach, with ``None``) the feature cache :meth:`fit`
+        reads its heatmaps from — the engine's, so an AP-attack fitted
+        first on the same background and grid has built them all."""
+        self._feature_cache = cache
+        return self
+
+    @property
+    def feature_cache(self) -> Optional[FeatureCache]:
+        return self._feature_cache
+
     def fit(self, past_traces: MobilityDataset) -> "HeatmapConfusion":
         """Learn the candidate target profiles from users' past traces."""
-        profiles = {
-            t.user_id: build_heatmap(t, self.grid) for t in past_traces.traces() if len(t) > 0
-        }
+        traces = [t for t in past_traces.traces() if len(t) > 0]
+        heatmaps = cached_many(
+            self._feature_cache,
+            "heatmap",  # the AP-attack's key: the same grid shares its heatmaps
+            traces,
+            (self.grid.cell_size_m, self.grid.ref_lat),
+            lambda missing: build_heatmaps(missing, self.grid),
+        )
+        profiles = dict(zip((t.user_id for t in traces), heatmaps))
         if len(profiles) < 2:
             raise ConfigurationError(
                 "HMC needs past traces of at least two users to confuse between"

@@ -12,9 +12,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.dataset import MobilityDataset
 from repro.core.trace import Trace
+from repro.errors import InvalidRecordError
 from repro.geo.grid import Cell, MetricGrid
+from repro.poi.heatmap import pack_cells, unpack_cells
+
+
+def _cell_counts(grid: MetricGrid, lats: np.ndarray, lngs: np.ndarray) -> Dict[Cell, int]:
+    """Records per grid cell, in cell order.  Raises
+    :class:`InvalidRecordError` on a non-finite coordinate, which
+    :meth:`MetricGrid.cells_of` would map to a garbage cell."""
+    if not (np.isfinite(lats).all() and np.isfinite(lngs).all()):
+        raise InvalidRecordError("cannot count a record with a non-finite coordinate")
+    keys, counts = np.unique(pack_cells(*grid.cells_of(lats, lngs)), return_counts=True)
+    ix, iy = unpack_cells(keys)
+    return dict(zip(map(Cell, ix.tolist(), iy.tolist()), counts.tolist()))
 
 
 @dataclass
@@ -38,14 +53,18 @@ class CollectionServer:
         self._records = 0
 
     def receive(self, trace: Trace) -> None:
-        """Ingest one published sub-trace."""
+        """Ingest one published sub-trace.
+
+        Raises :class:`InvalidRecordError` on a non-finite coordinate
+        before any state changes.
+        """
+        counts = _cell_counts(self.grid, trace.lats, trace.lngs)
         self._traces.append(trace)
         self._pseudonyms.add(trace.user_id)
         self._uploads += 1
         self._records += len(trace)
-        for i in range(len(trace)):
-            cell = self.grid.cell_of(float(trace.lats[i]), float(trace.lngs[i]))
-            self._cell_counts[cell] = self._cell_counts.get(cell, 0) + 1
+        for cell, n in counts.items():
+            self._cell_counts[cell] = self._cell_counts.get(cell, 0) + n
 
     @property
     def stats(self) -> ServerStats:
@@ -72,16 +91,15 @@ class CollectionServer:
         faithfully a count-query analysis over the protected uploads
         matches the same analysis over the raw data.
         """
-        true_counts: Dict[Cell, int] = {}
-        for trace in reference:
-            for i in range(len(trace)):
-                cell = self.grid.cell_of(float(trace.lats[i]), float(trace.lngs[i]))
-                true_counts[cell] = true_counts.get(cell, 0) + 1
+        traces = list(reference)
+        true_counts = _cell_counts(
+            self.grid,
+            np.concatenate([np.zeros(0)] + [t.lats for t in traces]),
+            np.concatenate([np.zeros(0)] + [t.lngs for t in traces]),
+        )
         cells = sorted(set(true_counts) | set(self._cell_counts))
         if len(cells) < 2:
             return 1.0
-        import numpy as np
-
         a = np.array([true_counts.get(c, 0) for c in cells], dtype=np.float64)
         b = np.array([self._cell_counts.get(c, 0) for c in cells], dtype=np.float64)
         if np.array_equal(a, b):

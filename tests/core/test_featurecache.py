@@ -2,16 +2,22 @@
 
 import pickle
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.attacks import default_attack_suite
 from repro.attacks.ap_attack import ApAttack
 from repro.attacks.pit_attack import PitAttack
 from repro.attacks.poi_attack import PoiAttack
 from repro.bench import synthetic_background, synthetic_trace
+from repro.config import ProtectionConfig
 from repro.core.featurecache import FeatureCache
 from repro.core.engine import ProtectionEngine
 from repro.lppm.geoi import GeoInd
+from repro.lppm.hmc import HeatmapConfusion
+from repro.poi.heatmap import TopsoeIndex
 from repro.poi.clustering import extract_pois, merge_nearby_pois
 
 
@@ -49,6 +55,68 @@ class TestFeatureCache:
         cache = FeatureCache()
         cache.get_or_build("a", lambda: 1)
         cache.clear()
+        assert len(cache) == 0
+
+
+def _replay_one_at_a_time(maxsize, warm, keys):
+    """A cache after ``get_or_build`` on *warm* then *keys*, one at a time."""
+    cache = FeatureCache(maxsize=maxsize)
+    for key in list(warm) + list(keys):
+        cache.get_or_build(key, lambda key=key: f"v{key}")
+    return cache
+
+
+class TestGetOrBuildMany:
+    def test_one_build_call_with_only_the_misses(self):
+        cache = FeatureCache()
+        cache.get_or_build("a", lambda: "va")
+        cache.get_or_build("b", lambda: "vb")
+        calls = []
+
+        def build(missing):
+            calls.append(list(missing))
+            return [f"v{k}" for k in missing]
+
+        values = cache.get_or_build_many(["a", "x", "b", "x", "y"], build)
+        assert values == ["va", "vx", "vb", "vx", "vy"]
+        assert calls == [["x", "y"]]
+        # One hit or miss per key: the repeated "x" hits its own miss.
+        assert (cache.hits, cache.misses) == (3, 4)
+
+    def test_all_hits_build_nothing(self):
+        cache = FeatureCache()
+        cache.get_or_build("a", lambda: 1)
+        assert cache.get_or_build_many(["a", "a"], lambda missing: 1 / 0) == [1, 1]
+
+    @given(
+        st.integers(min_value=1, max_value=5),
+        st.lists(st.sampled_from("abcdefg"), max_size=8),
+        st.lists(st.sampled_from("abcdefg"), max_size=12),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_same_state_as_one_key_at_a_time(self, maxsize, warm, keys):
+        expected = _replay_one_at_a_time(maxsize, warm, keys)
+        cache = _replay_one_at_a_time(maxsize, warm, [])
+        values = cache.get_or_build_many(keys, lambda missing: [f"v{k}" for k in missing])
+        assert values == [f"v{k}" for k in keys]
+        assert list(cache._entries.items()) == list(expected._entries.items())
+        assert cache.stats() == expected.stats()
+
+    def test_failed_build_leaves_no_placeholder(self):
+        cache = FeatureCache()
+        cache.get_or_build("a", lambda: 1)
+
+        def fail(missing):
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError):
+            cache.get_or_build_many(["x", "a", "y"], fail)
+        assert list(cache._entries.items()) == [("a", 1)]
+
+    def test_build_must_return_one_value_per_miss(self):
+        cache = FeatureCache()
+        with pytest.raises(ValueError):
+            cache.get_or_build_many(["x", "y"], lambda missing: ["only one"])
         assert len(cache) == 0
 
 
@@ -130,9 +198,33 @@ class TestAttackCacheWiring:
 class TestEngineCacheWiring:
     def test_engine_attaches_shared_cache(self):
         attacks = default_attack_suite()
-        engine = ProtectionEngine([GeoInd(0.01)], attacks)
-        for attack in attacks:
-            assert attack.feature_cache is engine.feature_cache
+        hmc = HeatmapConfusion()
+        engine = ProtectionEngine([GeoInd(0.01), hmc], attacks)
+        for component in attacks + [hmc]:
+            assert component.feature_cache is engine.feature_cache
+
+    def test_hmc_fits_on_the_ap_heatmaps(self):
+        background = synthetic_background(12, seed=3)
+        engine = ProtectionEngine.from_config(ProtectionConfig()).fit(background)
+        (ap,) = [a for a in engine.attacks if isinstance(a, ApAttack)]
+        (hmc,) = [c for c in engine.lppms if isinstance(c, HeatmapConfusion)]
+        assert hmc._profiles.keys() == ap._profiles.keys()
+        for user, heatmap in ap._profiles.items():
+            assert hmc._profiles[user] is heatmap
+        for slot in TopsoeIndex.__slots__:
+            ours, theirs = np.asarray(getattr(hmc.index, slot)), np.asarray(getattr(ap.index, slot))
+            assert ours.dtype == theirs.dtype
+            assert np.array_equal(ours, theirs)
+
+    def test_fit_feature_counts_match_one_trace_at_a_time(self):
+        # The bulk fit counts, per trace, the hits and misses the
+        # per-trace fit did: POI places and visits miss, PIT's MMC
+        # misses and its visits and places hit, AP's heatmap misses, and
+        # HMC's heatmap hits.
+        background = synthetic_background(12, seed=3)
+        engine = ProtectionEngine.from_config(ProtectionConfig()).fit(background)
+        stats = engine.feature_cache.stats()
+        assert (stats["misses"], stats["hits"]) == (4 * 12, 3 * 12)
 
     def test_cache_populated_by_protection(self):
         background = synthetic_background(6, seed=5)

@@ -6,6 +6,7 @@ import pytest
 from repro.core.dataset import MobilityDataset
 from repro.core.engine import ProtectionEngine
 from repro.core.trace import Trace
+from repro.errors import InvalidRecordError
 from repro.geo.grid import MetricGrid
 from repro.lppm.base import LPPM
 from repro.service.client import MobileClient, UploadChunk
@@ -134,6 +135,61 @@ class TestCollectionServer:
         ds.add(trace)
         server.receive(trace)
         assert server.density_correlation(ds) == pytest.approx(1.0)
+
+    def test_cell_counts_match_the_per_record_grid(self):
+        grid = MetricGrid(800.0, 45.0)
+        server = CollectionServer(grid)
+        rng = np.random.default_rng(3)
+        expected = {}
+        for k in range(4):
+            n = int(rng.integers(1, 200))
+            # Both hemispheres and sides of the meridian: negative cells too.
+            lats = rng.uniform(-0.05, 0.05, n) + rng.choice([-45.0, 45.0])
+            lngs = rng.uniform(-0.05, 0.05, n) + rng.choice([-0.02, 4.0])
+            trace = Trace(f"u#{k}", np.arange(n, dtype=float), lats, lngs)
+            server.receive(trace)
+            for lat, lng in zip(lats.tolist(), lngs.tolist()):
+                cell = grid.cell_of(lat, lng)
+                expected[cell] = expected.get(cell, 0) + 1
+        assert server.top_cells(len(expected) + 1) == sorted(
+            expected.items(), key=lambda kv: (-kv[1], kv[0])
+        )
+        for cell, n in expected.items():
+            lat, lng = grid.center_of(cell)
+            assert server.count_in_cell(lat, lng) == n
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_record_rejected_before_any_change(self, bad):
+        server = CollectionServer(MetricGrid(800.0, 45.0))
+        server.receive(multi_day_trace("u#0", days=1))
+        stats, counts = server.stats, dict(server._cell_counts)
+        trace = multi_day_trace("u#1", days=1)
+        lats = trace.lats.copy()
+        lats[len(lats) // 2] = bad
+        with pytest.raises(InvalidRecordError):
+            server.receive(Trace("u#1", trace.timestamps, lats, trace.lngs))
+        assert server.stats == stats
+        assert server._cell_counts == counts
+        assert server.as_dataset().user_ids() == ["u#0"]
+
+    def test_density_correlation_matches_per_record_counts(self):
+        grid = MetricGrid(800.0, 45.0)
+        server = CollectionServer(grid)
+        ds = MobilityDataset("ref")
+        for k in range(3):
+            trace = multi_day_trace(f"u{k}", days=1)
+            ds.add(trace)
+            # Publish a shifted copy, so the two maps differ.
+            server.receive(trace.with_positions(trace.lats + 0.004 * k, trace.lngs))
+        true_counts = {}
+        for trace in ds:
+            for lat, lng in zip(trace.lats.tolist(), trace.lngs.tolist()):
+                cell = grid.cell_of(lat, lng)
+                true_counts[cell] = true_counts.get(cell, 0) + 1
+        cells = sorted(set(true_counts) | set(server._cell_counts))
+        a = np.array([true_counts.get(c, 0) for c in cells], dtype=np.float64)
+        b = np.array([server._cell_counts.get(c, 0) for c in cells], dtype=np.float64)
+        assert server.density_correlation(ds) == float(np.corrcoef(a, b)[0, 1])
 
     def test_as_dataset(self):
         server = CollectionServer(MetricGrid(800.0, 45.0))

@@ -8,7 +8,7 @@ against the retained scalar reference implementations
 every snapshot times the reference and the fast kernel on the same data
 in the same process.
 
-Two entry points:
+Entry points:
 
 * :func:`run_smoke` — a sub-minute sanity pass (100-user kernels, a
   tiny engine run, and a 1000-user background fit through the bulk and
@@ -20,10 +20,10 @@ Two entry points:
 * :func:`run_service` — the service-path suite: requests/s through the
   loopback and TCP transports (same engine, same upload stream, replies
   asserted identical) and one ``protect_dataset`` per executor backend
-  (serial vs process vs sharded, published datasets asserted
-  byte-identical; its wall time includes pool start-up, so it does not
-  rank the backends).  ``smoke=True`` is the <60 s CI variant; the full
-  run emits ``BENCH_3.json``.
+  (serial vs process, published datasets asserted byte-identical; its
+  wall time includes pool start-up, so it does not rank the backends).
+  ``smoke=True`` is the <60 s CI variant; the full run emits
+  ``BENCH_3.json``.
 * :func:`run_remote` — the multi-host suite: ``protect_dataset`` through
   the ``remote`` executor against a loopback cluster of two freshly
   spawned ``ServiceServer`` instances, with the published dataset
@@ -71,6 +71,11 @@ Two entry points:
   ``smoke=True`` is the <60 s CI variant; the full run emits
   ``BENCH_9.json``.
 
+Every ``run_*`` returns a JSON-serialisable snapshot dict;
+``repro bench <mode> --out FILE`` writes it (the committed
+``BENCH_<k>.json`` files), and :func:`format_snapshot` renders any of
+them as one line per leaf.
+
 The synthetic corpus is generated directly here (homes + commutes over
 a city-sized box) so the benches do not depend on the experiment
 harness and scale to thousands of users in seconds.
@@ -79,7 +84,6 @@ harness and scale to thousands of users in seconds.
 from __future__ import annotations
 
 import functools
-import json
 import platform
 import sys
 import time
@@ -370,12 +374,8 @@ def run_smoke(seed: int = 7) -> Dict[str, Any]:
     return snapshot
 
 
-def run_micro(
-    sizes: Sequence[int] = (100, 1000),
-    seed: int = 7,
-    out_path: Optional[str] = None,
-) -> Dict[str, Any]:
-    """The full micro suite; optionally written to *out_path* as JSON."""
+def run_micro(sizes: Sequence[int] = (100, 1000), seed: int = 7) -> Dict[str, Any]:
+    """The full micro suite at the given profiled-user counts."""
     snapshot = _snapshot_header()
     snapshot["mode"] = "micro"
     snapshot["rank_at_users"] = {
@@ -384,16 +384,10 @@ def run_micro(
     snapshot["feature_kernels"] = bench_feature_kernels(seed=seed)
     snapshot["engine"] = bench_engine_smoke()
     snapshot["fit"] = bench_fit_smoke()
-    if out_path:
-        with open(out_path, "w") as f:
-            json.dump(snapshot, f, indent=2, sort_keys=True)
-            f.write("\n")
     return snapshot
 
 
-def run_service(
-    seed: int = 7, smoke: bool = False, out_path: Optional[str] = None
-) -> Dict[str, Any]:
+def run_service(seed: int = 7, smoke: bool = False) -> Dict[str, Any]:
     """Service-path throughput: transports, then executor backends.
 
     Every number is measured on the spot and every equivalence is
@@ -455,7 +449,6 @@ def run_service(
     backends = [
         ("serial", "serial", 1),
         ("process", "process", 2),
-        ("sharded", {"name": "sharded", "shards": 2}, 2),
     ]
     for label, spec, jobs in backends:
         engine = ctx.engine(executor=spec, jobs=jobs)
@@ -486,10 +479,6 @@ def run_service(
     snapshot["transports_identical"] = True
     snapshot["executors"] = executors
     snapshot["executors_identical"] = True
-    if out_path:
-        with open(out_path, "w") as f:
-            json.dump(snapshot, f, indent=2, sort_keys=True)
-            f.write("\n")
     return snapshot
 
 
@@ -499,9 +488,7 @@ def run_service(
 CODEC_SPEEDUP_FLOOR = 3.0
 
 
-def run_codec(
-    seed: int = 7, smoke: bool = False, out_path: Optional[str] = None
-) -> Dict[str, Any]:
+def run_codec(seed: int = 7, smoke: bool = False) -> Dict[str, Any]:
     """Wire-codec throughput and cross-framing byte-identity.
 
     Three legs, every assertion made on the spot:
@@ -642,16 +629,10 @@ def run_codec(
         "endpoint_wire_versions": [[1], [1, 2]],
         "byte_identical": True,
     }
-    if out_path:
-        with open(out_path, "w") as f:
-            json.dump(snapshot, f, indent=2, sort_keys=True)
-            f.write("\n")
     return snapshot
 
 
-def run_remote(
-    seed: int = 7, smoke: bool = False, out_path: Optional[str] = None
-) -> Dict[str, Any]:
+def run_remote(seed: int = 7, smoke: bool = False) -> Dict[str, Any]:
     """Remote-executor throughput over a loopback two-server cluster.
 
     Byte-identity is asserted on the spot, three times: the remote
@@ -819,16 +800,10 @@ def run_remote(
     snapshot["failover"] = drive(kill_first=True)
     snapshot["flap"] = drive_flap()
     snapshot["byte_identical"] = True
-    if out_path:
-        with open(out_path, "w") as f:
-            json.dump(snapshot, f, indent=2, sort_keys=True)
-            f.write("\n")
     return snapshot
 
 
-def run_cluster(
-    seed: int = 7, smoke: bool = False, out_path: Optional[str] = None
-) -> Dict[str, Any]:
+def run_cluster(seed: int = 7, smoke: bool = False) -> Dict[str, Any]:
     """Elastic-cluster yardstick: byte-identity under membership churn.
 
     Three legs, each against freshly spawned coordinator + worker
@@ -1065,10 +1040,6 @@ def run_cluster(
     snapshot["churn"] = drive_churn()
     snapshot["metrics"] = drive_metrics()
     snapshot["byte_identical"] = True
-    if out_path:
-        with open(out_path, "w") as f:
-            json.dump(snapshot, f, indent=2, sort_keys=True)
-            f.write("\n")
     return snapshot
 
 
@@ -1083,7 +1054,6 @@ def run_scale(
     tier: str = "10k",
     city: str = "lyon",
     seed: int = 7,
-    out_path: Optional[str] = None,
     protect_users: int = 8,
 ) -> Dict[str, Any]:
     """The tiered corpus load yardstick (``BENCH_6.json``).
@@ -1101,9 +1071,9 @@ def run_scale(
        10×-larger population (prefix-stability: tier size must not leak
        into any random stream).
     3. **Protection** — feed the first *protect_users* users through
-       ``ProtectionEngine.protect_dataset`` on the serial, process, and
-       sharded executors with a fresh :class:`FeatureCache` per leg,
-       recording wall time, attack-suite runs and the cache hit rate;
+       ``ProtectionEngine.protect_dataset`` on the serial and process
+       executors with a fresh :class:`FeatureCache` per leg, recording
+       wall time, attack-suite runs and the cache hit rate;
        published datasets are asserted byte-identical across executors.
        A few users take less time than a process pool takes to start,
        so ``wall_s`` (which includes that start-up) does not rank the
@@ -1188,7 +1158,6 @@ def run_scale(
     backends = [
         ("serial", "serial", 1),
         ("process", "process", 2),
-        ("sharded", {"name": "sharded", "shards": 2}, 2),
     ]
     for label, exec_spec, jobs in backends:
         # A fresh cache per leg isolates this executor's hit rate; the
@@ -1213,8 +1182,8 @@ def run_scale(
             "wall_s": report.wall_time_s,
             "evaluations": float(report.evaluations),
             "feature_cache": stats,
-            # Process-pool backends pickle an empty cache into workers,
-            # so only in-process executors report a meaningful rate.
+            # Pool workers count their lookups in their own copies of
+            # the cache, so only in-process executors report a rate.
             "cache_hit_rate": stats["hits"] / lookups if lookups else 0.0,
         }
 
@@ -1251,10 +1220,6 @@ def run_scale(
     }
     snapshot["executors_identical"] = True
     snapshot["peak_rss_mib"] = peak_rss_mib()
-    if out_path:
-        with open(out_path, "w") as f:
-            json.dump(snapshot, f, indent=2, sort_keys=True)
-            f.write("\n")
     return snapshot
 
 
@@ -1273,7 +1238,6 @@ STREAM_OVERLOAD_RSS_GROWTH_MIB = 256.0
 def run_stream(
     seed: int = 7,
     smoke: bool = False,
-    out_path: Optional[str] = None,
     city: str = "saigon",
     tier: str = "10k",
 ) -> Dict[str, Any]:
@@ -1470,237 +1434,25 @@ def run_stream(
         "recovered_ok": True,
     }
     snapshot["peak_rss_mib"] = peak_rss_mib()
-    if out_path:
-        with open(out_path, "w") as f:
-            json.dump(snapshot, f, indent=2, sort_keys=True)
-            f.write("\n")
     return snapshot
 
 
-def format_stream_snapshot(snapshot: Dict[str, Any]) -> str:
-    """Human-readable digest of a :func:`run_stream` dict."""
-    corpus = snapshot["corpus"]
-    replay = snapshot["replay"]
-    ident = snapshot["byte_identity"]
-    over = snapshot["overload"]
-    return "\n".join(
-        [
-            f"bench mode         : {snapshot['mode']}"
-            + (" (smoke)" if snapshot.get("smoke") else ""),
-            f"corpus             : synth:{corpus['city']}:{corpus['tier']} — "
-            f"{corpus['users_replayed']:.0f} users, "
-            f"{corpus['records']:.0f} records over {corpus['days']:.0f} days",
-            f"replay             : {replay['records_per_s']:.0f} records/s "
-            f"({replay['wall_s']:.2f}s, {replay['windows_closed']:.0f} windows; "
-            f"floor {replay['floor_records_per_s']:.0f})",
-            f"byte identity      : {ident['identical']} "
-            f"({ident['users']:.0f} users vs batch protect; "
-            f"digest {ident['digest']})",
-            f"overload           : {over['records_offered']:.0f} records at 2x "
-            f"into a {over['max_pending_records']:.0f}-record buffer — "
-            f"{over['shed_acks']:.0f}/{over['bursts']:.0f} bursts shed "
-            f"({over['shed_events']:.0f} shed events), "
-            f"max pending {over['max_pending_seen']:.0f}",
-            f"overload RSS       : +{over['peak_rss_growth_mib']:.1f} MiB "
-            f"(bound {STREAM_OVERLOAD_RSS_GROWTH_MIB:.0f}), "
-            f"recovered ok: {over['recovered_ok']}",
-            f"peak RSS           : {snapshot['peak_rss_mib']:.1f} MiB",
-        ]
-    )
+#: The executor legs of ``bench service`` and ``bench scale`` protect a
+#: handful of users, so their wall times are mostly pool start-up and
+#: cannot rank the backends.
+EXECUTOR_WALL_NOTE = "executor wall times include pool start-up; they do not rank backends"
 
 
-#: The executor legs protect a handful of users, so their wall times
-#: are mostly pool start-up and cannot rank the backends.
-_EXECUTOR_WALL_NOTE = "executor wall times include pool start-up; they do not rank backends"
-
-
-def format_scale_snapshot(snapshot: Dict[str, Any]) -> str:
-    """Human-readable digest of a :func:`run_scale` dict."""
-    corpus = snapshot["corpus"]
-    gen = snapshot["generation"]
-    det = snapshot["determinism"]
-    lines = [
-        f"bench mode         : {snapshot['mode']}",
-        f"corpus             : synth:{corpus['city']}:{corpus['tier']} — "
-        f"{corpus['users']:.0f} users, {corpus['records']:.0f} records "
-        f"over {corpus['days']:.0f} days",
-        f"generation         : {gen['users_per_s']:.0f} users/s "
-        f"({gen['wall_s']:.2f}s, {gen['records_per_s']:.0f} records/s)",
-        f"peak RSS           : {gen['peak_rss_mib_after']:.1f} MiB after "
-        f"streaming (was {gen['peak_rss_mib_before']:.1f} MiB; "
-        f"final {snapshot['peak_rss_mib']:.1f} MiB)",
-        f"corpus fingerprint : {corpus['fingerprint']}",
-        f"regen identical    : {det['regenerate_identical']} "
-        f"({det['regenerate_wall_s']:.2f}s)",
-        f"prefix identical   : {det['prefix_identical']} "
-        f"(head of {det['prefix_of_users']:.0f} users, {det['prefix_wall_s']:.2f}s)",
-    ]
-    lines.append(_EXECUTOR_WALL_NOTE)
-    for name, entry in snapshot["protection"]["executors"].items():
-        cache = entry["feature_cache"]
-        lines.append(
-            f"executor {name:10s}: {entry['wall_s']:.2f}s, "
-            f"{entry['evaluations']:.0f} evaluations, cache hit rate "
-            f"{100.0 * entry['cache_hit_rate']:.0f}% — "
-            f"{cache['hits']}/{cache['hits'] + cache['misses']}"
-        )
-    lines.append(f"executors identical : {snapshot['executors_identical']}")
-    return "\n".join(lines)
-
-
-def format_remote_snapshot(snapshot: Dict[str, Any]) -> str:
-    """Human-readable digest of a :func:`run_remote` dict."""
-    corpus = snapshot["corpus"]
-    lines = [
-        f"bench mode         : {snapshot['mode']}",
-        f"corpus             : {corpus['dataset']} × {corpus['users']:.0f} users",
-        f"serial             : {snapshot['serial']['users_per_s']:.2f} users/s "
-        f"({snapshot['serial']['wall_s']:.2f}s)",
-    ]
-    for leg in ("remote", "failover", "flap"):
-        if leg not in snapshot:
-            continue  # pre-PR-5 snapshots have no flap leg
-        entry = snapshot[leg]
-        lines.append(
-            f"{leg:19s}: {entry['requests']:.0f} requests in "
-            f"{entry['wall_s']:.2f}s ({entry['requests_per_s']:.1f} req/s)"
-        )
-    if "flap" in snapshot:
-        lines.append(
-            f"flap rejoin        : endpoint up after "
-            f"{snapshot['flap']['endpoint_up_after_s']:.2f}s, served "
-            f"{snapshot['flap']['chunks_served_after_rejoin']:.0f} chunks"
-        )
-    lines.append(f"byte identical     : {snapshot['byte_identical']}")
-    return "\n".join(lines)
-
-
-def format_cluster_snapshot(snapshot: Dict[str, Any]) -> str:
-    """Human-readable digest of a :func:`run_cluster` dict."""
-    corpus = snapshot["corpus"]
-    lines = [
-        f"bench mode         : {snapshot['mode']}",
-        f"corpus             : {corpus['dataset']} × {corpus['users']:.0f} users",
-        f"serial             : {snapshot['serial']['users_per_s']:.2f} users/s "
-        f"({snapshot['serial']['wall_s']:.2f}s)",
-    ]
-    for leg in ("static", "churn"):
-        entry = snapshot[leg]
-        lines.append(
-            f"{leg:19s}: {entry['requests']:.0f} requests in "
-            f"{entry['wall_s']:.2f}s ({entry['requests_per_s']:.1f} req/s)"
-        )
-    churn = snapshot["churn"]
-    lines.append(
-        f"churn rebalance    : join+leave at {churn['churn_at_s']:.2f}s — "
-        f"leaver served {churn['leaver_chunks']:.0f} chunk(s), "
-        f"joiner {churn['joiner_chunks']:.0f}"
-    )
-    metrics = snapshot["metrics"]
-    lines.append(
-        f"operator surface   : protocol v{metrics['protocol']:.0f}, "
-        f"{metrics['requests_served']:.0f} request(s) served, registry "
-        f"{metrics['registry_members']:.0f} member(s) @ epoch "
-        f"{metrics['registry_epoch']:.0f}"
-    )
-    lines.append(f"byte identical     : {snapshot['byte_identical']}")
-    return "\n".join(lines)
-
-
-def format_codec_snapshot(snapshot: Dict[str, Any]) -> str:
-    """Human-readable digest of a :func:`run_codec` dict."""
-    codec = snapshot["codec"]
-    loopback = snapshot["loopback"]
-    mixed = snapshot["mixed_cluster"]
-    return "\n".join(
-        [
-            f"bench mode         : {snapshot['mode']}"
-            + (" (smoke)" if snapshot.get("smoke") else ""),
-            f"batch              : {codec['records']:.0f} records in "
-            f"{codec['messages']:.0f} protect_request frames",
-            f"v1 json codec      : {codec['v1_encode_decode_s'] * 1e3:8.2f} ms "
-            f"({codec['v1_records_per_s']:.0f} records/s encode+decode)",
-            f"v2 binary codec    : {codec['v2_encode_decode_s'] * 1e3:8.2f} ms "
-            f"({codec['v2_records_per_s']:.0f} records/s encode+decode)",
-            f"speedup            : {codec['speedup']:.1f}x "
-            f"(floor {codec['floor']:.0f}x)",
-            f"loopback identity  : {loopback['receipts_identical']} "
-            f"({loopback['upload_chunks']:.0f} upload chunks, v1 vs v2)",
-            f"mixed cluster      : {mixed['requests']:.0f} requests in "
-            f"{mixed['wall_s']:.2f}s over endpoints speaking "
-            f"{mixed['endpoint_wire_versions']}",
-            f"byte identical     : {mixed['byte_identical']}",
-        ]
-    )
-
-
-def format_service_snapshot(snapshot: Dict[str, Any]) -> str:
-    """Human-readable digest of a :func:`run_service` dict."""
-    corpus = snapshot["corpus"]
-    lines = [
-        f"bench mode         : {snapshot['mode']}",
-        f"corpus             : {corpus['dataset']} × {corpus['users']:.0f} users "
-        f"({corpus['upload_chunks']:.0f} daily upload chunks)",
-    ]
-    for name, entry in sorted(snapshot["transports"].items()):
-        lines.append(
-            f"transport {name:9s}: {entry['requests']:.0f} requests in "
-            f"{entry['wall_s']:.2f}s ({entry['requests_per_s']:.1f} req/s)"
-        )
-    lines.append(
-        f"transports identical: {snapshot['transports_identical']}"
-    )
-    lines.append(_EXECUTOR_WALL_NOTE)
-    for name, entry in snapshot["executors"].items():
-        lines.append(
-            f"executor {name:10s}: {entry['wall_s']:.2f}s, "
-            f"{entry['evaluations']:.0f} evaluations"
-        )
-    lines.append(
-        f"executors identical : {snapshot['executors_identical']}"
-    )
-    return "\n".join(lines)
-
-
-def format_snapshot(snapshot: Dict[str, Any]) -> str:
-    """Human-readable digest of a :func:`run_micro`/:func:`run_smoke` dict."""
-    lines = [f"bench mode         : {snapshot['mode']}"]
-    for n, kernels in sorted(snapshot["rank_at_users"].items(), key=lambda kv: int(kv[0])):
-        for name in ("ap_rank", "poi_rank", "pit_rank"):
-            entry = kernels[name]
-            lines.append(
-                f"{name:18s} @ {n:>4s} users : {entry['fast_s'] * 1e3:8.2f} ms "
-                f"(reference {entry['reference_s'] * 1e3:8.2f} ms, "
-                f"speedup {entry['speedup']:6.1f}x)"
-            )
-        for name in ("ap_top1", "poi_top1", "pit_top1"):
-            lines.append(
-                f"{name:18s} @ {n:>4s} users : "
-                f"{kernels[name]['fast_s'] * 1e3:8.2f} ms"
-            )
-    for name, entry in sorted(snapshot["feature_kernels"].items()):
-        lines.append(
-            f"{name:25s} : {entry['fast_s'] * 1e3:8.3f} ms "
-            f"(reference {entry['reference_s'] * 1e3:8.3f} ms, "
-            f"speedup {entry['speedup']:6.1f}x)"
-        )
-    eng = snapshot["engine"]
-    lines.append(
-        f"engine smoke       : {eng['users']} users in {eng['wall_time_s']:.2f}s "
-        f"({eng['users_per_second']:.2f} users/s)"
-    )
-    lines.append(
-        f"attack-suite runs  : {eng['evaluations']} bounded search, "
-        f"{eng['reference_evaluations']} exhaustive reference (same bytes)"
-    )
-    fit = snapshot["fit"]
-    lines.append(
-        f"background fit     : {fit['users']} users, bulk {fit['bulk_fit_s']:.2f}s, "
-        f"per-trace {fit['per_trace_fit_s']:.2f}s (same fitted state)"
-    )
-    cache = eng["feature_cache"]
-    lines.append(
-        f"feature cache      : {cache['hits']} hits / {cache['misses']} misses "
-        f"({cache['entries']} entries)"
-    )
+def format_snapshot(snapshot: Dict[str, Any], prefix: str = "") -> str:
+    """Human-readable digest of any bench snapshot: one ``path: value``
+    line per leaf, under its dotted key path, in the snapshot's order."""
+    lines = []
+    for key, value in snapshot.items():
+        path = f"{prefix}{key}"
+        if isinstance(value, dict):
+            lines.append(format_snapshot(value, f"{path}."))
+        elif isinstance(value, float):
+            lines.append(f"{path}: {value:.6g}")
+        else:
+            lines.append(f"{path}: {value}")
     return "\n".join(lines)

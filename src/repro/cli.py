@@ -1117,68 +1117,31 @@ def _cmd_config(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    import json
     import os
 
-    from repro.bench import (
-        format_cluster_snapshot,
-        format_codec_snapshot,
-        format_remote_snapshot,
-        format_scale_snapshot,
-        format_service_snapshot,
-        format_snapshot,
-        format_stream_snapshot,
-        run_cluster,
-        run_codec,
-        run_micro,
-        run_remote,
-        run_scale,
-        run_service,
-        run_smoke,
-        run_stream,
-    )
+    from repro import bench
 
-    if args.bench_command == "codec":
-        snapshot = run_codec(seed=args.seed, smoke=args.smoke, out_path=args.out)
-        print(format_codec_snapshot(snapshot))
+    modes = {
+        "micro": lambda: bench.run_micro(sizes=tuple(args.sizes), seed=args.seed),
+        "service": lambda: bench.run_service(seed=args.seed, smoke=args.smoke),
+        "remote": lambda: bench.run_remote(seed=args.seed, smoke=args.smoke),
+        "scale": lambda: bench.run_scale(
+            tier=args.tier, city=args.city, seed=args.seed
+        ),
+        "stream": lambda: bench.run_stream(seed=args.seed, smoke=args.smoke),
+        "cluster": lambda: bench.run_cluster(seed=args.seed, smoke=args.smoke),
+        "codec": lambda: bench.run_codec(seed=args.seed, smoke=args.smoke),
+    }
+    if args.bench_command in modes:
+        snapshot = modes[args.bench_command]()
+        print(bench.format_snapshot(snapshot))
+        if args.bench_command in ("service", "scale"):
+            print(bench.EXECUTOR_WALL_NOTE)
         if args.out:
-            print(f"\nwrote snapshot to {args.out}")
-        return 0
-    if args.bench_command == "cluster":
-        snapshot = run_cluster(seed=args.seed, smoke=args.smoke, out_path=args.out)
-        print(format_cluster_snapshot(snapshot))
-        if args.out:
-            print(f"\nwrote snapshot to {args.out}")
-        return 0
-    if args.bench_command == "stream":
-        snapshot = run_stream(seed=args.seed, smoke=args.smoke, out_path=args.out)
-        print(format_stream_snapshot(snapshot))
-        if args.out:
-            print(f"\nwrote snapshot to {args.out}")
-        return 0
-    if args.bench_command == "scale":
-        snapshot = run_scale(
-            tier=args.tier, city=args.city, seed=args.seed, out_path=args.out
-        )
-        print(format_scale_snapshot(snapshot))
-        if args.out:
-            print(f"\nwrote snapshot to {args.out}")
-        return 0
-    if args.bench_command == "remote":
-        snapshot = run_remote(seed=args.seed, smoke=args.smoke, out_path=args.out)
-        print(format_remote_snapshot(snapshot))
-        if args.out:
-            print(f"\nwrote snapshot to {args.out}")
-        return 0
-    if args.bench_command == "service":
-        snapshot = run_service(seed=args.seed, smoke=args.smoke, out_path=args.out)
-        print(format_service_snapshot(snapshot))
-        if args.out:
-            print(f"\nwrote snapshot to {args.out}")
-        return 0
-    if args.bench_command == "micro":
-        snapshot = run_micro(sizes=tuple(args.sizes), seed=args.seed, out_path=args.out)
-        print(format_snapshot(snapshot))
-        if args.out:
+            with open(args.out, "w") as f:
+                json.dump(snapshot, f, indent=2, sort_keys=True)
+                f.write("\n")
             print(f"\nwrote snapshot to {args.out}")
         return 0
     # smoke: tier-1 suite first (when a tests/ tree is reachable), then
@@ -1207,8 +1170,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             print("tier-1 test suite failed", file=sys.stderr)
             return code
     t0 = time.perf_counter()
-    snapshot = run_smoke(seed=args.seed)
-    print(format_snapshot(snapshot))
+    snapshot = bench.run_smoke(seed=args.seed)
+    print(bench.format_snapshot(snapshot))
     print(f"bench smoke wall   : {time.perf_counter() - t0:.1f}s")
     return 0
 

@@ -2,7 +2,8 @@
 
 A :class:`ProtectionConfig` captures a whole protection run — which
 LPPMs, which attacks, the recursion floor ``δ``, the split policy, the
-search strategy, the executor — as one plain, JSON-serialisable object.
+search strategy, the executor (``serial``, ``process`` or ``remote``)
+— as one plain, JSON-serialisable object.
 Component fields hold registry *specs* (``{"name": "geoi",
 "epsilon": 0.01}``) rather than live objects, so a config file alone is
 enough to rebuild the full engine::
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.core.engine import DEFAULT_DELTA_S
+from repro.core.engine import DEFAULT_DELTA_S, _check_count
 from repro.errors import ConfigurationError
 from repro.registry import available, get, normalize_spec
 
@@ -76,8 +77,8 @@ class ProtectionConfig:
     #: ``search_strategy``).
     search_strategy: Optional[Dict[str, Any]] = None
     #: Batch execution backend (registry kind ``executor``): a bare name
-    #: (``"serial"``, ``"process"``, ``"sharded"``) or a
-    #: spec dict with backend kwargs (``{"name": "sharded", "shards": 8}``,
+    #: (``"serial"``, ``"process"``, ``"remote"``) or a spec dict with
+    #: backend kwargs (``{"name": "process", "jobs": 4}``,
     #: ``{"name": "remote", "endpoints": ["host:7464"], "shards": 8}``).
     executor: Union[str, Dict[str, Any]] = "serial"
     #: Worker count for parallel executors (``None`` = all cores).
@@ -105,13 +106,10 @@ class ProtectionConfig:
     def __post_init__(self) -> None:
         self.lppms = _normalized_specs(self.lppms, "lppms")
         self.attacks = _normalized_specs(self.attacks, "attacks")
-        self.delta_s = float(self.delta_s)
         if self.search_strategy is not None:
             self.search_strategy = normalize_spec(self.search_strategy)
         if not isinstance(self.executor, str):
             self.executor = normalize_spec(self.executor)
-        if self.seed is not None:
-            self.seed = int(self.seed)
         if self.service is not None:
             self.service = dict(self.service)
         if self.corpus is not None:
@@ -127,17 +125,24 @@ class ProtectionConfig:
         Component *names* are resolved (typos fail with the list of
         registered alternatives); constructor kwargs are checked by
         :meth:`ProtectionEngine.from_config`, which actually builds them.
+        Values are checked, never coerced: a bool or float count, a
+        string number or a NaN ``delta_s`` is rejected.
         """
         for spec in self.lppms:
             get("lppm", spec["name"])
         for spec in self.attacks:
             get("attack", spec["name"])
-        if self.delta_s <= 0:
-            raise ConfigurationError(f"delta_s must be positive, got {self.delta_s}")
-        if self.max_composition_length is not None and self.max_composition_length < 1:
+        if (
+            isinstance(self.delta_s, bool)
+            or not isinstance(self.delta_s, (int, float))
+            or not self.delta_s > 0
+        ):
             raise ConfigurationError(
-                f"max_composition_length must be >= 1, got {self.max_composition_length}"
+                f"delta_s must be a positive number, got {self.delta_s!r}"
             )
+        _check_count(
+            "max_composition_length", self.max_composition_length, optional=True
+        )
         if not isinstance(self.split_policy, str):
             raise ConfigurationError(
                 f"split_policy must be a registered name, got {self.split_policy!r}"
@@ -153,9 +158,8 @@ class ProtectionConfig:
             raise ConfigurationError(
                 f"executor must be a registered name or spec, got {self.executor!r}"
             )
-        if self.jobs is not None and (not isinstance(self.jobs, int) or self.jobs < 1):
-            raise ConfigurationError(f"jobs must be >= 1 or null, got {self.jobs!r}")
-        if not isinstance(self.seed, int):
+        _check_count("jobs", self.jobs, optional=True)
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ConfigurationError(f"seed must be an integer, got {self.seed!r}")
         if self.service is not None:
             if not isinstance(self.service, dict):

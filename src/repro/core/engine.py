@@ -9,12 +9,11 @@ This module is the system's front door.  It hosts:
   and :meth:`ProtectionEngine.evaluate` (the ``lppm``, ``hybrid`` and
   ``mood`` protocols) fan the per-user work out over a pluggable
   executor;
-* the executors — ``serial``, ``process`` (multiprocessing), ``sharded``
-  (deterministic user-hash partitioning across per-shard process pools,
-  for campaign-scale corpora) and ``remote`` (the same partitioning,
-  dispatched to ``repro serve`` endpoints).  Per-user protection is
-  embarrassingly parallel and every random draw derives from
-  :func:`repro.rng.stable_user_seed`, so every backend publishes
+* the executors — ``serial``, ``process`` (one local
+  :mod:`multiprocessing` pool) and ``remote`` (deterministic user-hash
+  partitioning, dispatched to ``repro serve`` endpoints).  Per-user
+  protection is embarrassingly parallel and every random draw derives
+  from :func:`repro.rng.stable_user_seed`, so every backend publishes
   byte-identical datasets to the serial one;
 * the declarative entry point — :meth:`ProtectionEngine.from_config`
   rebuilds the whole engine from a :class:`repro.config.ProtectionConfig`
@@ -23,7 +22,6 @@ This module is the system's front door.  It hosts:
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
 import warnings
@@ -249,144 +247,6 @@ def _pool_run(item: Any) -> Tuple[Any, int]:
     return out, engine.evaluations - before
 
 
-def _shm_attach(name: str) -> Any:
-    """Attach a shared-memory segment without resource-tracker adoption.
-
-    Before Python 3.13 (no ``track=`` kwarg) every attach registers the
-    segment with a resource tracker, which may unlink it at worker exit
-    — yanking the mapping out from under sibling workers (spawn), or
-    corrupting the creator's registration in the shared tracker (fork).
-    Suppressing the registration for the duration of the attach keeps
-    ownership where it belongs: with the creating process.
-    """
-    from multiprocessing import shared_memory
-
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python < 3.13: no track kwarg
-        from multiprocessing import resource_tracker
-
-        original = resource_tracker.register
-
-        def _no_track(rname: str, rtype: str) -> None:
-            if rtype != "shared_memory":
-                original(rname, rtype)
-
-        resource_tracker.register = _no_track
-        try:
-            return shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = original
-
-
-def _pool_init_shm(
-    name: str, size: int, digest: str, method: str, kwargs: Dict[str, Any]
-) -> None:
-    """Worker initializer: load the engine from a shared-memory shipment.
-
-    The blake2b fingerprint is verified before unpickling — a worker
-    never runs against a segment that is not byte-for-byte the engine
-    the parent shipped (stale name reuse, torn write, wrong segment).
-    """
-    import hashlib
-    import pickle
-
-    shm = _shm_attach(name)
-    try:
-        payload = bytes(shm.buf[:size])
-    finally:
-        shm.close()
-    actual = hashlib.blake2b(payload, digest_size=16).hexdigest()
-    if actual != digest:
-        raise RuntimeError(
-            f"engine shipment {name!r} fingerprint mismatch "
-            f"(expected {digest}, segment holds {actual})"
-        )
-    _WORKER["engine"] = pickle.loads(payload)
-    _WORKER["method"] = method
-    _WORKER["kwargs"] = kwargs
-
-
-#: Disambiguates concurrent shipments of identical content in one process.
-_SHIPMENT_SEQ = itertools.count()
-
-
-class _EngineShipment:
-    """One pickled engine, shipped to every local worker via shared memory.
-
-    The pool-initializer protocol (``initargs`` pickled per pool) ships
-    the whole fitted engine — attack state included — once *per pool*;
-    with sharded execution that is once per shard group.  This instead
-    pickles the engine once, publishes the bytes in a
-    :mod:`multiprocessing.shared_memory` segment keyed by content
-    fingerprint, and hands workers only the (name, size, digest) triple;
-    every pool of the batch shares the same segment.
-
-    :meth:`pool_hooks` degrades gracefully: if the segment cannot be
-    created (no /dev/shm, size limits, exotic platforms) it falls back
-    to the legacy initargs protocol — same results, just more pickling.
-    The creator must call :meth:`close` after the pools have joined.
-    """
-
-    def __init__(
-        self, engine: "ProtectionEngine", method: str, kwargs: Dict[str, Any]
-    ) -> None:
-        import hashlib
-        import pickle
-
-        self._engine = engine
-        self.method = method
-        self.kwargs = kwargs
-        self._payload = pickle.dumps(engine)
-        self.digest = hashlib.blake2b(
-            self._payload, digest_size=16
-        ).hexdigest()
-        self._shm: Optional[Any] = None
-
-    def pool_hooks(self) -> Tuple[Any, Tuple[Any, ...]]:
-        """``(initializer, initargs)`` for a worker pool."""
-        try:
-            return _pool_init_shm, self._shm_initargs()
-        except Exception:  # noqa: BLE001 - any failure degrades, never aborts
-            self.close()
-            return _pool_init, (self._engine, self.method, self.kwargs)
-
-    def _shm_initargs(self) -> Tuple[Any, ...]:
-        if self._shm is None:
-            import os
-            from multiprocessing import shared_memory
-
-            shm = shared_memory.SharedMemory(
-                create=True,
-                size=len(self._payload),
-                name=f"repro-{self.digest[:12]}-{os.getpid()}-"
-                f"{next(_SHIPMENT_SEQ)}",
-            )
-            shm.buf[: len(self._payload)] = self._payload
-            self._shm = shm
-        return (
-            self._shm.name,
-            len(self._payload),
-            self.digest,
-            self.method,
-            self.kwargs,
-        )
-
-    def close(self) -> None:
-        """Release and unlink the segment (call after pool join)."""
-        shm, self._shm = self._shm, None
-        if shm is None:
-            return
-        try:
-            shm.close()
-        except OSError:  # pragma: no cover - close best-effort
-            pass
-        try:
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-
-
 @register_executor("serial")
 class SerialExecutor:
     """Run the per-item work in-process, one item at a time."""
@@ -413,7 +273,10 @@ class ProcessExecutor:
     Per-user protection shares no state (all randomness derives from
     :func:`repro.rng.stable_user_seed`), so results are identical to the
     serial executor; the engine's :attr:`~ProtectionEngine.evaluations`
-    counter is reconciled from per-task deltas.
+    counter is reconciled from per-task deltas.  The fitted engine
+    reaches each worker through the pool initializer: under the ``fork``
+    start method the workers inherit it without pickling, under
+    ``spawn``/``forkserver`` it is pickled once per worker.
     """
 
     def __init__(self, jobs: Optional[int] = None) -> None:
@@ -433,15 +296,10 @@ class ProcessExecutor:
         jobs = min(self.jobs or os.cpu_count() or 1, len(items) or 1)
         if jobs == 1:
             return SerialExecutor().map(engine, method, items, kwargs)
-        shipment = _EngineShipment(engine, method, kwargs)
-        try:
-            initializer, initargs = shipment.pool_hooks()
-            with multiprocessing.Pool(
-                jobs, initializer=initializer, initargs=initargs
-            ) as pool:
-                out = pool.map(_pool_run, items)
-        finally:
-            shipment.close()
+        with multiprocessing.Pool(
+            jobs, initializer=_pool_init, initargs=(engine, method, kwargs)
+        ) as pool:
+            out = pool.map(_pool_run, items)
         engine.evaluations += sum(delta for _, delta in out)
         return [result for result, _ in out]
 
@@ -451,7 +309,7 @@ def _shard_of(key: str, shards: int) -> int:
 
     Python's builtin ``hash`` is salted per process, so this uses a
     keyed-free blake2b digest instead — the same user always lands on
-    the same shard, which is what makes sharded runs reproducible.
+    the same shard on every host and in every run.
     """
     import hashlib
 
@@ -464,100 +322,17 @@ def _partition_items(
 ) -> Dict[int, List[Tuple[int, Any]]]:
     """Bucket *items* by ``blake2b(user_id) mod shards``, keeping indices.
 
-    This is the **stable placement** map shared by the ``sharded`` and
-    ``remote`` executors: it depends only on item content and the
-    logical ``shards`` modulus — never on ``os.cpu_count()``, the worker
-    budget, or which hosts serve the shards — so the same user lands on
-    the same shard on every machine.  Only non-empty buckets appear.
+    This is the ``remote`` executor's **stable placement** map: it
+    depends only on item content and the logical ``shards`` modulus —
+    never on ``os.cpu_count()``, the worker budget, or which hosts serve
+    the shards — so the same user lands on the same shard on every
+    machine.  Only non-empty buckets appear.
     """
     buckets: Dict[int, List[Tuple[int, Any]]] = {}
     for idx, item in enumerate(items):
         key = getattr(item, "user_id", None) or f"item-{idx}"
         buckets.setdefault(_shard_of(str(key), shards), []).append((idx, item))
     return buckets
-
-
-@register_executor("sharded")
-class ShardedExecutor:
-    """Partition items across per-shard process pools by user hash.
-
-    Campaign-scale corpora are split into ``shards`` deterministic
-    partitions (blake2b of the item's ``user_id``).  The logical shard
-    count is **placement**, not concurrency: it is never clamped by
-    ``os.cpu_count()`` or the worker budget, so the same user lands on
-    the same shard on every host (the guarantee remote dispatch builds
-    on).  Local concurrency adapts separately — the shard buckets are
-    grouped onto at most ``jobs`` :mod:`multiprocessing` pools, so the
-    total worker count never exceeds ``jobs`` — which is output-neutral:
-    the shard assignment is content-addressed, per-item work is
-    independent, and the merge is positional, so published datasets are
-    byte-identical to the serial backend regardless of shard count or
-    worker budget.
-    """
-
-    def __init__(self, jobs: Optional[int] = None, shards: int = 4) -> None:
-        self.jobs = _check_count("jobs", jobs, optional=True)
-        self.shards = _check_count("shards", shards)
-
-    def map(
-        self,
-        engine: "ProtectionEngine",
-        method: str,
-        items: Sequence[Any],
-        kwargs: Dict[str, Any],
-    ) -> List[Any]:
-        import multiprocessing
-        import os
-
-        items = list(items)
-        if not items:
-            return []
-        # Placement first: host-independent, worker-budget-independent.
-        buckets = _partition_items(items, self.shards)
-        total_jobs = self.jobs or os.cpu_count() or 1
-        if total_jobs == 1 or len(items) == 1 or len(buckets) == 1:
-            # One worker (or one bucket) degenerates to serial execution;
-            # the logical placement above is unchanged, so this is
-            # output-neutral and spawns no pools.
-            return SerialExecutor().map(engine, method, items, kwargs)
-        # Concurrency second: group logical shards onto at most
-        # ``total_jobs`` pools (ring order), one process per pool minimum.
-        n_pools = min(total_jobs, len(buckets))
-        groups: List[List[Tuple[int, Any]]] = [[] for _ in range(n_pools)]
-        for j, shard in enumerate(sorted(buckets)):
-            groups[j % n_pools].extend(buckets[shard])
-        per_pool = max(1, total_jobs // n_pools)
-        results: List[Any] = [None] * len(items)
-        pools: List[Any] = []
-        pending: List[Tuple[List[Tuple[int, Any]], Any]] = []
-        # One shipment for the whole batch: every shard pool attaches
-        # the same shared-memory segment instead of each re-pickling the
-        # fitted engine through its initargs.
-        shipment = _EngineShipment(engine, method, kwargs)
-        try:
-            initializer, initargs = shipment.pool_hooks()
-            for group in groups:
-                pool = multiprocessing.Pool(
-                    min(per_pool, len(group)),
-                    initializer=initializer,
-                    initargs=initargs,
-                )
-                pools.append(pool)
-                pending.append(
-                    (group, pool.map_async(_pool_run, [item for _, item in group]))
-                )
-            for group, handle in pending:
-                out = handle.get()
-                for (idx, _), (result, delta) in zip(group, out):
-                    results[idx] = result
-                    engine.evaluations += delta
-        finally:
-            for pool in pools:
-                pool.close()
-            for pool in pools:
-                pool.join()
-            shipment.close()
-        return results
 
 
 @dataclass(frozen=True)
@@ -615,10 +390,9 @@ class RemoteMoodResult(MoodResult):
 class RemoteExecutor:
     """Dispatch shards to remote ``repro serve`` instances over the wire.
 
-    The multi-host sibling of :class:`ShardedExecutor`: items are
-    partitioned with the same blake2b user-hash, but each item travels
-    as one ``protect_request`` frame to a *remote* protection service
-    instead of a local process pool.  Dispatch is the work stealing of
+    Items are partitioned into ``shards`` by a blake2b user-hash, and
+    each item travels as one ``protect_request`` frame to a *remote*
+    protection service.  Dispatch is the work stealing of
     :class:`repro.cluster.elastic.ElasticClusterClient`: placement
     (user → shard) is content-addressed, and byte identity rests on it;
     which endpoint serves a shard depends on load (``jobs`` caps the
@@ -1093,7 +867,7 @@ class ProtectionEngine:
     executor:
         Batch backend for :meth:`protect_dataset`/:meth:`evaluate`: a
         registered name or spec (``"serial"``, ``"process"``,
-        ``{"name": "sharded", "shards": 8}``, ``{"name": "remote", ...}``)
+        ``{"name": "process", "jobs": 4}``, ``{"name": "remote", ...}``)
         or an executor instance.  A name or spec is built here, so a bad
         one fails at construction.  All built-in backends publish
         byte-identical datasets.
@@ -1123,7 +897,7 @@ class ProtectionEngine:
             raise ConfigurationError("the protection engine needs at least one LPPM")
         if not attacks:
             raise ConfigurationError("the protection engine needs at least one attack")
-        if delta_s <= 0:
+        if not delta_s > 0:
             raise ConfigurationError(f"delta_s must be positive, got {delta_s}")
         _check_count("jobs", jobs, optional=True)
         self.lppms = list(lppms)

@@ -139,10 +139,12 @@ class FeatureCache:
 
     # -- pickling ---------------------------------------------------------
     #
-    # The process executor ships the engine (and therefore this cache,
-    # shared by every attack) to each worker once.  Entries are a local
-    # optimisation, not state: drop them so the pickle stays small and
-    # every worker starts cold.
+    # Under the ``fork`` start method the process executor's workers
+    # inherit the engine (and therefore this cache, shared by every
+    # attack) without pickling; under ``spawn``/``forkserver`` the
+    # engine is pickled once per worker.  Entries are a local
+    # optimisation, not state: a pickle drops them so it stays small and
+    # the worker starts cold.
 
     def __getstate__(self) -> Tuple[int]:
         return (self.maxsize,)

@@ -1,8 +1,8 @@
 """Determinism rules (DET0xx).
 
 The repository's core guarantee is that published datasets are
-byte-identical across every execution path — serial, process pools,
-sharded, remote, elastic churn, and streaming.  That only holds
+byte-identical across every execution path — serial, process pool,
+remote, elastic churn, and streaming.  That only holds
 while every random draw derives from ``stable_user_seed`` via
 :mod:`repro.rng`, no publish-path code reads the wall clock, and
 nothing enumerates a ``set`` into ordered output.  These rules make

@@ -29,10 +29,10 @@ given, are bound with :func:`functools.partial`).
 
 The ``executor`` kind catalogs the batch backends of
 :meth:`repro.core.engine.ProtectionEngine.protect_dataset` — built-ins
-``serial``, ``process``, ``sharded``, and ``remote`` (specs
-like ``{"name": "sharded", "shards": 8}`` or ``{"name": "remote",
-"endpoints": ["10.0.0.1:7464"], "shards": 8}``), all required to
-publish byte-identical datasets on the same corpus.
+``serial``, ``process``, and ``remote`` (specs like ``{"name":
+"process", "jobs": 4}`` or ``{"name": "remote", "endpoints":
+["10.0.0.1:7464"], "shards": 8}``), all required to publish
+byte-identical datasets on the same corpus.
 
 The module is intentionally import-light (only :mod:`repro.errors`), so
 component modules can import it without cycles; the built-in catalog is

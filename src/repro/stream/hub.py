@@ -37,10 +37,11 @@ resumption is loss- and duplication-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.engine import DEFAULT_CHUNK_S, ProtectedPiece
+from repro.core.engine import DEFAULT_CHUNK_S, ProtectedPiece, _check_count
 from repro.core.trace import Trace
 from repro.errors import ConfigurationError, StreamError
 from repro.metrics.distortion import spatial_temporal_distortion
@@ -91,62 +92,34 @@ class StreamConfig:
                 f"stream overflow must be one of {OVERFLOW_POLICIES}, "
                 f"got {self.overflow!r}"
             )
-        if self.window_s <= 0:
-            raise ConfigurationError(f"window_s must be positive, got {self.window_s}")
-        if self.gap_s <= 0:
-            raise ConfigurationError(f"gap_s must be positive, got {self.gap_s}")
-        if self.max_pending_records < 1:
-            raise ConfigurationError(
-                f"max_pending_records must be >= 1, got {self.max_pending_records}"
-            )
-        if self.max_unacked_windows < 1:
-            raise ConfigurationError(
-                f"max_unacked_windows must be >= 1, got {self.max_unacked_windows}"
-            )
+        for name in ("window_s", "gap_s"):
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float))
+                or not 0 < value < math.inf
+            ):
+                raise ConfigurationError(
+                    f"{name} must be a positive finite number, got {value!r}"
+                )
+        _check_count("max_pending_records", self.max_pending_records)
+        _check_count("max_unacked_windows", self.max_unacked_windows)
+        if not isinstance(self.refit, bool):
+            raise ConfigurationError(f"refit must be true or false, got {self.refit!r}")
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "StreamConfig":
-        known = {
-            "window",
-            "window_s",
-            "gap_s",
-            "overflow",
-            "max_pending_records",
-            "max_unacked_windows",
-            "refit",
-        }
+        """Build from a plain dict; values are checked, never coerced."""
+        known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise ConfigurationError(
                 f"unknown stream config keys {sorted(unknown)}; known: {sorted(known)}"
             )
-        kwargs: Dict[str, Any] = dict(data)
-        if "window" in kwargs:
-            kwargs["window"] = str(kwargs["window"])
-        if "window_s" in kwargs:
-            kwargs["window_s"] = float(kwargs["window_s"])
-        if "gap_s" in kwargs:
-            kwargs["gap_s"] = float(kwargs["gap_s"])
-        if "overflow" in kwargs:
-            kwargs["overflow"] = str(kwargs["overflow"])
-        if "max_pending_records" in kwargs:
-            kwargs["max_pending_records"] = int(kwargs["max_pending_records"])
-        if "max_unacked_windows" in kwargs:
-            kwargs["max_unacked_windows"] = int(kwargs["max_unacked_windows"])
-        if "refit" in kwargs:
-            kwargs["refit"] = bool(kwargs["refit"])
-        return cls(**kwargs)
+        return cls(**data)
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "window": self.window,
-            "window_s": self.window_s,
-            "gap_s": self.gap_s,
-            "overflow": self.overflow,
-            "max_pending_records": self.max_pending_records,
-            "max_unacked_windows": self.max_unacked_windows,
-            "refit": self.refit,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)

@@ -112,6 +112,8 @@ class TestFromConfig:
             ProtectionEngine([_Shift()], [_ThresholdAttack()], split_policy="zigzag")
         with pytest.raises(ConfigurationError):
             ProtectionEngine([_Shift()], [_ThresholdAttack()], jobs=0)
+        with pytest.raises(ConfigurationError, match="delta_s"):
+            ProtectionEngine([_Shift()], [_ThresholdAttack()], delta_s=float("nan"))
 
 
 @pytest.fixture(scope="module")
@@ -129,19 +131,9 @@ class TestExecutorDeterminism:
     def test_all_backends_registered(self):
         from repro.registry import available
 
-        assert {"serial", "process", "sharded"} <= set(available("executor"))
+        assert set(available("executor")) == {"serial", "process", "remote"}
 
-    @pytest.mark.parametrize(
-        "executor",
-        [
-            "process",
-            {"name": "sharded", "shards": 2},
-            {"name": "sharded", "shards": 3},
-        ],
-        ids=lambda e: e if isinstance(e, str) else "-".join(
-            str(v) for v in e.values()
-        ),
-    )
+    @pytest.mark.parametrize("executor", ["process"])
     def test_every_executor_matches_serial_byte_for_byte(
         self, tiny_split, tmp_path, serial_published, executor
     ):
@@ -185,67 +177,18 @@ class TestExecutorDeterminism:
                 assert traces[idx] is item
         assert sum(len(b) for b in buckets.values()) == len(traces)
 
-    def test_sharded_placement_does_not_depend_on_jobs(self, monkeypatch):
-        """Satellite regression: `shards` used to be clamped by the worker
-        budget (`os.cpu_count()` when jobs is unset), so the shard a user
-        landed on silently varied across hosts.  Now `shards` is pure
-        placement: every mod-`shards` bucket stays intact on one pool,
-        whatever the budget."""
-        import multiprocessing
-
-        from repro.core.engine import ShardedExecutor, _shard_of
-
-        captured = []
-        original_pool = multiprocessing.Pool
-
-        def tracking_pool(processes, *args, **kwargs):
-            pool = original_pool(processes, *args, **kwargs)
-            original_map_async = pool.map_async
-
-            def capturing_map_async(fn, items, *a, **kw):
-                captured.append(list(items))
-                return original_map_async(fn, items, *a, **kw)
-
-            pool.map_async = capturing_map_async
-            return pool
-
-        monkeypatch.setattr(multiprocessing, "Pool", tracking_pool)
-        engine = ProtectionEngine([_Shift("strong", 0.3)], [_ThresholdAttack(0.2)])
-        ds = MobilityDataset("toy")
-        for i in range(12):
-            ds.add(_trace(f"u{i}"))
-        # jobs=3 does not divide shards=8: under the old clamp the
-        # partition modulus silently became 3 and mod-8 buckets split.
-        ShardedExecutor(jobs=3, shards=8).map(engine, "protect", ds.traces(), {})
-        assert len(captured) == 3
-        pool_of_shard = {}
-        for pool_index, items in enumerate(captured):
-            for item in items:
-                shard = _shard_of(item.user_id, 8)
-                # Every mod-8 bucket lives wholly on one pool.
-                assert pool_of_shard.setdefault(shard, pool_index) == pool_index
-        # The corpus actually spans more shards than pools, so the test
-        # would catch a modulus clamped to the pool count.
-        assert len(pool_of_shard) > 3
-
     def test_invalid_executor_params_rejected(self):
-        from repro.core.engine import (
-            ProcessExecutor,
-            RemoteExecutor,
-            SerialExecutor,
-            ShardedExecutor,
-        )
+        from repro.core.engine import ProcessExecutor, RemoteExecutor, SerialExecutor
 
-        with pytest.raises(ConfigurationError):
-            ShardedExecutor(shards=0)
-        # jobs is None or an int >= 1, shards an int >= 1: negatives used
-        # to crash (sharded) or run serially (process), and bools and
-        # floats used to be truncated instead of rejected.
         endpoints = ["127.0.0.1:1"]
+        with pytest.raises(ConfigurationError):
+            RemoteExecutor(endpoints, shards=0)
+        # jobs is None or an int >= 1, shards an int >= 1: negatives used
+        # to run serially (process), and bools and floats used to be
+        # truncated instead of rejected.
         for bad in (
-            lambda: ShardedExecutor(jobs=-1),
-            lambda: ShardedExecutor(shards=2.7),
-            lambda: ShardedExecutor(shards=True),
+            lambda: RemoteExecutor(endpoints, jobs=-1),
+            lambda: RemoteExecutor(endpoints, shards=True),
             lambda: ProcessExecutor(jobs=-3),
             lambda: ProcessExecutor(jobs=2.5),
             lambda: SerialExecutor(jobs=0),
@@ -259,44 +202,16 @@ class TestExecutorDeterminism:
                 bad()
         # The engine builds its executor up front, so a config carrying a
         # bad spec fails at construction, not at the first batch.
+        remote = {"name": "remote", "endpoints": endpoints}
         for executor in (
-            {"name": "sharded", "jobs": -1},
+            {**remote, "jobs": -1},
             {"name": "process", "jobs": -3},
-            {"name": "sharded", "shards": 2.7},
-            {"name": "sharded", "shards": 0},
-            {"name": "sharded", "shard": 4},
+            {**remote, "shards": 2.7},
+            {**remote, "shards": 0},
+            {"name": "process", "shard": 4},
         ):
             with pytest.raises(ConfigurationError):
                 ProtectionEngine.from_config(ProtectionConfig(executor=executor))
-
-    def test_sharded_worker_budget_is_capped_by_jobs(self, monkeypatch):
-        """shards > jobs must not spawn more than `jobs` processes."""
-        import multiprocessing
-
-        from repro.core.engine import ShardedExecutor
-
-        spawned = []
-        original_pool = multiprocessing.Pool
-
-        def tracking_pool(processes, *args, **kwargs):
-            spawned.append(processes)
-            return original_pool(processes, *args, **kwargs)
-
-        monkeypatch.setattr(multiprocessing, "Pool", tracking_pool)
-        engine = ProtectionEngine([_Shift("strong", 0.3)], [_ThresholdAttack(0.2)])
-        ds = MobilityDataset("toy")
-        for i in range(6):
-            ds.add(_trace(f"u{i}"))
-        # jobs=1: shards collapse to 1 → pure serial, no pools at all.
-        report = ShardedExecutor(jobs=1, shards=8).map(
-            engine, "protect", ds.traces(), {}
-        )
-        assert len(report) == 6 and spawned == []
-        # jobs=2, shards=8: at most 2 worker processes in total.
-        report = ShardedExecutor(jobs=2, shards=8).map(
-            engine, "protect", ds.traces(), {}
-        )
-        assert len(report) == 6 and sum(spawned) <= 2
 
     def test_protect_dataset_reports(self):
         lppms = [_Shift("strong", 0.3)]

@@ -102,16 +102,7 @@ def cluster():
 
 class TestRemoteByteIdentity:
     @pytest.mark.parametrize("daily", [False, True], ids=["whole", "daily"])
-    @pytest.mark.parametrize(
-        "executor",
-        [
-            "serial",
-            "process",
-            {"name": "sharded", "shards": 3},
-            "remote",
-        ],
-        ids=lambda e: e if isinstance(e, str) else e["name"],
-    )
+    @pytest.mark.parametrize("executor", ["serial", "process", "remote"])
     def test_every_backend_publishes_identical_bytes(
         self, cluster, executor, daily
     ):

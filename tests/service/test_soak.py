@@ -3,8 +3,8 @@
 Acceptance: for every fault class (drop, delay, truncate, corrupt,
 mid-reply disconnect, flap-and-rejoin) the remote executor either
 completes **byte-identical to serial** or raises a typed error — no
-hangs, no silent data divergence.  Local executors (serial / async /
-sharded) are the control row of the matrix: no wire, same bytes.
+hangs, no silent data divergence.  The local executors (serial /
+process) are the control row of the matrix: no wire, same bytes.
 
 The faults are injected by :class:`tests.service.chaos.ChaosProxy`, a
 TCP relay between the cluster client and one of the two endpoints; the
@@ -119,11 +119,7 @@ def remote_spec(endpoints, **overrides):
 class TestChaosMatrix:
     """The parametrized fault matrix of the tentpole."""
 
-    @pytest.mark.parametrize(
-        "executor",
-        ["serial", "process", {"name": "sharded", "shards": 3}],
-        ids=lambda e: e if isinstance(e, str) else e["name"],
-    )
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_local_executors_byte_identical(
         self, soak_corpus, reference_csv, executor
     ):

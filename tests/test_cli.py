@@ -231,7 +231,7 @@ class TestCommands:
         assert snapshot["mode"] == "service"
         assert snapshot["transports_identical"] is True
         assert snapshot["executors_identical"] is True
-        assert set(snapshot["executors"]) == {"serial", "process", "sharded"}
+        assert set(snapshot["executors"]) == {"serial", "process"}
         # Pool start-up dominates 4 users: wall time only, no users/s.
         entries = list(snapshot["executors"].values())
         assert all(set(e) == {"wall_s", "evaluations"} for e in entries)
@@ -332,17 +332,65 @@ class TestConfigCommands:
         assert "geoi" in capsys.readouterr().err
         # Executor specs are built too, so specs that used to pass here
         # and then fail in protect_dataset are rejected up front.
+        remote = '"name": "remote", "endpoints": ["127.0.0.1:1"]'
         for executor in (
             '"async"',
-            '{"name": "sharded", "shards": 0}',
-            '{"name": "sharded", "shard": 4}',
-            '{"name": "sharded", "jobs": -1}',
+            f'{{{remote}, "shards": 0}}',
+            '{"name": "process", "shard": 4}',
+            f'{{{remote}, "jobs": -1}}',
             '{"name": "process", "jobs": -3}',
-            '{"name": "sharded", "shards": 2.7}',
+            f'{{{remote}, "shards": 2.7}}',
         ):
             path.write_text(f'{{"executor": {executor}}}')
             assert main(["config", "validate", str(path)]) == 1, executor
             assert "invalid config" in capsys.readouterr().err
+
+    def test_config_validate_rejects_removed_sharded_executor(self, tmp_path, capsys):
+        from repro.config import ProtectionConfig
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match="unknown executor 'sharded'"):
+            ProtectionConfig(executor="sharded").validate()
+        path = tmp_path / "sharded.json"
+        path.write_text('{"executor": {"name": "sharded", "shards": 4}}')
+        assert main(["config", "validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "unknown executor 'sharded'" in err
+        assert "['process', 'remote', 'serial']" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"stream": {"refit": "false"}}',
+            '{"delta_s": NaN}',
+            '{"seed": 2.7}',
+            '{"seed": true}',
+            '{"seed": "5"}',
+            '{"max_composition_length": true}',
+            '{"max_composition_length": 2.5}',
+            '{"stream": {"window_s": Infinity}}',
+            '{"stream": {"gap_s": NaN}}',
+            '{"stream": {"max_pending_records": 2.5}}',
+            '{"stream": {"max_unacked_windows": true}}',
+        ],
+    )
+    def test_config_validate_checks_values_without_coercing(
+        self, tmp_path, capsys, text
+    ):
+        """Each of these used to pass (coerced to another value) or crash
+        with a traceback; now each is a ConfigurationError, exit 1."""
+        from repro.config import ProtectionConfig
+        from repro.core.engine import ProtectionEngine
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError):
+            ProtectionEngine.from_config(ProtectionConfig.from_json(text))
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["config", "validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid config {path}: ")
+        assert "Traceback" not in err
 
     def test_config_validate_missing_file(self, capsys):
         code = main(["config", "validate", "/no/such/file.json"])

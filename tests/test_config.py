@@ -109,14 +109,19 @@ class TestValidation:
             ProtectionConfig(executor=42).validate()
 
     def test_executor_spec_dict_round_trips(self):
-        cfg = ProtectionConfig(executor={"name": "sharded", "shards": 8}).validate()
-        assert cfg.executor == {"name": "sharded", "shards": 8}
+        spec = {"name": "remote", "endpoints": ["10.0.0.1:7464"], "shards": 8}
+        cfg = ProtectionConfig(executor=spec).validate()
+        assert cfg.executor == spec
         assert ProtectionConfig.from_json(cfg.to_json()) == cfg
-        assert "sharded" in cfg.describe()
+        assert "remote" in cfg.describe()
 
     def test_new_executor_names_validate(self):
-        for name in ("process", "sharded"):
+        for name in ("process", "remote"):
             assert ProtectionConfig(executor=name).validate().executor == name
+
+    def test_infinite_delta_s_is_kept(self):
+        # +inf is a valid floor (never split); only NaN and <= 0 are not.
+        assert ProtectionConfig.from_json('{"delta_s": Infinity}').delta_s == math.inf
 
     def test_invalid_json_text(self):
         with pytest.raises(ConfigurationError):

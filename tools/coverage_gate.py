@@ -2,10 +2,10 @@
 """Line-coverage gate for the hardened subsystems.
 
 Runs the tier-1 pytest suite in-process under a line tracer scoped to
-the gated packages (``SCOPES`` below — the attacks, LPPMs and mobility
-profiles, the cluster, lint, service and streaming layers, and the
-synthetic corpus engine) and fails when any scope's measured
-coverage drops below the committed baseline
+the gated packages (``SCOPES`` below — the protection engine core, the
+attacks, LPPMs and mobility profiles, the cluster, lint, service and
+streaming layers, and the synthetic corpus engine) and fails when any
+scope's measured coverage drops below the committed baseline
 (``.github/coverage_baseline.json``).  The tracer is stdlib-only
 (``sys.settrace`` + ``threading.settrace``) so the gate needs no
 dependency beyond pytest itself and produces the same numbers on a
@@ -41,7 +41,8 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCOPES = {
     name: os.path.join(REPO_ROOT, "src", "repro", name) + os.sep
     for name in (
-        "attacks", "cluster", "lintkit", "lppm", "poi", "service", "stream", "synth",
+        "attacks", "cluster", "core", "lintkit", "lppm", "poi", "service", "stream",
+        "synth",
     )
 }
 BASELINE_PATH = os.path.join(REPO_ROOT, ".github", "coverage_baseline.json")

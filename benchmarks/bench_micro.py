@@ -17,6 +17,7 @@ from repro.attacks.reference import (
     ap_rank_reference,
     poi_rank_reference,
     poi_set_distance_reference,
+    topsoe_divergences_reference,
 )
 from repro.bench import CITY_LAT, synthetic_background, synthetic_trace, time_fn
 from repro.core.composition import composition_count, enumerate_compositions
@@ -24,6 +25,7 @@ from repro.core.engine import ProtectionEngine
 from repro.core.split import split_fixed_time, split_on_gaps
 from repro.lppm import GeoInd, Trilateration
 from repro.poi.clustering import extract_pois
+from repro.poi.heatmap import build_heatmap
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +87,19 @@ class TestKernelScaling:
         ap, _, _, probe = get_scaled_attacks(n_users)
         ranked = benchmark(lambda: ap.rank(probe))
         assert len(ranked) == n_users
+
+    @pytest.mark.parametrize("kernel", ["sparse", "reference"])
+    @pytest.mark.parametrize("n_users", [100, 1000])
+    def test_topsoe_divergences_at_n_users(self, benchmark, n_users, kernel):
+        """The AP/HMC Topsoe kernel on a Geo-I probe; both kernels return
+        the same bytes."""
+        ap, _, _, probe = get_scaled_attacks(n_users)
+        query = build_heatmap(GeoInd(0.01).apply(probe, rng=0), ap.grid)
+        if kernel == "sparse":
+            div = benchmark(lambda: ap.index.divergences(query))
+        else:
+            div = benchmark(lambda: topsoe_divergences_reference(ap.index, query))
+        assert div.tobytes() == topsoe_divergences_reference(ap.index, query).tobytes()
 
     @pytest.mark.parametrize("n_users", [100, 1000])
     def test_poi_rank_at_n_users(self, benchmark, n_users):

@@ -16,7 +16,9 @@ here, byte-for-byte, as the ground truth for:
   number.
 
 :func:`fit_per_trace` fits an engine from per-trace features, the
-reference for the bulk background fit.
+reference for the bulk background fit, and
+:func:`topsoe_divergences_reference` is the dense block kernel the
+index's sparse one must match byte for byte.
 
 They take a *fitted* attack (or HMC) and reuse its profiles, so
 reference and fast path see identical training state.
@@ -40,12 +42,13 @@ from repro.core.dataset import MobilityDataset
 from repro.core.engine import ProtectionEngine
 from repro.core.trace import Trace
 from repro.geo.grid import Cell
+from repro.lppm.base import LPPM
 from repro.lppm.hmc import HeatmapConfusion
 from repro.lppm.hybrid import is_protected
 from repro.metrics.distortion import spatial_temporal_distortion
 from repro.metrics.divergence import topsoe
 from repro.poi.clustering import POI
-from repro.poi.heatmap import Heatmap, build_heatmap
+from repro.poi.heatmap import Heatmap, TopsoeIndex, build_heatmap
 
 __all__ = [
     "ap_rank_reference",
@@ -56,6 +59,7 @@ __all__ = [
     "poi_set_distance_reference",
     "poi_rank_reference",
     "rankings_equivalent",
+    "topsoe_divergences_reference",
 ]
 
 
@@ -127,6 +131,35 @@ def ap_rank_reference(attack: ApAttack, trace: Trace) -> List[Tuple[str, float]]
     divergences = _topsoe_rows(p, q)
     order = np.argsort(divergences, kind="stable")
     return [(users[i], float(divergences[i])) for i in order]
+
+
+def topsoe_divergences_reference(index: TopsoeIndex, query: Heatmap) -> np.ndarray:
+    """The block kernel :meth:`TopsoeIndex.divergences` replaced: scatter
+    the profile masses and their ``p ln p`` of the query's columns into
+    dense Fortran-ordered ``(users × |supp(q)∩V|)`` blocks and take the
+    logarithm of every entry, zeros included.  The index must return
+    these bytes."""
+    n = len(index.users)
+    if n == 0:
+        return np.zeros(0)
+    qkeys, qmass = query.packed()
+    col = np.minimum(np.searchsorted(index._keys, qkeys), len(index._keys) - 1)
+    hit = index._keys[col] == qkeys
+    q_out = 0.0
+    for mass in qmass[~hit].tolist():  # one add at a time, in cell order
+        q_out += mass
+    div = np.full(n, float(np.log(2.0)) * (1.0 + q_out))
+    if hit.any():
+        cols, q = col[hit], qmass[hit]
+        lo, counts = index._colptr[cols], index._colptr[cols + 1] - index._colptr[cols]
+        entries = np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+        slots = np.repeat(np.arange(len(cols)) * n, counts) + index._rows[entries]
+        p, plogp = np.zeros((2, n * len(cols)))
+        p[slots], plogp[slots] = index._mass[entries], index._plogp[entries]
+        m = p.reshape((n, len(cols)), order="F") + q[None, :]
+        div += (plogp.reshape((n, len(cols)), order="F") - m * np.log(m)).sum(axis=1)
+        div += float((q * np.log(2.0 * q)).sum())
+    return div
 
 
 def _union_topsoe(a: Heatmap, b: Heatmap) -> float:
@@ -207,12 +240,17 @@ def pit_rank_reference(attack: PitAttack, trace: Trace) -> List[Tuple[str, float
 
 
 def best_protecting_reference(
-    engine: ProtectionEngine, trace: Trace, mechanisms: Sequence[ComposedLPPM]
+    engine: ProtectionEngine,
+    trace: Trace,
+    mechanisms: Sequence[ComposedLPPM],
+    prefixes: Optional[Dict[Tuple[LPPM, ...], Trace]] = None,
 ) -> Optional[Tuple[Trace, str, float]]:
     """The original :meth:`ProtectionEngine._best_protecting`: attack
     every candidate, then keep the lowest-STD protecting one (first on a
     tie).  Counts one :attr:`~ProtectionEngine.evaluations` per attacked
-    candidate and feeds the engine's search strategy as the original did."""
+    candidate and feeds the engine's search strategy as the original did.
+    Candidates come from :meth:`ProtectionEngine._candidate` with the
+    search's *prefixes*, so this is a drop-in for ``_best_protecting``."""
     ordered = list(mechanisms)
     strategy = engine.search_strategy
     if strategy is not None:
@@ -220,7 +258,7 @@ def best_protecting_reference(
         ordered = [by_name[n] for n in strategy.order(list(by_name))]
     best: Optional[Tuple[Trace, str, float]] = None
     for mech in ordered:
-        candidate = engine._candidate(trace, mech)
+        candidate = engine._candidate(trace, mech, prefixes)
         if len(candidate) == 0:
             continue
         engine.evaluations += 1

@@ -11,8 +11,10 @@ in the same process.
 Entry points:
 
 * :func:`run_smoke` — a sub-minute sanity pass (100-user kernels, a
-  tiny engine run, and a 1000-user background fit through the bulk and
-  the per-trace kernels, fitted states asserted bit-identical), wired
+  tiny engine run, a 1000-user background fit through the bulk and
+  the per-trace kernels, fitted states asserted bit-identical, and the
+  1000-profile Topsoe kernel asserted byte-identical to the dense block
+  kernel it replaced), wired
   into ``python -m repro bench smoke`` together with the tier-1 test
   suite; this is the CI job.
 * :func:`run_micro` — the full micro suite at N ∈ {100, 1000} users,
@@ -101,6 +103,7 @@ from repro.attacks.reference import (
     poi_rank_reference,
     poi_set_distance_reference,
     rankings_equivalent,
+    topsoe_divergences_reference,
 )
 from repro.core.dataset import MobilityDataset
 from repro.core.trace import Trace
@@ -303,7 +306,7 @@ def fitted_state(engine: Any) -> Dict[str, Any]:
 
     def places(pois: Sequence[Any]) -> Tuple[Any, ...]:
         return tuple(
-            tuple((type(v).__name__, v.hex() if isinstance(v, float) else v) for v in vars(p).values())
+            tuple((type(v).__name__, v.hex() if isinstance(v, float) else v) for v in p._asdict().values())
             for p in pois
         )
 
@@ -353,6 +356,42 @@ def bench_fit_smoke(n_users: int = 1000, seed: int = 7) -> Dict[str, Any]:
     return {"users": n_users, "bulk_fit_s": bulk_s, "per_trace_fit_s": per_trace_s}
 
 
+def bench_topsoe_smoke(n_users: int = 1000, seed: int = 7, repeat: int = 5) -> Dict[str, Any]:
+    """:meth:`TopsoeIndex.divergences` against the dense block kernel it
+    replaced (:func:`topsoe_divergences_reference`) on the profiles of
+    :func:`synthetic_background`, queried with Geo-I, TRL and HMC
+    outputs and with a Geo-I output ~550 km away, outside the cell
+    vocabulary.  Any byte difference fails the bench; both kernels are
+    timed on every probe."""
+    from repro.lppm import GeoInd, HeatmapConfusion, Trilateration
+    from repro.poi.heatmap import build_heatmap
+
+    hmc = HeatmapConfusion(cell_size_m=800.0, ref_lat=CITY_LAT)
+    hmc.fit(synthetic_background(n_users, seed=seed))
+    probe = synthetic_trace("probe", seed=seed - 1)
+    far = probe.with_positions(probe.lats + 5.0, probe.lngs)
+    probes = {
+        "geoi": GeoInd(epsilon=0.01).apply(probe, seed),
+        "trl": Trilateration(radius_m=1000.0).apply(probe, seed),
+        "hmc": hmc.apply(probe),
+        "outside": GeoInd(epsilon=0.01).apply(far, seed),
+    }
+    index = hmc.index
+    out: Dict[str, Any] = {"users": n_users, "cells": len(index.cells())}
+    for name, trace in probes.items():
+        query = build_heatmap(trace, hmc.grid)
+        fast = index.divergences(query)
+        if fast.tobytes() != topsoe_divergences_reference(index, query).tobytes():
+            raise AssertionError(
+                f"TopsoeIndex.divergences differs from the dense block kernel on the {name} probe"
+            )
+        out[name] = _speedup_entry(
+            time_fn(lambda: index.divergences(query), repeat=repeat),
+            time_fn(lambda: topsoe_divergences_reference(index, query), repeat=repeat),
+        )
+    return out
+
+
 def _snapshot_header() -> Dict[str, Any]:
     return {
         "schema": "mood-bench",
@@ -371,6 +410,7 @@ def run_smoke(seed: int = 7) -> Dict[str, Any]:
     snapshot["feature_kernels"] = bench_feature_kernels(seed=seed, repeat=3)
     snapshot["engine"] = bench_engine_smoke()
     snapshot["fit"] = bench_fit_smoke()
+    snapshot["topsoe"] = bench_topsoe_smoke()
     return snapshot
 
 
@@ -384,6 +424,7 @@ def run_micro(sizes: Sequence[int] = (100, 1000), seed: int = 7) -> Dict[str, An
     snapshot["feature_kernels"] = bench_feature_kernels(seed=seed)
     snapshot["engine"] = bench_engine_smoke()
     snapshot["fit"] = bench_fit_smoke()
+    snapshot["topsoe"] = bench_topsoe_smoke()
     return snapshot
 
 
@@ -1182,8 +1223,6 @@ def run_scale(
             "wall_s": report.wall_time_s,
             "evaluations": float(report.evaluations),
             "feature_cache": stats,
-            # Pool workers count their lookups in their own copies of
-            # the cache, so only in-process executors report a rate.
             "cache_hit_rate": stats["hits"] / lookups if lookups else 0.0,
         }
 

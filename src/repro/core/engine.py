@@ -240,11 +240,20 @@ def _pool_init(engine: "ProtectionEngine", method: str, kwargs: Dict[str, Any]) 
     _WORKER["kwargs"] = kwargs
 
 
-def _pool_run(item: Any) -> Tuple[Any, int]:
+def _work_counters(engine: "ProtectionEngine") -> Tuple[int, int, int, int]:
+    """The engine's attack-suite runs and feature-cache hits, misses and evictions."""
+    cache = engine.feature_cache
+    return (engine.evaluations, cache.hits, cache.misses, cache.evictions)
+
+
+def _pool_run(item: Any) -> Tuple[Any, Tuple[int, ...]]:
+    """One work unit in a pool worker, with the deltas of its
+    :func:`_work_counters`: the worker counts in its own copy of the
+    engine, so the parent adds them to its own."""
     engine = _WORKER["engine"]
-    before = engine.evaluations
+    before = _work_counters(engine)
     out = getattr(engine, _WORKER["method"])(item, **_WORKER["kwargs"])
-    return out, engine.evaluations - before
+    return out, tuple(b - a for a, b in zip(before, _work_counters(engine)))
 
 
 @register_executor("serial")
@@ -273,7 +282,8 @@ class ProcessExecutor:
     Per-user protection shares no state (all randomness derives from
     :func:`repro.rng.stable_user_seed`), so results are identical to the
     serial executor; the engine's :attr:`~ProtectionEngine.evaluations`
-    counter is reconciled from per-task deltas.  The fitted engine
+    counter and its feature cache's hits, misses and evictions are
+    reconciled from per-task deltas.  The fitted engine
     reaches each worker through the pool initializer: under the ``fork``
     start method the workers inherit it without pickling, under
     ``spawn``/``forkserver`` it is pickled once per worker.
@@ -300,7 +310,12 @@ class ProcessExecutor:
             jobs, initializer=_pool_init, initargs=(engine, method, kwargs)
         ) as pool:
             out = pool.map(_pool_run, items)
-        engine.evaluations += sum(delta for _, delta in out)
+        cache = engine.feature_cache
+        for _, (evaluations, hits, misses, evictions) in out:
+            engine.evaluations += evaluations
+            cache.hits += hits
+            cache.misses += misses
+            cache.evictions += evictions
         return [result for result, _ in out]
 
 
@@ -1065,10 +1080,15 @@ class ProtectionEngine:
         Returns the lowest-distortion protecting piece (pseudonym not yet
         renewed — see :meth:`finalize`), or ``None`` when no single
         mechanism or chain defeats every attack.
+
+        Both stages share one :meth:`_candidate` prefix dict, which lives
+        for this search only: the HMC single's output on *trace* is the
+        first stage of every ``HMC+*`` chain.
         """
-        winner = self._best_protecting(trace, self.singles)
+        prefixes: Dict[Tuple[LPPM, ...], Trace] = {}
+        winner = self._best_protecting(trace, self.singles, prefixes)
         if winner is None:
-            winner = self._best_protecting(trace, self.chains)
+            winner = self._best_protecting(trace, self.chains, prefixes)
         if winner is None:
             return None
         published, mechanism, distortion = winner
@@ -1278,7 +1298,10 @@ class ProtectionEngine:
         return self._split_fn(trace)
 
     def _best_protecting(
-        self, trace: Trace, mechanisms: Sequence[ComposedLPPM]
+        self,
+        trace: Trace,
+        mechanisms: Sequence[ComposedLPPM],
+        prefixes: Optional[Dict[Tuple[LPPM, ...], Trace]] = None,
     ) -> Optional[Tuple[Trace, str, float]]:
         """Lowest-STD output among the mechanisms that defeat all attacks.
 
@@ -1294,6 +1317,7 @@ class ProtectionEngine:
         hears every attacked candidate; a strategy with
         ``stop_at_first_success`` returns the first protecting output
         (trading utility for fewer attack evaluations, §6).
+        *prefixes* is the search's :meth:`_candidate` prefix dict.
         """
         ordered = list(mechanisms)
         strategy = self.search_strategy
@@ -1302,7 +1326,7 @@ class ProtectionEngine:
             ordered = [by_name[n] for n in strategy.order(list(by_name))]
         best: Optional[Tuple[Trace, str, float]] = None
         for mech in ordered:
-            candidate = self._candidate(trace, mech)
+            candidate = self._candidate(trace, mech, prefixes)
             if len(candidate) == 0:
                 continue
             distortion = None
@@ -1323,16 +1347,38 @@ class ProtectionEngine:
                 break
         return best
 
-    def _candidate(self, trace: Trace, mech: ComposedLPPM) -> Trace:
+    def _candidate(
+        self,
+        trace: Trace,
+        mech: ComposedLPPM,
+        prefixes: Optional[Dict[Tuple[LPPM, ...], Trace]] = None,
+    ) -> Trace:
         """*mech*'s output on *trace*, drawn from the (user, mechanism,
-        sub-trace) child seed."""
+        sub-trace) child seed.
+
+        *prefixes* maps each leading run of
+        :attr:`~repro.lppm.base.LPPM.deterministic` stages to its output
+        on *trace*.  Those stages never touch the generator, so *mech*
+        takes the run's output from the dict (or computes and stores it)
+        and applies its remaining stages with its own generator: the
+        bytes of ``mech.apply(trace, rng)``.
+        """
         rng = make_rng(
             stable_user_seed(
                 self.seed,
                 f"{trace.user_id}|{mech.name}|{trace.start_time():.0f}|{len(trace)}",
             )
         )
-        return mech.apply(trace, rng)
+        stages, out, lead = mech.stages, trace, 0
+        while prefixes is not None and lead < len(stages) and stages[lead].deterministic:
+            lead += 1
+            key = tuple(stages[:lead])
+            if key not in prefixes:
+                prefixes[key] = stages[lead - 1].apply(out, rng)
+            out = prefixes[key]
+        for stage in stages[lead:]:
+            out = stage.apply(out, rng)
+        return out
 
     def __repr__(self) -> str:
         return (

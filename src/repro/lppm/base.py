@@ -23,6 +23,11 @@ class LPPM(abc.ABC):
 
     #: Short, unique mechanism name used in reports and composition labels.
     name: str = "lppm"
+    #: True when :meth:`apply` never reads its ``rng``: the output is a
+    #: function of the trace alone and a passed generator is left as it
+    #: was.  The composition search then reuses one output of a chain's
+    #: leading deterministic stages for every chain that starts with them.
+    deterministic: bool = False
 
     @abc.abstractmethod
     def apply(self, trace: Trace, rng: Optional[SeedLike] = None) -> Trace:

@@ -38,6 +38,11 @@ class SpatialCloaking(LPPM):
         self.grid = MetricGrid(cell_size_m, ref_lat=ref_lat)  # validates cell_size_m
         self.jitter = bool(jitter)
 
+    @property
+    def deterministic(self) -> bool:
+        """Only the jitter draws from the generator."""
+        return not self.jitter
+
     def apply(self, trace: Trace, rng: Optional[SeedLike] = None) -> Trace:
         if len(trace) == 0:
             return trace

@@ -58,6 +58,7 @@ class HeatmapConfusion(LPPM):
     """Alter a trace's heatmap to impersonate the closest other user."""
 
     name = "HMC"
+    deterministic = True
 
     def __init__(
         self,

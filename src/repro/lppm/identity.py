@@ -19,6 +19,7 @@ class Identity(LPPM):
     """
 
     name = "no-LPPM"
+    deterministic = True
 
     def apply(self, trace: Trace, rng: Optional[SeedLike] = None) -> Trace:
         return trace

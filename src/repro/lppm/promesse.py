@@ -31,6 +31,7 @@ class Promesse(LPPM):
     """Spatial resampling at a fixed ε with uniform timestamp smoothing."""
 
     name = "Promesse"
+    deterministic = True
 
     def __init__(self, epsilon_m: float = 200.0) -> None:
         if epsilon_m <= 0:

@@ -33,8 +33,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
-from typing import Any, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,9 +64,13 @@ _LOCKSTEP_MIN = 64
 _BAND = 1e-9
 
 
-@dataclass(frozen=True)
-class POI:
-    """A meaningful place: centroid, support size, and dwell statistics."""
+class POI(NamedTuple):
+    """A meaningful place: centroid, support size, and dwell statistics.
+
+    A named tuple: immutable, and built in a third of a frozen
+    dataclass's time (whose ``__init__`` sets each field through
+    ``object.__setattr__``); extraction builds one per stay.
+    """
 
     lat: float
     lng: float

@@ -218,12 +218,17 @@ class TopsoeIndex:
     because both distributions sum to one (the profile mass outside
     ``supp(q)`` contributes ``p_j ln 2`` each).  So the index stores only
     the non-zero profile masses and their fit-time ``p ln p``, column by
-    column (one column per cell of ``V``, in cell order), and a query
-    scatters its ``(users × |supp(q)∩V|)`` slice into Fortran-ordered
-    blocks: the layout a column gather from a dense matrix returns, whose
-    row sums add the columns one after another, so every divergence is
-    bit-identical to the dense ``(users × cells)`` gather.  Rows are the
-    users in sorted order: a first minimum is the smallest user id.
+    column (one column per cell of ``V``, in cell order).  A query fills
+    a Fortran-ordered ``(users × |supp(q)∩V|)`` block with each column's
+    zero-mass term ``0 − q_j ln q_j`` and overwrites only the entries of
+    profiles that visit the cell, so the logarithm runs over the profile
+    non-zeros, not the whole block.  Every term is the one the dense
+    ``(users × cells)`` gather computes (``0 + q_j`` is ``q_j``), and the
+    block's row sums add the columns one after another as the gather's
+    do, so every divergence is bit-identical to it
+    (:func:`repro.attacks.reference.topsoe_divergences_reference`).  Rows
+    are the users in sorted order: a first minimum is the smallest user
+    id.
     """
 
     __slots__ = ("users", "_keys", "_colptr", "_rows", "_mass", "_plogp")
@@ -267,11 +272,13 @@ class TopsoeIndex:
             lo, counts = self._colptr[cols], self._colptr[cols + 1] - self._colptr[cols]
             entries = np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)
             slots = np.repeat(np.arange(len(cols)) * n, counts) + self._rows[entries]
-            p, plogp = np.zeros((2, n * len(cols)))
-            p[slots], plogp[slots] = self._mass[entries], self._plogp[entries]
-            m = p.reshape((n, len(cols)), order="F") + q[None, :]
-            # q > 0 on every selected column, so m > 0: no masking needed.
-            div += (plogp.reshape((n, len(cols)), order="F") - m * np.log(m)).sum(axis=1)
+            # block.T is the Fortran-ordered (users × cols) block.
+            block = np.empty((len(cols), n))
+            block[:] = (0.0 - q * np.log(q))[:, None]
+            # q > 0 on every selected column, so p + q > 0: no masking needed.
+            m = self._mass[entries] + np.repeat(q, counts)
+            block.reshape(-1)[slots] = self._plogp[entries] - m * np.log(m)
+            div += block.T.sum(axis=1)
             div += float((q * np.log(2.0 * q)).sum())
         return div
 

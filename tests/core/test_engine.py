@@ -155,6 +155,22 @@ class TestExecutorDeterminism:
         # The evaluation counter is reconciled from the worker deltas.
         assert parallel.evaluations == reference_evaluations
 
+    def test_process_executor_reports_the_serial_feature_cache_counts(self, micro_ctx):
+        """Pool workers count in their own copies of the feature cache;
+        the parent adds each task's deltas to the engine's cache."""
+        counts = []
+        for executor in ("serial", {"name": "process", "jobs": 2}):
+            engine = micro_ctx.engine(executor=executor)
+            cache = engine.feature_cache
+            cache.clear()  # both runs start cold
+            before = (engine.evaluations, cache.hits, cache.misses, cache.evictions)
+            engine.protect_dataset(micro_ctx.test)
+            after = (engine.evaluations, cache.hits, cache.misses, cache.evictions)
+            counts.append(tuple(b - a for a, b in zip(before, after)))
+        serial, process = counts
+        assert serial[2] > 0 and serial[1] > 0
+        assert process == serial
+
     def test_sharded_assignment_is_stable(self):
         from repro.core.engine import _shard_of
 

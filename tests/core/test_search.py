@@ -292,3 +292,41 @@ class TestBoundedSearch:
         outcomes = bounded.search_strategy.outcomes
         assert outcomes and outcomes == reference.search_strategy.outcomes
         assert bounded.evaluations == reference.evaluations == len(outcomes)
+
+
+class TestPrefixReuse:
+    """A search computes each leading run of deterministic stages once."""
+
+    def test_reused_prefixes_publish_the_fresh_bytes(self, micro_ctx):
+        engine = micro_ctx.engine()
+        hmc = micro_ctx.lppm_by_name["HMC"]
+        for t in micro_ctx.test.traces()[:3]:
+            prefixes = {}
+            for mech in engine.singles + engine.chains:
+                fresh = engine._candidate(t, mech)
+                assert engine._candidate(t, mech, prefixes).fingerprint == fresh.fingerprint
+            assert list(prefixes) == [(hmc,)]
+
+    def test_a_chain_search_applies_hmc_once_per_input(self, micro_ctx, monkeypatch):
+        engine = micro_ctx.engine()
+        hmc = micro_ctx.lppm_by_name["HMC"]
+        calls = []
+        apply = hmc.apply
+
+        def counted(trace, rng=None):
+            calls.append(trace)
+            return apply(trace, rng)
+
+        monkeypatch.setattr(hmc, "apply", counted)
+        searched_chains = 0
+        for t in micro_ctx.test.traces():
+            calls.clear()
+            piece = engine.search_whole_trace(t)
+            if piece is None or "+" in piece.mechanism:
+                # The single plus the 6 chains with HMC after another
+                # stage; the 4 HMC+* chains reuse the single's output.
+                searched_chains += 1
+                assert len(calls) == 7
+            else:
+                assert len(calls) == 1
+        assert searched_chains > 0

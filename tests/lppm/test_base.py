@@ -57,3 +57,42 @@ class TestDefaultSuite:
         suite = default_lppm_suite(micro_ctx.train)
         hmc = next(l for l in suite if l.name == "HMC")
         assert hmc.is_fitted
+
+
+class TestDeterministicContract:
+    """An LPPM that declares ``deterministic`` never reads its generator:
+    the composition search reuses its output across chains on that promise."""
+
+    @staticmethod
+    def _registered(micro_ctx):
+        from repro.registry import available, build
+
+        for name in available("lppm"):
+            lppm = build("lppm", name)
+            if hasattr(lppm, "fit"):
+                lppm.fit(micro_ctx.train)
+            yield name, lppm
+
+    def test_declared_lppms_leave_the_generator_alone(self, micro_ctx):
+        trace = micro_ctx.test.traces()[0]
+        declared = set()
+        for name, lppm in self._registered(micro_ctx):
+            if not lppm.deterministic:
+                continue
+            declared.add(name)
+            gen = np.random.default_rng(1)
+            state = gen.bit_generator.state
+            out = lppm.apply(trace, gen)
+            assert gen.bit_generator.state == state, name
+            again = lppm.apply(trace, np.random.default_rng(2))
+            assert out.fingerprint == again.fingerprint, name
+        assert {"hmc", "promesse", "identity", "cloaking"} <= declared
+
+    def test_randomised_lppms_do_not_declare_it(self, micro_ctx):
+        from repro.registry import build
+
+        lppms = dict(self._registered(micro_ctx))
+        assert not lppms["geoi"].deterministic
+        assert not lppms["trl"].deterministic
+        assert not build("lppm", {"name": "cloaking", "jitter": True}).deterministic
+        assert not LPPM.deterministic

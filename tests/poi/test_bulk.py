@@ -40,7 +40,7 @@ def small_lockstep(min_traces=2, traces=5, records=12):
 def pois_state(pois):
     """POIs as comparable bits: each field's type and float hex."""
     return [
-        tuple((type(v).__name__, v.hex() if isinstance(v, float) else v) for v in vars(p).values())
+        tuple((type(v).__name__, v.hex() if isinstance(v, float) else v) for v in p._asdict().values())
         for p in pois
     ]
 

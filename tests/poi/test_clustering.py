@@ -192,3 +192,10 @@ class TestPoiDistance:
         a = POI(45.0, 4.0, 1, 3600.0, 0.0, 3600.0)
         b = POI(45.01, 4.0, 1, 3600.0, 0.0, 3600.0)
         assert a.distance_m(b) == pytest.approx(1112.0, rel=0.01)
+
+    def test_fields_in_order_and_immutable(self):
+        poi = POI(45.0, 4.0, 1, 3600.0, 0.0, 3600.0)
+        assert POI._fields == ("lat", "lng", "weight", "dwell_s", "t_enter", "t_exit")
+        assert poi == POI(lat=45.0, lng=4.0, weight=1, dwell_s=3600.0, t_enter=0.0, t_exit=3600.0)
+        with pytest.raises(AttributeError):
+            poi.lat = 46.0

@@ -27,6 +27,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.attacks.ap_attack import ApAttack
 from repro.attacks.pit_attack import PIT_DISTANCES, PitAttack
@@ -42,6 +44,7 @@ from repro.attacks.reference import (
 from repro.bench import CITY_LAT, synthetic_background, synthetic_trace
 from repro.core.dataset import MobilityDataset
 from repro.core.trace import Trace
+from repro.geo.grid import Cell
 from repro.lppm.geoi import GeoInd
 from repro.lppm.hmc import HeatmapConfusion
 from repro.lppm.trl import Trilateration
@@ -346,6 +349,29 @@ def far_trace(user_id):
     return trace.with_positions(trace.lats + 5.0, trace.lngs)
 
 
+#: ``(ix, iy, records)`` per visited cell, relative to the cell of the
+#: city centre; queries also reach cells no profile visits.
+CELL_COUNTS = st.lists(
+    st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(1, 4)), min_size=1, max_size=20
+)
+QUERY_COUNTS = st.lists(
+    st.tuples(st.integers(-1, 6), st.integers(-1, 6), st.integers(1, 4)), min_size=1, max_size=30
+)
+
+
+def cells_trace(grid, user_id, cells):
+    """A trace with *records* points at the centre of each ``(ix, iy)``
+    cell, so its heatmap masses are the normalised record counts."""
+    base = grid.cell_of(CITY_LAT, 4.84)
+    points = [
+        grid.center_of(Cell(base.ix + ix, base.iy + iy))
+        for ix, iy, records in cells
+        for _ in range(records)
+    ]
+    lats, lngs = np.array(points).T
+    return Trace(user_id, np.arange(len(points)) * 60.0, lats, lngs)
+
+
 @pytest.fixture(scope="module")
 def hmc_suite():
     background = synthetic_background(40, seed=11)
@@ -363,6 +389,37 @@ class TestTopsoeIndexEquivalence:
             for query in queries:
                 fast = ap._divergences(query)
                 assert fast.tobytes() == dense_gather_divergences(ap, query).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(profiles=st.lists(CELL_COUNTS, min_size=1, max_size=6), query=QUERY_COUNTS)
+    @example(profiles=[[(0, 0, 1), (1, 0, 2), (3, 4, 1)]], query=[(1, 0, 1), (5, 5, 1)])
+    @example(profiles=[[(0, 0, 2)], [(0, 0, 1), (2, 2, 1)], [(4, 1, 3)]], query=[(0, 0, 3)])
+    @example(profiles=[[(0, 0, 1), (1, 1, 1)], [(2, 2, 1)]], query=[(40, 40, 2), (41, 40, 1)])
+    @example(
+        profiles=[[(0, 0, 1), (1, 0, 1), (2, 0, 1)], [(1, 0, 2), (2, 0, 2)], [(0, 0, 1)]],
+        query=[(0, 0, 1), (1, 0, 1), (2, 0, 1), (9, 9, 1)],
+    )
+    @example(
+        profiles=[
+            [(3, 1, 2), (1, 2, 3), (3, 2, 2), (3, 2, 2)],
+            [(1, 0, 3), (2, 0, 3), (0, 1, 3), (2, 1, 3), (1, 1, 2)],
+        ],
+        query=[(ix, iy, 1 + (ix + iy) % 3) for iy in range(3) for ix in range(4)],
+    )
+    def test_divergences_bit_identical_to_dense_gather(self, profiles, query):
+        """Random profiles and queries, a single profile row, a single
+        query column, a query wholly outside the vocabulary, repeated
+        masses, and eight columns, where a pairwise row sum would move
+        the last ulp (the explicit examples, in that order)."""
+        ap = ApAttack(cell_size_m=800.0, ref_lat=CITY_LAT)
+        ap.fit(
+            MobilityDataset(
+                "bg", [cells_trace(ap.grid, f"u{i}", cells) for i, cells in enumerate(profiles)]
+            )
+        )
+        trace = cells_trace(ap.grid, "q", query)
+        fast = ap.index.divergences(build_heatmap(trace, ap.grid))
+        assert fast.tobytes() == dense_gather_divergences(ap, trace).tobytes()
 
     def test_hmc_target_matches_reference_loop(self, hmc_suite):
         hmc, background = hmc_suite

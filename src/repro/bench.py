@@ -1218,6 +1218,10 @@ def run_scale(
                 f"executor {label!r} published a different dataset than serial"
             )
         stats = cache.stats()
+        if exec_spec == "process":
+            # The pool's workers held this leg's entries, and they died
+            # with the pool; only the counters came back.
+            del stats["entries"]
         lookups = stats["hits"] + stats["misses"]
         executors[label] = {
             "wall_s": report.wall_time_s,

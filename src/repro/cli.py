@@ -51,8 +51,8 @@ Commands
 ``mood config validate <file>`` / ``mood config example``
     Lint a protection config file / print a template to adapt.
 ``mood lint [PATH ...] [--format text|ci|json] [--check-baseline]``
-    Static analysis over ``src/``: determinism (DET0xx), concurrency
-    (CONC0xx), and protocol-drift (PROTO0xx) rules (see docs/LINT.md).
+    Static analysis over ``src/``: determinism (DET0xx) and concurrency
+    (CONC0xx) rules (see docs/LINT.md).
     Exits non-zero on any finding not recorded in the committed
     baseline (``.github/lint_baseline.json``); ``--write-baseline``
     re-pins it, ``--list-rules`` prints the catalogue.
@@ -505,14 +505,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="AST lint: determinism, concurrency, and protocol-drift rules",
+        help="AST lint: determinism and concurrency rules",
     )
     lint.add_argument(
         "paths",
         nargs="*",
         metavar="PATH",
-        help="files or directories to sweep (default: src/ plus the "
-        "project-scope protocol rules)",
+        help="files or directories to sweep (default: src/)",
     )
     lint.add_argument(
         "--format",
@@ -1191,10 +1190,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
     if args.list_rules:
         for entry in rule_catalogue():
-            print(
-                f"{entry['id']}  {entry['severity']:<7}  {entry['scope']:<7}  "
-                f"{entry['title']}"
-            )
+            print(f"{entry['id']}  {entry['severity']:<7}  {entry['title']}")
         return 0
     config = LintConfig(repo_root=".")
     if not os.path.isdir(config.abspath(config.src_root)):

@@ -56,6 +56,7 @@ from repro.service.api import (
     ErrorEnvelope,
     Message,
     MessageEncodeError,
+    check_wire_versions,
 )
 from repro.service.rpc import (
     SUPPORTED_WIRE_VERSIONS,
@@ -219,9 +220,8 @@ class ElasticClusterClient:
         self.backoff_factor = float(backoff_factor)
         self.backoff_max = float(backoff_max)
         self.auth_key = None if auth_key is None else bytes(auth_key)
-        # Validated per connection by AsyncServiceClient; a v1-only
-        # member simply downgrades its own connection.
-        self.wire_versions = tuple(sorted({int(v) for v in wire_versions}))
+        # A v1-only member simply downgrades its own connection.
+        self.wire_versions = check_wire_versions(wire_versions)
         self.join_grace_s = float(join_grace_s)
         self._membership = membership
         self._members: Dict[str, _Member] = {}

@@ -465,6 +465,8 @@ class RemoteExecutor:
         join_grace_s: float = 30.0,
         wire: Optional[Sequence[int]] = None,
     ) -> None:
+        from repro.service.api import check_wire_versions
+
         if not endpoints and coordinator is None:
             raise ConfigurationError(
                 "the remote executor needs at least one endpoint "
@@ -489,9 +491,9 @@ class RemoteExecutor:
             )
         self.auth_key = auth_key
         self.auth_key_file = auth_key_file
-        # Wire versions offered per connection (validated by the
-        # clients); ``"wire": [1]`` pins a batch to v1 JSON framing.
-        self.wire = None if wire is None else tuple(int(v) for v in wire)
+        # Wire versions offered per connection; ``"wire": [1]`` pins a
+        # batch to v1 JSON framing.
+        self.wire = None if wire is None else check_wire_versions(wire)
         # The dispatch client validates the remaining knobs; building
         # one now rejects a bad spec before any request is sent.
         self._cluster(auth_key=None)

@@ -1,23 +1,20 @@
-"""``repro lint`` — the determinism / concurrency / protocol linter.
+"""``repro lint`` — the determinism / concurrency linter.
 
 A stdlib-only static-analysis pass over the repository's own source
-tree that machine-checks the two invariants every PR since the seed has
-staked correctness on:
+tree that machine-checks two families of invariants:
 
 * **Determinism** — published datasets must be byte-identical across
   the serial/process/remote/elastic/stream paths, so no
   publish-path code may draw unseeded randomness, read the wall clock,
   enumerate a ``set`` into ordered output, or format floats lossily
   near the wire codec (:mod:`repro.lintkit.determinism`).
-* **Wire-protocol discipline** — every verb in the
-  ``repro.service.api.MESSAGE_TYPES`` registry must keep full
-  union/strategy/docs coverage: membership in the ``Message`` union, a
-  hypothesis strategy in the property suite, and a row in
-  docs/SERVICE.md (:mod:`repro.lintkit.protocol`).
+* **Concurrency hygiene** — instance state mutated from thread
+  targets must hold a lock, and asyncio coroutines must not call
+  blocking I/O (:mod:`repro.lintkit.concurrency`).
 
-Plus **concurrency hygiene**: instance state mutated from thread
-targets must hold a lock, and asyncio coroutines must not call
-blocking I/O (:mod:`repro.lintkit.concurrency`).
+The wire vocabulary needs no rule: each verb declares its slug once on
+its message class, and the registry, the ``Message`` union and the
+property suite's strategy are all derived from that declaration.
 
 Findings carry a rule id, severity, and ``file:line``; per-line
 suppression is ``# lint: allow(<rule>)`` and the committed baseline
@@ -42,7 +39,7 @@ from repro.lintkit.report import (  # noqa: F401
 )
 
 # Importing the rule modules registers their rules.
-from repro.lintkit import concurrency, determinism, protocol  # noqa: F401, E402
+from repro.lintkit import concurrency, determinism  # noqa: F401, E402
 
 __all__ = [
     "Finding",

@@ -12,12 +12,11 @@ The moving parts:
 * :class:`ModuleInfo` — one parsed source file: AST, import alias map
   (``np`` → ``numpy``), and the per-line ``# lint: allow(...)``
   suppression table.
-* :class:`Rule` — a check.  ``scope = "module"`` rules visit one file
-  at a time; ``scope = "project"`` rules (the protocol-drift family)
-  see the whole repository once per run.
+* :class:`Rule` — a check that visits one parsed module at a time.
 * :func:`lint_source` / :func:`lint_paths` / :func:`lint_project` —
-  the drivers, in increasing order of ambition.  Tests feed snippets
-  to :func:`lint_source`; the CLI and CI run :func:`lint_project`.
+  the drivers: one source string, files and trees, and the default
+  ``src/`` sweep.  Tests feed snippets to :func:`lint_source`; the CLI
+  and CI run :func:`lint_project`.
 """
 
 from __future__ import annotations
@@ -94,12 +93,6 @@ class LintConfig:
     rng_module: str = "src/repro/rng.py"
     #: Codec-adjacent packages: float formatting here must round-trip.
     codec_paths: Tuple[str, ...] = ("src/repro/service", "src/repro/stream")
-    #: The wire-protocol registry module (project rules parse it).
-    api_module: str = "src/repro/service/api.py"
-    #: The hypothesis property suite that must cover every verb.
-    strategy_test: str = "tests/service/test_codec_properties.py"
-    #: The protocol document that must name every verb.
-    service_doc: str = "docs/SERVICE.md"
 
     def abspath(self, relpath: str) -> str:
         return os.path.join(self.repo_root, *relpath.split("/"))
@@ -196,12 +189,11 @@ class ModuleInfo:
 
 class Rule:
     """One lint check.  Subclasses set the class attributes and override
-    the ``check_*`` method matching their ``scope``."""
+    :meth:`check_module`."""
 
     id: str = ""
     title: str = ""
     severity: str = "error"
-    scope: str = "module"  # "module" | "project"
     #: One-paragraph rationale rendered by ``rule_catalogue()`` and the
     #: docs; keep it crisp — it is the operator-facing contract.
     rationale: str = ""
@@ -209,9 +201,6 @@ class Rule:
     def check_module(
         self, module: ModuleInfo, config: LintConfig
     ) -> Iterable[Finding]:
-        return ()
-
-    def check_project(self, config: LintConfig) -> Iterable[Finding]:
         return ()
 
     def finding(self, relpath: str, line: int, message: str) -> Finding:
@@ -236,8 +225,6 @@ def register(rule_cls: type) -> type:
         raise ValueError(f"duplicate rule id {rule.id!r}")
     if rule.severity not in SEVERITIES:
         raise ValueError(f"{rule.id}: unknown severity {rule.severity!r}")
-    if rule.scope not in ("module", "project"):
-        raise ValueError(f"{rule.id}: unknown scope {rule.scope!r}")
     _RULES[rule.id] = rule
     return rule_cls
 
@@ -252,17 +239,11 @@ def rule_catalogue() -> List[Dict[str, str]]:
         {
             "id": rule.id,
             "severity": rule.severity,
-            "scope": rule.scope,
             "title": rule.title,
             "rationale": " ".join(rule.rationale.split()),
         }
         for rule in all_rules()
     ]
-
-
-def _module_rules(rules: Optional[Sequence[Rule]]) -> List[Rule]:
-    chosen = list(rules) if rules is not None else all_rules()
-    return [rule for rule in chosen if rule.scope == "module"]
 
 
 def lint_source(
@@ -271,7 +252,7 @@ def lint_source(
     config: Optional[LintConfig] = None,
     rules: Optional[Sequence[Rule]] = None,
 ) -> List[Finding]:
-    """Run the module-scope rules over one source string.
+    """Run the rules over one source string.
 
     The test-suite entry point: fixture snippets go in, findings come
     out, with ``# lint: allow`` suppression applied.
@@ -290,7 +271,7 @@ def lint_source(
             )
         ]
     findings: List[Finding] = []
-    for rule in _module_rules(rules):
+    for rule in rules if rules is not None else all_rules():
         for finding in rule.check_module(module, config):
             if not module.suppressed(finding.rule, finding.line):
                 findings.append(finding)
@@ -311,7 +292,7 @@ def lint_paths(
     config: Optional[LintConfig] = None,
     rules: Optional[Sequence[Rule]] = None,
 ) -> List[Finding]:
-    """Module-scope rules over files and/or directory trees."""
+    """The rules over files and/or directory trees."""
     config = config if config is not None else LintConfig()
     findings: List[Finding] = []
     for path in paths:
@@ -329,17 +310,12 @@ def lint_project(
     paths: Optional[Sequence[str]] = None,
     rules: Optional[Sequence[Rule]] = None,
 ) -> List[Finding]:
-    """The full pass: module rules over ``src/`` (or *paths*) plus the
-    project-scope protocol rules, sorted for a stable report."""
+    """The full pass: the rules over ``src/`` (or *paths*), sorted for a
+    stable report."""
     config = config if config is not None else LintConfig()
     sweep = (
         [os.path.join(config.repo_root, *config.src_root.split("/"))]
         if paths is None
         else list(paths)
     )
-    findings = lint_paths(sweep, config, rules)
-    chosen = list(rules) if rules is not None else all_rules()
-    for rule in chosen:
-        if rule.scope == "project":
-            findings.extend(rule.check_project(config))
-    return sorted(findings)
+    return lint_paths(sweep, config, rules)

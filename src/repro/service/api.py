@@ -457,6 +457,11 @@ def _wire_form(annotation: Any) -> Tuple[_Codec, _Codec]:
     raise TypeError(f"no wire form for {annotation!r}")
 
 
+#: slug <-> message class (the versioned vocabulary of the protocol),
+#: filled as each message class declares its slug.
+MESSAGE_TYPES: Dict[str, Type[Any]] = {}
+_SLUG_OF: Dict[type, str] = {}
+
 #: class -> one ``(name, encode, decode, absent, omit_none, inline)``
 #: entry per field, where ``absent`` is what a missing key decodes to.
 _PLANS: Dict[type, Tuple[Tuple[Any, ...], ...]] = {}
@@ -497,7 +502,24 @@ class WireMessage:
     key decodes to), ``required`` (a missing key is malformed despite
     the constructor default) and ``inline`` (traces stay inline JSON
     under v2).
+
+    A verb declares its slug once, as the ``slug=`` keyword of its class
+    statement, which registers it in :data:`MESSAGE_TYPES`; a class
+    without one (:class:`PublishedPiece`) only travels nested in other
+    bodies.
     """
+
+    def __init_subclass__(cls, slug: Optional[str] = None, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        if slug is None:
+            return
+        if slug in MESSAGE_TYPES:
+            raise TypeError(
+                f"wire slug {slug!r} is already declared by "
+                f"{MESSAGE_TYPES[slug].__name__}"
+            )
+        MESSAGE_TYPES[slug] = cls
+        _SLUG_OF[cls] = slug
 
     def to_body(self, blocks: Optional[BlockWriter] = None) -> Dict[str, Any]:
         body: Dict[str, Any] = {}
@@ -576,7 +598,7 @@ class PublishedPiece(WireMessage):
 
 
 @dataclass(frozen=True)
-class ProtectRequest(WireMessage):
+class ProtectRequest(WireMessage, slug="protect_request"):
     """Run the MooD cascade on one trace; nothing is ingested server-side."""
 
     trace: Trace
@@ -586,7 +608,7 @@ class ProtectRequest(WireMessage):
 
 
 @dataclass(frozen=True)
-class ProtectResponse(WireMessage):
+class ProtectResponse(WireMessage, slug="protect_response"):
     """Published pieces and erasure counts for one protected trace."""
 
     user_id: str
@@ -602,7 +624,7 @@ class ProtectResponse(WireMessage):
 
 
 @dataclass(frozen=True)
-class UploadRequest(WireMessage):
+class UploadRequest(WireMessage, slug="upload_request"):
     """The middleware path: protect one daily chunk and ingest the pieces."""
 
     trace: Trace
@@ -610,7 +632,7 @@ class UploadRequest(WireMessage):
 
 
 @dataclass(frozen=True)
-class UploadResponse(WireMessage):
+class UploadResponse(WireMessage, slug="upload_response"):
     """Receipt for one upload: what was published, what was dropped."""
 
     user_id: str
@@ -620,7 +642,7 @@ class UploadResponse(WireMessage):
 
 
 @dataclass(frozen=True)
-class QueryRequest(WireMessage):
+class QueryRequest(WireMessage, slug="query_request"):
     """Spatial analytics over the collected (protected) corpus.
 
     ``kind``:
@@ -636,7 +658,7 @@ class QueryRequest(WireMessage):
 
 
 @dataclass(frozen=True)
-class QueryResponse(WireMessage):
+class QueryResponse(WireMessage, slug="query_response"):
     """Answer to a :class:`QueryRequest`."""
 
     kind: str
@@ -646,12 +668,12 @@ class QueryResponse(WireMessage):
 
 
 @dataclass(frozen=True)
-class StatsRequest(WireMessage):
+class StatsRequest(WireMessage, slug="stats_request"):
     """Ask for the proxy's and server's operational counters."""
 
 
 @dataclass(frozen=True)
-class StatsResponse(WireMessage):
+class StatsResponse(WireMessage, slug="stats_response"):
     """Operational counters (plain dicts of the stats dataclasses).
 
     ``proxy`` and ``server`` are required on the wire although the
@@ -677,7 +699,7 @@ class StatsResponse(WireMessage):
 
 
 @dataclass(frozen=True)
-class StreamOpen(WireMessage):
+class StreamOpen(WireMessage, slug="stream_open"):
     """Open (or resume) one user's record stream.
 
     ``resume=True`` re-attaches to a surviving session after a
@@ -693,7 +715,7 @@ class StreamOpen(WireMessage):
 
 
 @dataclass(frozen=True)
-class StreamOpened(WireMessage):
+class StreamOpened(WireMessage, slug="stream_opened"):
     """Session attached.  ``watermark`` is the protected-and-durable
     frontier (-1 for a fresh session); ``next_ordinal`` the first
     ordinal the server has *not* buffered — resend from ``watermark+1``
@@ -706,7 +728,7 @@ class StreamOpened(WireMessage):
 
 
 @dataclass(frozen=True)
-class StreamRecord(WireMessage):
+class StreamRecord(WireMessage, slug="stream_record"):
     """One batch of records: ``(ordinal, t, lat, lng)`` rows, ordinal-
     and time-ordered.  Ordinals are client-assigned, contiguous from 0
     per session — they are the currency of the watermark contract.
@@ -765,7 +787,7 @@ class StreamRecord(WireMessage):
 
 
 @dataclass(frozen=True)
-class StreamAck(WireMessage):
+class StreamAck(WireMessage, slug="stream_ack"):
     """Receipt for one record batch.
 
     ``accepted`` counts records consumed (including deduplicated
@@ -783,7 +805,7 @@ class StreamAck(WireMessage):
 
 
 @dataclass(frozen=True)
-class StreamFlush(WireMessage):
+class StreamFlush(WireMessage, slug="stream_flush"):
     """Ack the client's durable frontier and fetch retained pieces.
 
     ``acked`` is the highest watermark the client has durably consumed
@@ -798,7 +820,7 @@ class StreamFlush(WireMessage):
 
 
 @dataclass(frozen=True)
-class StreamFlushed(WireMessage):
+class StreamFlushed(WireMessage, slug="stream_flushed"):
     """The flush receipt: exactly which ordinals are protected-and-
     durable (``watermark``), plus the published pieces the client has
     not acknowledged yet.  Re-flushing after a lost reply returns the
@@ -816,14 +838,14 @@ class StreamFlushed(WireMessage):
 
 
 @dataclass(frozen=True)
-class StreamClose(WireMessage):
+class StreamClose(WireMessage, slug="stream_close"):
     """End one user's stream: flush the open window, retire the session."""
 
     user_id: str
 
 
 @dataclass(frozen=True)
-class StreamClosed(WireMessage):
+class StreamClosed(WireMessage, slug="stream_closed"):
     """Final session tally (flush before closing to fetch the last
     window's pieces — close returns counters, not payloads)."""
 
@@ -837,7 +859,7 @@ class StreamClosed(WireMessage):
 
 
 @dataclass(frozen=True)
-class AuthRequest(WireMessage):
+class AuthRequest(WireMessage, slug="auth_request"):
     """One leg of the shared-secret handshake (client → server).
 
     Without ``proof`` it asks for a challenge (body ``{}``); with
@@ -852,26 +874,28 @@ class AuthRequest(WireMessage):
 
 
 @dataclass(frozen=True)
-class AuthChallenge(WireMessage):
+class AuthChallenge(WireMessage, slug="auth_challenge"):
     """Server → client: prove knowledge of the key over this nonce."""
 
     nonce: str
 
 
 @dataclass(frozen=True)
-class AuthResponse(WireMessage):
+class AuthResponse(WireMessage, slug="auth_response"):
     """Server → client: the handshake is complete; the connection is
     authenticated (or the server never required auth)."""
 
     ok: bool = True
 
 
-class AuthHandshakeRefused(ReproError):
-    """Internal: the peer answered a handshake leg with a non-``auth``
-    error envelope (e.g. a pre-auth server's ``protocol: unknown message
-    type``).  Never escapes the client SDKs — each transport converts it
-    to its own failure class (sync: ``ServiceError``; async/cluster:
-    ``TransportError``, so the cluster fails over)."""
+class HandshakeRefused(ReproError):
+    """Internal: the peer answered a connection-setup leg (auth or
+    hello) with an envelope that is neither a credential failure nor a
+    version mismatch (e.g. a pre-auth server's ``protocol: unknown
+    message type``, or a draining server).  Never escapes the client
+    SDKs — each transport converts it to its own failure class (sync:
+    ``ServiceError``; async/cluster: ``TransportError``, so the cluster
+    fails over)."""
 
     def __init__(self, reply: "ErrorEnvelope") -> None:
         super().__init__(f"[{reply.code}] {reply.message}")
@@ -885,7 +909,7 @@ def client_auth_handshake(key: bytes):
     the peer's reply via ``send()``, and returns when the connection is
     authenticated (or the server turns out to be keyless).  Raises
     :class:`~repro.errors.AuthenticationError` on a credential failure,
-    :class:`AuthHandshakeRefused` on any other envelope, and
+    :class:`HandshakeRefused` on any other envelope, and
     :class:`~repro.errors.ProtocolError` on a vocabulary violation.
     Both socket clients drive this one state machine, so the protocol
     cannot drift between transports.
@@ -894,7 +918,7 @@ def client_auth_handshake(key: bytes):
     def refuse(reply: ErrorEnvelope) -> None:
         if reply.code == "auth":
             raise AuthenticationError(reply.message)
-        raise AuthHandshakeRefused(reply)
+        raise HandshakeRefused(reply)
 
     reply = yield AuthRequest()
     if isinstance(reply, AuthResponse):
@@ -914,8 +938,38 @@ def client_auth_handshake(key: bytes):
         )
 
 
+def client_negotiation(versions: Tuple[int, ...]):
+    """Sans-IO driver for the client side of version negotiation.
+
+    A generator like :func:`client_auth_handshake`: yields the
+    :class:`HelloRequest` offering *versions* (sent as
+    :func:`encode_hello_frame`), receives the peer's reply via
+    ``send()``, and returns the agreed wire version.  A version-mismatch
+    envelope comes from a v1-only peer: the connection stays on v1 JSON,
+    which is not an error.  Raises :class:`HandshakeRefused` on any
+    other envelope and :class:`~repro.errors.ProtocolError` on an agreed
+    version this side never offered or a reply that answers no hello.
+    """
+    reply = yield HelloRequest(versions=versions)
+    if isinstance(reply, HelloResponse):
+        if reply.version not in versions:
+            raise ProtocolError(
+                f"server agreed to wire v{reply.version}, which this client "
+                f"never offered ({list(versions)})"
+            )
+        return reply.version
+    if isinstance(reply, ErrorEnvelope):
+        if peer_versions_from_error(reply.message) is None:
+            raise HandshakeRefused(reply)
+        return WIRE_VERSION
+    raise ProtocolError(
+        f"expected hello_response or error during negotiation, got "
+        f"{type(reply).__name__}"
+    )
+
+
 @dataclass(frozen=True)
-class HelloRequest(WireMessage):
+class HelloRequest(WireMessage, slug="hello_request"):
     """Client → server: the wire versions this client can speak.
 
     Always sent as a JSON frame (tagged ``"v": 2`` so a pre-hello v1
@@ -932,7 +986,7 @@ class HelloRequest(WireMessage):
 
 
 @dataclass(frozen=True)
-class HelloResponse(WireMessage):
+class HelloResponse(WireMessage, slug="hello_response"):
     """Server → client: the agreed wire version for this connection.
 
     ``version`` is the highest version both sides speak (``1`` when
@@ -959,6 +1013,31 @@ def negotiate_wire_version(
     """
     common = set(int(v) for v in offered) & set(int(v) for v in supported)
     return max(common, default=WIRE_VERSION)
+
+
+def check_wire_versions(versions: Any) -> Tuple[int, ...]:
+    """*versions* as the sorted tuple a peer offers, or a
+    :class:`~repro.errors.ConfigurationError`.
+
+    A list or tuple of ints (no bool, float or string), v1 — the JSON
+    floor every peer speaks — among them, each a version this build
+    speaks.  The server, both clients, the cluster client and the
+    remote executor's ``wire`` key all check here instead of coercing.
+    """
+    if not isinstance(versions, (list, tuple)) or any(type(v) is not int for v in versions):
+        raise ConfigurationError(f"wire versions must be a list of ints, got {versions!r}")
+    if WIRE_VERSION not in versions:
+        raise ConfigurationError(
+            f"wire versions must include v{WIRE_VERSION} (the JSON floor "
+            f"every peer speaks), got {list(versions)}"
+        )
+    unknown = sorted(set(versions) - set(SUPPORTED_WIRE_VERSIONS))
+    if unknown:
+        raise ConfigurationError(
+            f"unsupported wire version(s) {unknown}; this build speaks "
+            f"{list(SUPPORTED_WIRE_VERSIONS)}"
+        )
+    return tuple(sorted(set(versions)))
 
 
 def encode_hello_frame(
@@ -1000,7 +1079,7 @@ def peer_versions_from_error(message: str) -> Optional[Tuple[int, ...]]:
 
 
 @dataclass(frozen=True)
-class ErrorEnvelope(WireMessage):
+class ErrorEnvelope(WireMessage, slug="error"):
     """The one shape every service-side fault travels in.
 
     ``code`` is machine-readable (``"protocol"``, ``"bad_request"``,
@@ -1023,7 +1102,7 @@ class ErrorEnvelope(WireMessage):
 
 
 @dataclass(frozen=True)
-class ClusterJoin(WireMessage):
+class ClusterJoin(WireMessage, slug="cluster_join"):
     """Announce a worker endpoint to a coordinator's membership registry.
 
     ``endpoint`` is the address *other* peers should dial (``host:port``
@@ -1038,7 +1117,7 @@ class ClusterJoin(WireMessage):
 
 
 @dataclass(frozen=True)
-class ClusterJoined(WireMessage):
+class ClusterJoined(WireMessage, slug="cluster_joined"):
     """Join acknowledgement: the registry epoch and a membership snapshot."""
 
     accepted: bool
@@ -1047,7 +1126,7 @@ class ClusterJoined(WireMessage):
 
 
 @dataclass(frozen=True)
-class ClusterLeave(WireMessage):
+class ClusterLeave(WireMessage, slug="cluster_leave"):
     """Deregister an endpoint from the data plane (graceful departure).
 
     Leaving stops *new* shard dispatch to the member; requests already
@@ -1060,7 +1139,7 @@ class ClusterLeave(WireMessage):
 
 
 @dataclass(frozen=True)
-class ClusterLeft(WireMessage):
+class ClusterLeft(WireMessage, slug="cluster_left"):
     """Leave acknowledgement; ``removed`` is False for unknown members."""
 
     removed: bool
@@ -1068,7 +1147,7 @@ class ClusterLeft(WireMessage):
 
 
 @dataclass(frozen=True)
-class ClusterHeartbeat(WireMessage):
+class ClusterHeartbeat(WireMessage, slug="cluster_heartbeat"):
     """Liveness refresh for a joined member (``inflight`` is advisory load)."""
 
     endpoint: str
@@ -1076,7 +1155,7 @@ class ClusterHeartbeat(WireMessage):
 
 
 @dataclass(frozen=True)
-class ClusterHeartbeatAck(WireMessage):
+class ClusterHeartbeatAck(WireMessage, slug="cluster_heartbeat_ack"):
     """Heartbeat reply; ``known=False`` tells the worker to re-join."""
 
     known: bool
@@ -1084,12 +1163,12 @@ class ClusterHeartbeatAck(WireMessage):
 
 
 @dataclass(frozen=True)
-class ClusterMembershipRequest(WireMessage):
+class ClusterMembershipRequest(WireMessage, slug="cluster_membership_request"):
     """Ask the coordinator for its current membership view."""
 
 
 @dataclass(frozen=True)
-class ClusterMembershipResponse(WireMessage):
+class ClusterMembershipResponse(WireMessage, slug="cluster_membership_response"):
     """The registry snapshot elastic clients subscribe to.
 
     ``epoch`` increments on every join/leave, so a subscriber can skip
@@ -1101,12 +1180,12 @@ class ClusterMembershipResponse(WireMessage):
 
 
 @dataclass(frozen=True)
-class MetricsRequest(WireMessage):
+class MetricsRequest(WireMessage, slug="metrics_request"):
     """Ask one endpoint for its operator metrics (``repro top`` polls this)."""
 
 
 @dataclass(frozen=True)
-class MetricsResponse(WireMessage):
+class MetricsResponse(WireMessage, slug="metrics_response"):
     """One endpoint's live operator metrics, grouped by subsystem.
 
     Every block is an open dict (same growth rule as member entries):
@@ -1135,44 +1214,6 @@ class MetricsResponse(WireMessage):
 # JSON-lines codec
 # ---------------------------------------------------------------------------
 
-#: slug <-> message class (the versioned vocabulary of the protocol).
-MESSAGE_TYPES: Dict[str, Type[Any]] = {
-    "protect_request": ProtectRequest,
-    "protect_response": ProtectResponse,
-    "upload_request": UploadRequest,
-    "upload_response": UploadResponse,
-    "query_request": QueryRequest,
-    "query_response": QueryResponse,
-    "stats_request": StatsRequest,
-    "stats_response": StatsResponse,
-    "stream_open": StreamOpen,
-    "stream_opened": StreamOpened,
-    "stream_record": StreamRecord,
-    "stream_ack": StreamAck,
-    "stream_flush": StreamFlush,
-    "stream_flushed": StreamFlushed,
-    "stream_close": StreamClose,
-    "stream_closed": StreamClosed,
-    "cluster_join": ClusterJoin,
-    "cluster_joined": ClusterJoined,
-    "cluster_leave": ClusterLeave,
-    "cluster_left": ClusterLeft,
-    "cluster_heartbeat": ClusterHeartbeat,
-    "cluster_heartbeat_ack": ClusterHeartbeatAck,
-    "cluster_membership_request": ClusterMembershipRequest,
-    "cluster_membership_response": ClusterMembershipResponse,
-    "metrics_request": MetricsRequest,
-    "metrics_response": MetricsResponse,
-    "auth_request": AuthRequest,
-    "auth_challenge": AuthChallenge,
-    "auth_response": AuthResponse,
-    "hello_request": HelloRequest,
-    "hello_response": HelloResponse,
-    "error": ErrorEnvelope,
-}
-
-_SLUG_OF = {cls: slug for slug, cls in MESSAGE_TYPES.items()}
-
 # Build every registered message's field plan now: an annotation with
 # no wire form fails the import instead of the first frame.
 for _cls in MESSAGE_TYPES.values():
@@ -1180,40 +1221,7 @@ for _cls in MESSAGE_TYPES.values():
 del _cls
 
 #: Any message of the protocol.
-Message = Union[
-    ProtectRequest,
-    ProtectResponse,
-    UploadRequest,
-    UploadResponse,
-    QueryRequest,
-    QueryResponse,
-    StatsRequest,
-    StatsResponse,
-    StreamOpen,
-    StreamOpened,
-    StreamRecord,
-    StreamAck,
-    StreamFlush,
-    StreamFlushed,
-    StreamClose,
-    StreamClosed,
-    ClusterJoin,
-    ClusterJoined,
-    ClusterLeave,
-    ClusterLeft,
-    ClusterHeartbeat,
-    ClusterHeartbeatAck,
-    ClusterMembershipRequest,
-    ClusterMembershipResponse,
-    MetricsRequest,
-    MetricsResponse,
-    AuthRequest,
-    AuthChallenge,
-    AuthResponse,
-    HelloRequest,
-    HelloResponse,
-    ErrorEnvelope,
-]
+Message = Union[tuple(MESSAGE_TYPES.values())]
 
 
 class MessageEncodeError(ProtocolError):
@@ -1314,15 +1322,15 @@ def _check_header(
 
     sent = frame.get("v")
     slug = frame.get("type")
+    cls = MESSAGE_TYPES.get(slug) if isinstance(slug, str) else None
     # hello_request is exempt in JSON framing: it deliberately arrives
     # tagged with the version the client *wants* so old servers reject
     # it here (and the client downgrades on their reply).
-    if sent != version and not (version == WIRE_VERSION and slug == "hello_request"):
+    if sent != version and not (version == WIRE_VERSION and cls is HelloRequest):
         raise fail(
             f"unsupported protocol version: peer sent {sent!r}, "
             f"this side speaks {list(SUPPORTED_WIRE_VERSIONS)} ({framing})"
         )
-    cls = MESSAGE_TYPES.get(slug) if isinstance(slug, str) else None
     if cls is None:
         # The full vocabulary stays out of the wire error: this envelope
         # reaches peers the server has not authenticated yet, and 30+

@@ -60,8 +60,10 @@ pair on the command line.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import socket
 import threading
+from collections.abc import Awaitable, Callable, Generator
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
@@ -74,10 +76,10 @@ from repro.errors import (
 )
 from repro.service.api import (
     AuthChallenge,
-    AuthHandshakeRefused,
     AuthRequest,
     AuthResponse,
     ErrorEnvelope,
+    HandshakeRefused,
     HelloRequest,
     HelloResponse,
     Message,
@@ -88,22 +90,20 @@ from repro.service.api import (
     V2_PREFIX_LEN,
     WIRE_VERSION,
     WIRE_VERSION_V2,
+    check_wire_versions,
     client_auth_handshake,
+    client_negotiation,
     decode_frame,
     decode_frame_any,
     encode_hello_frame,
-    encode_message,
     encode_message_for,
-    encode_reply,
     encode_reply_for,
-    load_auth_key,
     materialize_frame,
     materialize_frame_v2,
     negotiate_wire_version,
     new_auth_nonce,
     parse_frame_envelope,
     parse_frame_v2,
-    peer_versions_from_error,
     v2_frame_lengths,
     verify_auth_proof,
 )
@@ -123,6 +123,26 @@ DEFAULT_MAX_INFLIGHT_BYTES = 256 * 1024 * 1024
 #: How long a reply write may sit in :meth:`StreamWriter.drain` before
 #: the connection is declared a slow consumer and evicted.
 DEFAULT_DRAIN_TIMEOUT_S = 30.0
+
+
+def v2_frame_remainder(prefix: bytes) -> int:
+    """How many bytes follow a v2 frame's 16-byte *prefix*.
+
+    The one size check the server and both clients run before reading
+    past a prefix: the magic, then the declared lengths against
+    :data:`MAX_LINE_BYTES`, so an oversized frame is refused without
+    being buffered.  Either fault is a
+    :class:`~repro.errors.ProtocolError` after which the byte stream
+    cannot be resynchronised.
+    """
+    header_len, blocks_len = v2_frame_lengths(prefix)
+    size = V2_PREFIX_LEN + header_len + blocks_len
+    if size > MAX_LINE_BYTES:
+        raise ProtocolError(
+            f"frame of {size} bytes exceeds {MAX_LINE_BYTES} bytes, "
+            f"{size - MAX_LINE_BYTES} over the cap"
+        )
+    return header_len + blocks_len
 
 
 class _FrameReadError(Exception):
@@ -192,18 +212,7 @@ class ServiceServer:
         drain_timeout_s: Optional[float] = DEFAULT_DRAIN_TIMEOUT_S,
         wire_versions: Sequence[int] = SUPPORTED_WIRE_VERSIONS,
     ) -> None:
-        versions = tuple(sorted({int(v) for v in wire_versions}))
-        if WIRE_VERSION not in versions:
-            raise ConfigurationError(
-                f"wire_versions must include v{WIRE_VERSION} (the JSON "
-                f"floor every peer speaks), got {tuple(wire_versions)!r}"
-            )
-        unknown = set(versions) - set(SUPPORTED_WIRE_VERSIONS)
-        if unknown:
-            raise ConfigurationError(
-                f"unsupported wire_versions {sorted(unknown)}; this build "
-                f"speaks {SUPPORTED_WIRE_VERSIONS}"
-            )
+        versions = check_wire_versions(wire_versions)
         if int(max_inflight) < 1:
             raise ConfigurationError(
                 f"max_inflight must be >= 1, got {max_inflight}"
@@ -363,10 +372,10 @@ class ServiceServer:
         :class:`_FrameReadError` for streams that can never be served.
 
         v2 framing reads the fixed 16-byte prefix first and enforces the
-        size cap from the *declared* lengths before the payload read —
-        an oversized binary frame is rejected without ever being
-        buffered, and its byte cost is known exactly (prefix + header +
-        columnar blocks) before a budget is charged.
+        size cap from the *declared* lengths before the payload read
+        (:func:`v2_frame_remainder`), so a binary frame's byte cost is
+        known exactly (prefix + header + columnar blocks) before a
+        budget is charged.
         """
         if wire_version < WIRE_VERSION_V2:
             try:
@@ -380,19 +389,13 @@ class ServiceServer:
         except asyncio.IncompleteReadError:
             return b""
         try:
-            header_len, blocks_len = v2_frame_lengths(prefix)
+            rest = v2_frame_remainder(prefix)
         except ProtocolError as exc:
             raise _FrameReadError(
                 f"peer broke the negotiated v2 framing: {exc}"
             ) from None
-        total = header_len + blocks_len
-        if V2_PREFIX_LEN + total > MAX_LINE_BYTES:
-            raise _FrameReadError(
-                f"frame of {V2_PREFIX_LEN + total} bytes exceeds "
-                f"{MAX_LINE_BYTES} bytes"
-            )
         try:
-            return prefix + await reader.readexactly(total)
+            return prefix + await reader.readexactly(rest)
         except asyncio.IncompleteReadError:
             return b""
 
@@ -862,18 +865,7 @@ class ServiceClient(ServiceClientBase):
             raise ConfigurationError(
                 "ServiceClient needs either host+port or unix_path"
             )
-        versions = tuple(sorted({int(v) for v in wire_versions}))
-        if WIRE_VERSION not in versions:
-            raise ConfigurationError(
-                f"wire_versions must include v{WIRE_VERSION} (the JSON "
-                f"fallback every peer speaks); got {list(versions)}"
-            )
-        unknown = [v for v in versions if v not in SUPPORTED_WIRE_VERSIONS]
-        if unknown:
-            raise ConfigurationError(
-                f"unsupported wire version(s) {unknown}; this build speaks "
-                f"{list(SUPPORTED_WIRE_VERSIONS)}"
-            )
+        versions = check_wire_versions(wire_versions)
         self._host = host
         self._port = None if port is None else int(port)
         self._unix_path = unix_path
@@ -882,7 +874,7 @@ class ServiceClient(ServiceClientBase):
         self._wire_versions = versions
         self._wire_version = WIRE_VERSION
         self._lock = threading.Lock()
-        self._next_id = 0
+        self._ids = itertools.count()
         self._sock: Optional[socket.socket] = None
         self._file: Optional[Any] = None
         self._broken: Optional[str] = None
@@ -901,38 +893,48 @@ class ServiceClient(ServiceClientBase):
         self._file = sock.makefile("rwb")
         self._broken = None
         # Fresh connection, fresh framing: negotiation is per-connection.
+        # The handshake runs before any verb, the hello after it.
         self._wire_version = WIRE_VERSION
         if self._auth_key is not None:
-            self._handshake()
+            self._setup(
+                client_auth_handshake(self._auth_key), "handshake",
+                self._request_unlocked,
+            )
         if max(self._wire_versions) > WIRE_VERSION:
-            self._negotiate()
+            self._wire_version = self._setup(
+                client_negotiation(self._wire_versions), "negotiation", self._hello
+            )
 
-    def _handshake(self) -> None:
-        """Authenticate the fresh connection (runs before any verb).
+    def _setup(
+        self,
+        steps: Generator[Message, Message, Any],
+        what: str,
+        exchange: Callable[[Message], Message],
+    ) -> Any:
+        """Drive one sans-IO connection-setup generator (the auth
+        handshake or the hello) through *exchange* to its return value.
 
-        Drives the shared sans-IO state machine
-        (:func:`~repro.service.api.client_auth_handshake`); only the
-        failure classification is transport-specific: a non-``auth``
-        envelope (e.g. a pre-auth server) surfaces as ``ServiceError``
-        — the server's limitation, not a credential failure.
+        Any failure marks the connection broken.  An envelope that is
+        neither a credential failure nor a version mismatch (e.g. a
+        pre-auth server) surfaces as ``ServiceError`` — the server's
+        limitation, not a bad key.
         """
-        steps = client_auth_handshake(self._auth_key)
         try:
-            request = next(steps)
+            message = next(steps)
             while True:
-                request = steps.send(self._request_unlocked(request))
-        except StopIteration:
-            return  # authenticated (or the server never required auth)
+                message = steps.send(exchange(message))
+        except StopIteration as done:
+            return done.value
         except AuthenticationError:
-            self._mark_broken("handshake failed")
+            self._mark_broken(f"{what} failed")
             raise
-        except AuthHandshakeRefused as exc:
-            self._mark_broken("handshake failed")
+        except HandshakeRefused as exc:
+            self._mark_broken(f"{what} failed")
             raise ServiceError(
-                exc.reply.code, f"handshake failed: {exc.reply.message}"
+                exc.reply.code, f"{what} failed: {exc.reply.message}"
             ) from None
         except ProtocolError:
-            self._mark_broken("handshake violated the protocol")
+            self._mark_broken(f"{what} violated the protocol")
             raise
 
     def _mark_broken(self, why: str) -> None:
@@ -970,50 +972,11 @@ class ServiceClient(ServiceClientBase):
                 )
             return self._request_unlocked(message)
 
-    def _negotiate(self) -> None:
-        """Offer v2 framing; downgrade silently if the peer is v1-only.
-
-        The hello frame is deliberately tagged ``"v": 2`` so a
-        pre-negotiation server rejects it on *version* (an error whose
-        wording names the versions it speaks) rather than on the
-        unknown slug.  That rejection is the downgrade signal: the
-        connection stays on v1 JSON and stays healthy.  Only a reply
-        that is neither a hello answer nor a recognisable version
-        mismatch marks the connection broken.
-        """
-        request_id = self._next_id
-        self._next_id += 1
-        hello = HelloRequest(versions=self._wire_versions)
-        payload = encode_hello_frame(hello, request_id=request_id)
-        reply = self._exchange(payload, request_id)
-        if isinstance(reply, HelloResponse):
-            agreed = int(reply.version)
-            if agreed not in self._wire_versions:
-                self._mark_broken("negotiation violated the protocol")
-                raise ProtocolError(
-                    f"server agreed to wire v{agreed}, which this client "
-                    f"never offered ({list(self._wire_versions)}); the "
-                    "connection is broken — reconnect() to continue"
-                )
-            # The server switched at its reply; every frame from here
-            # on (both directions) uses the agreed framing.
-            self._wire_version = agreed
-            return
-        if isinstance(reply, ErrorEnvelope):
-            if peer_versions_from_error(reply.message) is not None:
-                # A v1-only peer: keep talking JSON, nothing is broken.
-                self._wire_version = WIRE_VERSION
-                return
-            self._mark_broken("negotiation rejected")
-            raise ServiceError(
-                reply.code, f"negotiation failed: {reply.message}"
-            )
-        self._mark_broken("negotiation violated the protocol")
-        raise ProtocolError(
-            f"expected hello_response or error during negotiation, got "
-            f"{type(reply).__name__}; the connection is broken — "
-            "reconnect() to continue"
-        )
+    def _hello(self, hello: HelloRequest) -> Message:
+        """One hello exchange; the server switches framing at its reply,
+        and every frame after it (both directions) uses the agreed one."""
+        request_id = next(self._ids)
+        return self._exchange(encode_hello_frame(hello, request_id=request_id), request_id)
 
     def _read_exact(self, n: int) -> bytes:
         """Read exactly ``n`` bytes (``BufferedReader.read`` may return
@@ -1038,21 +1001,13 @@ class ServiceClient(ServiceClientBase):
             self._mark_broken("server closed the connection mid-frame")
             raise TransportError("server closed the connection mid-frame")
         try:
-            header_len, blocks_len = v2_frame_lengths(prefix)
+            total = v2_frame_remainder(prefix)
         except ProtocolError as exc:
             self._mark_broken(f"unparseable reply: {exc}")
             raise ProtocolError(
                 f"unparseable reply ({exc}); the connection is broken — "
                 "reconnect() to continue"
             ) from exc
-        total = header_len + blocks_len
-        if V2_PREFIX_LEN + total > MAX_LINE_BYTES:
-            self._mark_broken("oversized reply")
-            raise ProtocolError(
-                f"reply declares {V2_PREFIX_LEN + total} bytes, over the "
-                f"{MAX_LINE_BYTES} byte cap; the connection is broken — "
-                "reconnect() to continue"
-            )
         rest = self._read_exact(total)
         if len(rest) < total:
             self._mark_broken("server closed the connection mid-frame")
@@ -1060,8 +1015,7 @@ class ServiceClient(ServiceClientBase):
         return prefix + rest
 
     def _request_unlocked(self, message: Message) -> Message:
-        request_id = self._next_id
-        self._next_id += 1
+        request_id = next(self._ids)
         payload = encode_message_for(
             self._wire_version, message, request_id=request_id
         )
@@ -1160,18 +1114,7 @@ class AsyncServiceClient:
         auth_key: Optional[bytes] = None,
         wire_versions: Sequence[int] = SUPPORTED_WIRE_VERSIONS,
     ) -> None:
-        versions = tuple(sorted({int(v) for v in wire_versions}))
-        if WIRE_VERSION not in versions:
-            raise ConfigurationError(
-                f"wire_versions must include v{WIRE_VERSION} (the JSON "
-                f"fallback every peer speaks); got {list(versions)}"
-            )
-        unknown = [v for v in versions if v not in SUPPORTED_WIRE_VERSIONS]
-        if unknown:
-            raise ConfigurationError(
-                f"unsupported wire version(s) {unknown}; this build speaks "
-                f"{list(SUPPORTED_WIRE_VERSIONS)}"
-            )
+        versions = check_wire_versions(wire_versions)
         self.endpoint = endpoint
         self.timeout = timeout
         self._auth_key = None if auth_key is None else bytes(auth_key)
@@ -1181,7 +1124,7 @@ class AsyncServiceClient:
         self._writer: Optional[asyncio.StreamWriter] = None
         self._reader_task: Optional[asyncio.Task] = None
         self._pending: Dict[RequestId, asyncio.Future] = {}
-        self._next_id = 0
+        self._ids = itertools.count()
         self._broken: Optional[str] = None
 
     async def connect(self) -> "AsyncServiceClient":
@@ -1199,116 +1142,66 @@ class AsyncServiceClient:
             # reply is read inline, so there is no race between the
             # framing switch and the loop's first read, and the loop is
             # born knowing its final framing.
-            await self._negotiate()
+            self._wire_version = await self._setup(
+                client_negotiation(self._wire_versions), "negotiation", self._hello
+            )
         self._reader_task = asyncio.ensure_future(self._read_loop())
         if self._auth_key is not None:
-            await self._handshake()
+            await self._setup(
+                client_auth_handshake(self._auth_key), "handshake", self.request
+            )
         return self
 
-    async def _negotiate(self) -> None:
-        """Offer v2 framing inline; downgrade silently on a v1-only peer.
+    async def _setup(
+        self,
+        steps: Generator[Message, Message, Any],
+        what: str,
+        exchange: Callable[[Message], Awaitable[Message]],
+    ) -> Any:
+        """Drive one sans-IO connection-setup generator (the hello or
+        the auth handshake) through *exchange* to its return value.
 
-        Mirrors :meth:`ServiceClient._negotiate`: a hello answer
-        switches the connection to the agreed framing; a version
-        mismatch whose wording names the peer's versions keeps it on
-        v1 JSON (not an error); anything else poisons the client.
+        A credential failure raises :class:`AuthenticationError`; any
+        other failure poisons the client and surfaces as
+        :class:`TransportError`, so the cluster layer fails over to the
+        other endpoints.
         """
-        assert self._reader is not None and self._writer is not None
-        request_id = self._next_id
-        self._next_id += 1
-        hello = HelloRequest(versions=self._wire_versions)
         try:
-            self._writer.write(encode_hello_frame(hello, request_id=request_id))
-            await self._writer.drain()
-            line = await asyncio.wait_for(
-                self._reader.readline(), self.timeout
-            )
-        except (OSError, ConnectionError, asyncio.TimeoutError) as exc:
-            self._poison(f"negotiation failed: {exc}", None)
+            message = next(steps)
+            while True:
+                message = steps.send(await exchange(message))
+        except StopIteration as done:
+            return done.value
+        except AuthenticationError:
+            self._poison(f"{what} failed")
+            raise
+        except (HandshakeRefused, ProtocolError, OSError, asyncio.TimeoutError) as exc:
+            self._poison(f"{what} failed: {exc}")
             raise TransportError(
-                f"negotiation with {self.endpoint.label()} failed: {exc}"
-            ) from exc
-        except (asyncio.LimitOverrunError, ValueError) as exc:
-            self._poison("negotiation reply oversized", None)
-            raise TransportError(
-                f"negotiation reply from {self.endpoint.label()} exceeds "
-                f"{MAX_LINE_BYTES} bytes"
-            ) from exc
+                f"{what} with {self.endpoint.label()} failed: {exc}"
+            ) from None
+
+    async def _hello(self, hello: HelloRequest) -> Message:
+        """One hello exchange, its reply read inline."""
+        assert self._reader is not None and self._writer is not None
+        request_id = next(self._ids)
+        self._writer.write(encode_hello_frame(hello, request_id=request_id))
+        await self._writer.drain()
+        try:
+            line = await asyncio.wait_for(self._reader.readline(), self.timeout)
+        except ValueError:  # asyncio's readline past the stream limit
+            raise ProtocolError(f"reply exceeds {MAX_LINE_BYTES} bytes") from None
         if not line:
-            self._poison("connection closed during negotiation", None)
-            raise TransportError(
-                f"{self.endpoint.label()} closed the connection during "
-                "negotiation"
-            )
+            raise ConnectionError("the peer closed the connection during negotiation")
         try:
             reply_id, reply = decode_frame(line)
         except ProtocolError as exc:
-            self._poison(f"unparseable negotiation reply: {exc}", None)
-            raise TransportError(
-                f"unparseable negotiation reply from "
-                f"{self.endpoint.label()}: {exc}"
-            ) from exc
+            raise ProtocolError(f"unparseable negotiation reply: {exc}") from None
         if reply_id is not None and reply_id != request_id:
-            self._poison("negotiation reply id mismatch", None)
-            raise TransportError(
-                f"negotiation reply id {reply_id!r} from "
-                f"{self.endpoint.label()} does not match {request_id!r}"
+            raise ProtocolError(
+                f"reply id {reply_id!r} does not match {request_id!r}"
             )
-        if isinstance(reply, HelloResponse):
-            agreed = int(reply.version)
-            if agreed not in self._wire_versions:
-                self._poison("negotiation violated the protocol", None)
-                raise TransportError(
-                    f"{self.endpoint.label()} agreed to wire v{agreed}, "
-                    f"which this client never offered "
-                    f"({list(self._wire_versions)})"
-                )
-            self._wire_version = agreed
-            return
-        if isinstance(reply, ErrorEnvelope):
-            if peer_versions_from_error(reply.message) is not None:
-                # A v1-only peer: keep talking JSON, nothing is broken.
-                self._wire_version = WIRE_VERSION
-                return
-            self._poison("negotiation rejected", None)
-            raise TransportError(
-                f"negotiation with {self.endpoint.label()} failed: "
-                f"[{reply.code}] {reply.message}"
-            )
-        self._poison("negotiation violated the protocol", None)
-        raise TransportError(
-            f"expected hello_response or error from "
-            f"{self.endpoint.label()} during negotiation, got "
-            f"{type(reply).__name__}"
-        )
-
-    async def _handshake(self) -> None:
-        """Authenticate before the connection carries any verb.
-
-        Same sans-IO state machine as the sync client; here a
-        non-``auth`` envelope (e.g. a pre-auth server) surfaces as
-        :class:`TransportError` so the cluster layer fails over to the
-        other endpoints instead of treating it as a credential failure.
-        """
-        steps = client_auth_handshake(self._auth_key)
-        try:
-            request = next(steps)
-            while True:
-                request = steps.send(await self.request(request))
-        except StopIteration:
-            return  # authenticated (or the server never required auth)
-        except AuthenticationError:
-            self._poison("handshake failed")
-            raise
-        except AuthHandshakeRefused as exc:
-            self._poison("handshake failed")
-            raise TransportError(
-                f"handshake with {self.endpoint.label()} failed: "
-                f"[{exc.reply.code}] {exc.reply.message}"
-            ) from None
-        except ProtocolError:
-            self._poison("handshake violated the protocol")
-            raise
+        return reply
 
     async def _read_loop(self) -> None:
         assert self._reader is not None
@@ -1331,21 +1224,14 @@ class AsyncServiceClient:
                             "mid-frame"
                         ) from exc
                     try:
-                        header_len, blocks_len = v2_frame_lengths(prefix)
+                        rest = v2_frame_remainder(prefix)
                     except ProtocolError as exc:
                         raise TransportError(
                             f"{self.endpoint.label()} broke the negotiated "
                             f"v2 framing: {exc}"
                         ) from exc
-                    total = header_len + blocks_len
-                    if V2_PREFIX_LEN + total > MAX_LINE_BYTES:
-                        raise TransportError(
-                            f"reply from {self.endpoint.label()} declares "
-                            f"{V2_PREFIX_LEN + total} bytes, over the "
-                            f"{MAX_LINE_BYTES} byte cap"
-                        )
                     try:
-                        line = prefix + await self._reader.readexactly(total)
+                        line = prefix + await self._reader.readexactly(rest)
                     except asyncio.IncompleteReadError as exc:
                         raise TransportError(
                             f"{self.endpoint.label()} closed the connection "
@@ -1417,8 +1303,7 @@ class AsyncServiceClient:
                 f"connection to {self.endpoint.label()} is broken: {self._broken}"
             )
         assert self._writer is not None
-        request_id = self._next_id
-        self._next_id += 1
+        request_id = next(self._ids)
         # Encode before registering the future: an unencodable message
         # (e.g. a NaN coordinate, ProtocolError) must propagate to the
         # caller without leaking a never-resolved pending entry.

@@ -22,7 +22,7 @@ class TestLintCommand:
     def test_list_rules(self, repo_cwd, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        assert "DET001" in out and "PROTO004" in out and "CONC001" in out
+        assert "DET001" in out and "CONC001" in out and "PROTO" not in out
 
     def test_repo_is_lint_clean(self, repo_cwd, capsys):
         # The acceptance bar: `repro lint` runs clean against the

@@ -3,6 +3,7 @@
 import asyncio
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Set
 
 import numpy as np
@@ -25,6 +26,7 @@ from repro.service.api import (
     ClusterMembershipResponse,
     ErrorEnvelope,
     LoopbackClient,
+    MESSAGE_TYPES,
     MessageEncodeError,
     MetricsRequest,
     MetricsResponse,
@@ -636,6 +638,25 @@ class TestMalformedBodies:
 
         with pytest.raises(TypeError, match="no wire form"):
             Tagged(tags={"a"}).to_body()
+
+
+class TestVocabulary:
+    """Each verb declares its slug once, on its class."""
+
+    def test_duplicate_slug_raises_at_class_creation(self):
+        before = dict(MESSAGE_TYPES)
+        with pytest.raises(TypeError, match="'stats_request' is already declared"):
+
+            class Impostor(WireMessage, slug="stats_request"):
+                pass
+
+        assert MESSAGE_TYPES == before
+        assert type(decode_message(encode_message(StatsRequest()))) is StatsRequest
+
+    def test_service_doc_names_every_slug(self):
+        doc = Path(__file__).resolve().parents[2] / "docs" / "SERVICE.md"
+        text = doc.read_text(encoding="utf-8")
+        assert [slug for slug in MESSAGE_TYPES if f"`{slug}`" not in text] == []
 
 
 class TestClusterVerbs:

@@ -6,6 +6,9 @@ never desync.  Requires hypothesis (installed in CI); skipped cleanly
 where it is absent.
 """
 
+from dataclasses import fields
+from typing import Any, Dict, Union, get_args, get_origin, get_type_hints
+
 import numpy as np
 import pytest
 
@@ -18,42 +21,12 @@ from repro.core.trace import Trace  # noqa: E402
 from repro.errors import ProtocolError  # noqa: E402
 from repro.lppm.base import LPPM  # noqa: E402
 from repro.service.api import (  # noqa: E402
-    AuthChallenge,
-    AuthRequest,
-    AuthResponse,
-    ClusterHeartbeat,
-    ClusterHeartbeatAck,
-    ClusterJoin,
-    ClusterJoined,
-    ClusterLeave,
-    ClusterLeft,
-    ClusterMembershipRequest,
-    ClusterMembershipResponse,
-    ErrorEnvelope,
-    HelloRequest,
-    HelloResponse,
     MESSAGE_TYPES,
-    MetricsRequest,
-    MetricsResponse,
     ProtectRequest,
-    ProtectResponse,
     ProtectionService,
-    PublishedPiece,
-    QueryRequest,
-    QueryResponse,
-    StatsRequest,
-    StatsResponse,
-    StreamAck,
-    StreamClose,
-    StreamClosed,
-    StreamFlush,
-    StreamFlushed,
-    StreamOpen,
-    StreamOpened,
     StreamRecord,
-    SUPPORTED_WIRE_VERSIONS,
     UploadRequest,
-    UploadResponse,
+    WireMessage,
     decode_frame,
     decode_frame_any,
     decode_frame_v2,
@@ -89,7 +62,6 @@ _lng = st.floats(min_value=-180.0, max_value=180.0, allow_nan=False, width=64)
 #: a newline is escaped to \n and survives the frame; the raw codepoint
 #: test below covers it.
 _user_id = st.text(min_size=1, max_size=24)
-_big_int = st.integers(min_value=0, max_value=10**24)
 _request_id = st.one_of(
     st.integers(min_value=-(10**18), max_value=10**18),
     st.text(min_size=1, max_size=32),
@@ -115,272 +87,56 @@ def wire_traces(draw, min_size=0, max_size=12):
     return Trace(draw(_user_id), ts, lats, lngs)
 
 
-@st.composite
-def published_pieces(draw):
-    return PublishedPiece(
-        pseudonym=draw(_user_id),
-        mechanism=draw(st.sampled_from(["geoi", "trl", "hmc", "geoi>trl"])),
-        distortion_m=draw(_finite),
-        trace=draw(wire_traces()),
-        original_records=draw(st.one_of(st.none(), _big_int)),
-    )
+#: JSON values as a ``Dict[str, Any]`` field carries them: finite
+#: numbers, strings, booleans, null, arrays and objects.
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | _finite | st.text(max_size=16),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=8,
+)
+
+#: The strategy of each leaf annotation ``_wire_form`` knows.  Every
+#: float on the wire is finite (the codec rejects NaN and infinities).
+_LEAVES = {
+    bool: st.booleans(),
+    int: st.integers(),
+    float: _finite,
+    str: st.text(max_size=32),
+    Dict[str, Any]: st.dictionaries(st.text(max_size=16), _json_values, max_size=4),
+}
 
 
-@st.composite
-def member_entries(draw):
-    """Registry member dicts as they travel inside cluster messages."""
-    return {
-        "endpoint": draw(_user_id),
-        "worker_id": draw(st.text(max_size=16)),
-        "capacity": draw(st.integers(0, 64)),
-        "state": draw(st.sampled_from(["alive", "stale", "left"])),
-        "joined_epoch": draw(st.integers(0, 10**9)),
-        "inflight": draw(st.integers(0, 10**6)),
-        "age_s": draw(st.floats(0.0, 1e9, allow_nan=False)),
-    }
+def _values(annotation):
+    """Values of one field annotation, mirroring ``_wire_form``."""
+    if annotation in _LEAVES:
+        return _LEAVES[annotation]
+    if annotation is Trace:
+        return wire_traces()
+    if isinstance(annotation, type) and issubclass(annotation, WireMessage):
+        return _messages(annotation)
+    origin, args = get_origin(annotation), get_args(annotation)
+    if origin is Union:
+        return st.none() | _values(args[0])
+    if origin is tuple and args[-1] is Ellipsis:
+        return st.lists(_values(args[0]), max_size=3).map(tuple)
+    if origin is tuple:
+        return st.tuples(*[_values(arg) for arg in args])
+    raise TypeError(f"no strategy for {annotation!r}")
 
 
-@st.composite
-def wire_messages(draw):
-    kind = draw(
-        st.sampled_from(
-            [
-                "protect_request",
-                "protect_response",
-                "upload_request",
-                "upload_response",
-                "query_request",
-                "query_response",
-                "stats_request",
-                "stats_response",
-                "auth_request",
-                "auth_challenge",
-                "auth_response",
-                "stream_open",
-                "stream_opened",
-                "stream_record",
-                "stream_ack",
-                "stream_flush",
-                "stream_flushed",
-                "stream_close",
-                "stream_closed",
-                "cluster_join",
-                "cluster_joined",
-                "cluster_leave",
-                "cluster_left",
-                "cluster_heartbeat",
-                "cluster_heartbeat_ack",
-                "cluster_membership_request",
-                "cluster_membership_response",
-                "metrics_request",
-                "metrics_response",
-                "hello_request",
-                "hello_response",
-                "error",
-            ]
-        )
-    )
-    if kind == "protect_request":
-        return ProtectRequest(
-            trace=draw(wire_traces()),
-            daily=draw(st.booleans()),
-            chunk_s=draw(st.floats(min_value=1.0, max_value=1e9, allow_nan=False)),
-        )
-    if kind == "protect_response":
-        return ProtectResponse(
-            user_id=draw(_user_id),
-            pieces=tuple(draw(st.lists(published_pieces(), max_size=3))),
-            erased_records=draw(_big_int),
-            original_records=draw(_big_int),
-        )
-    if kind == "upload_request":
-        return UploadRequest(
-            trace=draw(wire_traces()), day_index=draw(st.integers(0, 10**6))
-        )
-    if kind == "upload_response":
-        return UploadResponse(
-            user_id=draw(_user_id),
-            pseudonyms=tuple(draw(st.lists(_user_id, max_size=4))),
-            published_records=draw(_big_int),
-            erased_records=draw(_big_int),
-        )
-    if kind == "query_request":
-        return QueryRequest(
-            kind=draw(st.sampled_from(["count", "top_cells"])),
-            lat=draw(st.one_of(st.none(), _lat)),
-            lng=draw(st.one_of(st.none(), _lng)),
-            k=draw(st.integers(1, 10**9)),
-        )
-    if kind == "query_response":
-        cells = draw(
-            st.lists(
-                st.tuples(
-                    st.integers(-(10**9), 10**9),
-                    st.integers(-(10**9), 10**9),
-                    _big_int,
-                ),
-                max_size=4,
-            )
-        )
-        return QueryResponse(
-            kind="top_cells", count=draw(st.one_of(st.none(), _big_int)),
-            cells=tuple(cells),
-        )
-    if kind == "stats_request":
-        return StatsRequest()
-    if kind == "stats_response":
-        counters = st.dictionaries(
-            st.text(min_size=1, max_size=16), _big_int, max_size=4
-        )
-        return StatsResponse(proxy=draw(counters), server=draw(counters))
-    if kind == "stream_open":
-        return StreamOpen(
-            user_id=draw(_user_id),
-            window=draw(st.one_of(st.none(), st.sampled_from(["tumbling", "session"]))),
-            window_s=draw(st.one_of(st.none(), st.floats(1.0, 1e9, allow_nan=False))),
-            gap_s=draw(st.one_of(st.none(), st.floats(1.0, 1e9, allow_nan=False))),
-            resume=draw(st.booleans()),
-        )
-    if kind == "stream_opened":
-        return StreamOpened(
-            user_id=draw(_user_id),
-            watermark=draw(st.integers(-1, 10**18)),
-            next_ordinal=draw(_big_int),
-            resumed=draw(st.booleans()),
-        )
-    if kind == "stream_record":
-        records = draw(
-            st.lists(
-                st.tuples(
-                    st.integers(0, 10**18),
-                    st.floats(0.0, 1e12, allow_nan=False, width=64),
-                    _lat,
-                    _lng,
-                ),
-                max_size=6,
-            )
-        )
-        return StreamRecord(user_id=draw(_user_id), records=tuple(records))
-    if kind == "stream_ack":
-        return StreamAck(
-            user_id=draw(_user_id),
-            accepted=draw(_big_int),
-            next_ordinal=draw(_big_int),
-            watermark=draw(st.integers(-1, 10**18)),
-            status=draw(st.sampled_from(["ok", "blocked", "shed", "degraded"])),
-            reason=draw(
-                st.sampled_from(
-                    [
-                        "",
-                        "backpressure.buffer_full",
-                        "overflow.shed_oldest_window",
-                        "overflow.degrade_cheap_lppm",
-                    ]
-                )
-            ),
-        )
-    if kind == "stream_flush":
-        return StreamFlush(
-            user_id=draw(_user_id),
-            acked=draw(st.integers(-1, 10**18)),
-            close_window=draw(st.booleans()),
-        )
-    if kind == "stream_flushed":
-        return StreamFlushed(
-            user_id=draw(_user_id),
-            watermark=draw(st.integers(-1, 10**18)),
-            pieces=tuple(draw(st.lists(published_pieces(), max_size=2))),
-            erased_records=draw(_big_int),
-            pieces_dropped=draw(_big_int),
-        )
-    if kind == "stream_close":
-        return StreamClose(user_id=draw(_user_id))
-    if kind == "stream_closed":
-        return StreamClosed(
-            user_id=draw(_user_id),
-            watermark=draw(st.integers(-1, 10**18)),
-            records_in=draw(_big_int),
-            records_shed=draw(_big_int),
-            erased_records=draw(_big_int),
-            pieces_published=draw(_big_int),
-            windows_closed=draw(_big_int),
-        )
-    if kind == "cluster_join":
-        return ClusterJoin(
-            endpoint=draw(_user_id),
-            worker_id=draw(st.text(max_size=16)),
-            capacity=draw(st.integers(0, 64)),
-        )
-    if kind == "cluster_joined":
-        return ClusterJoined(
-            accepted=draw(st.booleans()),
-            epoch=draw(st.integers(0, 10**9)),
-            members=tuple(draw(st.lists(member_entries(), max_size=3))),
-        )
-    if kind == "cluster_leave":
-        return ClusterLeave(
-            endpoint=draw(_user_id), reason=draw(st.text(max_size=64))
-        )
-    if kind == "cluster_left":
-        return ClusterLeft(
-            removed=draw(st.booleans()), epoch=draw(st.integers(0, 10**9))
-        )
-    if kind == "cluster_heartbeat":
-        return ClusterHeartbeat(
-            endpoint=draw(_user_id), inflight=draw(st.integers(0, 10**6))
-        )
-    if kind == "cluster_heartbeat_ack":
-        return ClusterHeartbeatAck(
-            known=draw(st.booleans()), epoch=draw(st.integers(0, 10**9))
-        )
-    if kind == "cluster_membership_request":
-        return ClusterMembershipRequest()
-    if kind == "cluster_membership_response":
-        return ClusterMembershipResponse(
-            epoch=draw(st.integers(0, 10**9)),
-            members=tuple(draw(st.lists(member_entries(), max_size=3))),
-        )
-    if kind == "metrics_request":
-        return MetricsRequest()
-    if kind == "metrics_response":
-        counters = st.dictionaries(
-            st.text(min_size=1, max_size=16), _big_int, max_size=4
-        )
-        return MetricsResponse(
-            uptime_s=draw(st.floats(0.0, 1e9, allow_nan=False)),
-            versions={"protocol": 1, "build": draw(st.text(max_size=12))},
-            transport=draw(counters),
-            service={"proxy": draw(counters), "server": draw(counters)},
-            stream=draw(counters),
-            feature_cache=draw(counters),
-            cluster={
-                "epoch": draw(st.integers(0, 10**9)),
-                "members": draw(st.lists(member_entries(), max_size=2)),
-            },
-        )
-    if kind == "hello_request":
-        return HelloRequest(
-            versions=tuple(
-                sorted(draw(st.sets(st.integers(1, 9), min_size=1, max_size=4)))
-            )
-        )
-    if kind == "hello_response":
-        return HelloResponse(
-            version=draw(st.sampled_from(list(SUPPORTED_WIRE_VERSIONS))),
-            versions=tuple(
-                sorted(draw(st.sets(st.integers(1, 9), min_size=1, max_size=4)))
-            ),
-        )
-    if kind == "auth_request":
-        return AuthRequest(proof=draw(st.one_of(st.none(), st.text(max_size=128))))
-    if kind == "auth_challenge":
-        return AuthChallenge(nonce=draw(st.text(min_size=1, max_size=64)))
-    if kind == "auth_response":
-        return AuthResponse(ok=draw(st.booleans()))
-    return ErrorEnvelope(
-        code=draw(st.sampled_from(["protocol", "bad_request", "auth", "internal"])),
-        message=draw(st.text(max_size=200)),
-    )
+def _messages(cls):
+    """*cls* built from a drawn value for each of its fields."""
+    hints = get_type_hints(cls)
+    return st.builds(cls, **{f.name: _values(hints[f.name]) for f in fields(cls)})
+
+
+_BY_CLASS = {cls: _messages(cls) for cls in MESSAGE_TYPES.values()}
+
+
+def wire_messages():
+    """Every registered verb, each built from its fields by annotation."""
+    return st.sampled_from(list(_BY_CLASS)).flatmap(_BY_CLASS.__getitem__)
 
 
 def _structure(message):

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import ElasticClusterClient
-from repro.core.engine import ProtectionEngine
+from repro.core.engine import ProtectionEngine, RemoteExecutor
 from repro.core.trace import Trace
 from repro.errors import (
     AuthenticationError,
@@ -33,10 +33,10 @@ from repro.errors import (
 from repro.lppm.base import LPPM
 from repro.service.api import (
     AuthChallenge,
-    AuthHandshakeRefused,
     AuthRequest,
     BlockWriter,
     ErrorEnvelope,
+    HandshakeRefused,
     HelloRequest,
     HelloResponse,
     LoopbackClient,
@@ -54,6 +54,7 @@ from repro.service.api import (
     WIRE_VERSION,
     WIRE_VERSION_V2,
     client_auth_handshake,
+    client_negotiation,
     decode_frame,
     decode_frame_any,
     decode_frame_v2,
@@ -61,6 +62,7 @@ from repro.service.api import (
     encode_message,
     encode_message_v2,
     encode_reply_for,
+    decode_message,
     is_v2_frame,
     negotiate_wire_version,
     peer_versions_from_error,
@@ -76,6 +78,7 @@ from repro.service.rpc import (
     ServiceClient,
     ServiceServer,
     parse_endpoint,
+    v2_frame_remainder,
 )
 
 DAY = 86_400.0
@@ -873,7 +876,7 @@ class TestAuthHandshakeMachine:
     def test_other_envelope_is_a_refusal(self):
         steps = self._start()
         steps.send(AuthChallenge(nonce="n0"))
-        with pytest.raises(AuthHandshakeRefused):
+        with pytest.raises(HandshakeRefused):
             steps.send(ErrorEnvelope(code="busy", message="draining"))
 
     def test_non_response_after_proof_is_a_protocol_error(self):
@@ -883,7 +886,90 @@ class TestAuthHandshakeMachine:
             steps.send(StatsResponse())
 
 
+class TestNegotiationMachine:
+    """The sans-IO hello state machine, driven directly — each socket
+    client maps its outcomes to its own failure policy."""
+
+    def _start(self, versions=SUPPORTED_WIRE_VERSIONS):
+        steps = client_negotiation(versions)
+        hello = next(steps)
+        assert isinstance(hello, HelloRequest) and hello.versions == versions
+        return steps
+
+    def _agreed(self, reply):
+        with pytest.raises(StopIteration) as done:
+            self._start().send(reply)
+        return done.value.value
+
+    def test_v2_agreed(self):
+        reply = HelloResponse(version=WIRE_VERSION_V2, versions=SUPPORTED_WIRE_VERSIONS)
+        assert self._agreed(reply) == WIRE_VERSION_V2
+
+    def test_v1_after_the_pr3_era_mismatch(self):
+        reply = ErrorEnvelope(
+            code="protocol",
+            message="unsupported protocol version 2 (this side speaks 1)",
+        )
+        assert self._agreed(reply) == WIRE_VERSION
+
+    def test_v1_after_the_current_mismatch(self):
+        with pytest.raises(ProtocolError) as mismatch:
+            decode_message(b'{"v":2,"type":"stats_request","body":{}}')
+        reply = ErrorEnvelope(code="protocol", message=str(mismatch.value))
+        assert self._agreed(reply) == WIRE_VERSION
+
+    def test_non_version_envelope_is_a_refusal(self):
+        with pytest.raises(HandshakeRefused, match="draining"):
+            self._start().send(ErrorEnvelope(code="busy", message="draining"))
+
+    def test_agreed_version_never_offered(self):
+        steps = self._start((WIRE_VERSION,))
+        with pytest.raises(ProtocolError, match="never offered"):
+            steps.send(HelloResponse(version=WIRE_VERSION_V2))
+
+    def test_reply_that_is_not_a_hello(self):
+        with pytest.raises(ProtocolError, match="expected hello_response"):
+            self._start().send(StatsResponse())
+
+
+class TestV2FrameSizeCheck:
+    """The one check the server and both clients run on a v2 prefix."""
+
+    def _prefix(self, size):
+        return WIRE_MAGIC_V2 + struct.pack("<IQ", 16, size - V2_PREFIX_LEN - 16)
+
+    def test_bad_magic(self):
+        with pytest.raises(ProtocolError, match="bad magic"):
+            v2_frame_remainder(b"JUNK" + bytes(V2_PREFIX_LEN - 4))
+
+    def test_frame_exactly_at_the_cap(self):
+        prefix = self._prefix(MAX_LINE_BYTES)
+        assert v2_frame_remainder(prefix) == MAX_LINE_BYTES - V2_PREFIX_LEN
+
+    def test_one_byte_over_the_cap(self):
+        with pytest.raises(ProtocolError, match=r"exceeds .*, 1 over the cap"):
+            v2_frame_remainder(self._prefix(MAX_LINE_BYTES + 1))
+
+
 class TestConfigEdges:
+    @pytest.mark.parametrize("versions", [(1, True), (1, 2.0)], ids=["bool", "float"])
+    def test_every_constructor_checks_wire_versions(self, versions):
+        """Each used to coerce these to (1,) or (1, 2); none may connect."""
+        constructors = [
+            lambda: ServiceServer(
+                ProtectionService(stub_engine()), port=0, wire_versions=versions
+            ),
+            lambda: ServiceClient(host="127.0.0.1", port=1, wire_versions=versions),
+            lambda: AsyncServiceClient(
+                parse_endpoint("127.0.0.1:1"), wire_versions=versions
+            ),
+            lambda: ElasticClusterClient(["127.0.0.1:1"], wire_versions=versions),
+            lambda: RemoteExecutor(endpoints=["127.0.0.1:1"], wire=list(versions)),
+        ]
+        for construct in constructors:
+            with pytest.raises(ConfigurationError, match="list of ints"):
+                construct()
+
     def test_empty_auth_key_rejected(self):
         with pytest.raises(ConfigurationError, match="non-empty"):
             resolve_auth_key(auth_key="")

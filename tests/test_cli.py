@@ -372,6 +372,12 @@ class TestConfigCommands:
             '{"stream": {"gap_s": NaN}}',
             '{"stream": {"max_pending_records": 2.5}}',
             '{"stream": {"max_unacked_windows": true}}',
+            '{"executor": {"name": "remote", "endpoints": ["127.0.0.1:1"], "wire": [1, true]}}',
+            '{"executor": {"name": "remote", "endpoints": ["127.0.0.1:1"], "wire": [1, 2.7]}}',
+            '{"executor": {"name": "remote", "endpoints": ["127.0.0.1:1"], "wire": ["1", "2"]}}',
+            '{"executor": {"name": "remote", "endpoints": ["127.0.0.1:1"], "wire": [2]}}',
+            '{"executor": {"name": "remote", "endpoints": ["127.0.0.1:1"], "wire": [1, 3]}}',
+            '{"executor": {"name": "remote", "endpoints": ["127.0.0.1:1"], "wire": []}}',
         ],
     )
     def test_config_validate_checks_values_without_coercing(

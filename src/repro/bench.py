@@ -677,8 +677,8 @@ def run_remote(seed: int = 7, smoke: bool = False) -> Dict[str, Any]:
     """Remote-executor throughput over a loopback two-server cluster.
 
     Byte-identity is asserted on the spot, three times: the remote
-    backend (blake2b shard placement, ``protect_request`` batches over
-    the wire, positional merge) must publish the serial bytes with both
+    backend (one ``protect_request`` per user over the wire, positional
+    merge) must publish the serial bytes with both
     endpoints alive; again with one endpoint killed before dispatch so
     every shard fails over to the survivor; and again on the **chaos
     leg** — a single-endpoint cluster whose endpoint is down when the
@@ -1123,13 +1123,13 @@ def run_scale(
     import hashlib
     import resource
 
-    from repro.attacks import ApAttack, PitAttack, PoiAttack
+    from repro.attacks import default_attack_suite
     from repro.core.engine import ProtectionEngine
     from repro.core.featurecache import FeatureCache
     from repro.core.split import train_test_split
     from repro.datasets.cities import CITIES
     from repro.datasets.io import to_csv_string
-    from repro.lppm import GeoInd, HeatmapConfusion, Trilateration
+    from repro.lppm import default_lppm_suite
     from repro.synth import CorpusSpec, SynthCorpus
 
     spec = CorpusSpec.for_tier(city, tier, seed=seed)
@@ -1181,18 +1181,10 @@ def run_scale(
         head, train_days=train_days, test_days=spec.days - train_days
     )
     ref_lat = CITIES[city].center_lat
-    attacks = [
-        PoiAttack(diameter_m=200.0, min_dwell_s=3600.0),
-        PitAttack(diameter_m=200.0, min_dwell_s=3600.0),
-        ApAttack(cell_size_m=800.0, ref_lat=ref_lat),
-    ]
+    attacks = default_attack_suite(ref_lat)
     for attack in attacks:
         attack.fit(train)
-    lppms = [
-        GeoInd(epsilon=0.01),
-        Trilateration(radius_m=1000.0),
-        HeatmapConfusion(cell_size_m=800.0, ref_lat=ref_lat).fit(train),
-    ]
+    lppms = default_lppm_suite(train, ref_lat)
 
     executors: Dict[str, Dict[str, Any]] = {}
     reference_csv: Optional[str] = None

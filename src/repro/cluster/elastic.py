@@ -6,16 +6,15 @@ discovered from a coordinator.  Every ``(shard, request)`` pair sits in
 one shared queue and each live member runs ``max_inflight`` worker
 loops that pull from it, so a busy member simply pulls less.
 
-**The dispatch rule.**  Placement (user → shard) is content-addressed:
-users are placed into shards by stable blake2b hashing before dispatch
-(``_partition_items``), and byte identity rests on it.  Which endpoint
-serves a shard depends on load: every request carries exactly one
-user's trace and each endpoint derives pseudonyms and noise per user
-from its own fresh session state, so the endpoint never touches the
-published bytes.  A request whose frame may have reached an endpoint is
-never offered to that endpoint again — the serving side's pseudonym
-counter could have advanced, so a replay there could drift.  Dial-phase
-failures (provably no frame sent) keep the member retryable.
+**The dispatch rule.**  Any member serves any queued request; the
+shard label only feeds :meth:`ElasticClusterClient.member_stats`.
+Byte identity rests on four things, none of them placement: every draw
+derives from a per-user seed, every request carries exactly one user's
+trace, each endpoint serves it from a fresh session, and a request
+whose frame may have reached an endpoint is never offered to that
+endpoint again — the serving side's pseudonym counter could have
+advanced, so a replay there could drift.  Dial-phase failures
+(provably no frame sent) keep the member retryable.
 
 **Fault policy.**  A transport fault (refused, reset, timed out,
 mid-frame EOF, corrupted reply) moves a member through its
@@ -49,6 +48,8 @@ from repro.errors import (
     ConfigurationError,
     ProtocolError,
     TransportError,
+    check_count,
+    check_positive,
 )
 from repro.service.api import (
     ClusterMembershipRequest,
@@ -108,7 +109,7 @@ class EndpointHealth:
 
 
 class _Item:
-    """One queued request: placement, payload, result future."""
+    """One queued request: shard label, payload, result future."""
 
     __slots__ = ("index", "shard", "message", "future", "attempted", "last")
 
@@ -192,37 +193,20 @@ class ElasticClusterClient:
                 "ElasticClusterClient needs >= 1 endpoint or a membership "
                 "subscription"
             )
-        if int(max_inflight) < 1:
+        self.timeout = check_positive("timeout", timeout)
+        self.max_inflight = check_count("max_inflight", max_inflight)
+        self.retry_budget = check_count("retry_budget", retry_budget, minimum=0)
+        self.backoff_base = check_positive("backoff times: base", backoff_base)
+        self.backoff_max = check_positive("backoff times: max", backoff_max)
+        self.backoff_factor = check_positive("backoff_factor", backoff_factor)
+        if self.backoff_factor < 1.0:
             raise ConfigurationError(
-                f"max_inflight must be >= 1, got {max_inflight}"
+                f"backoff_factor must be >= 1, got {backoff_factor!r}"
             )
-        if int(retry_budget) < 0:
-            raise ConfigurationError(
-                f"retry_budget must be >= 0, got {retry_budget}"
-            )
-        if float(backoff_base) <= 0 or float(backoff_max) <= 0:
-            raise ConfigurationError(
-                f"backoff times must be positive, got base={backoff_base}, "
-                f"max={backoff_max}"
-            )
-        if float(backoff_factor) < 1.0:
-            raise ConfigurationError(
-                f"backoff_factor must be >= 1, got {backoff_factor}"
-            )
-        if float(join_grace_s) <= 0:
-            raise ConfigurationError(
-                f"join_grace_s must be positive, got {join_grace_s}"
-            )
-        self.timeout = float(timeout)
-        self.max_inflight = int(max_inflight)
-        self.retry_budget = int(retry_budget)
-        self.backoff_base = float(backoff_base)
-        self.backoff_factor = float(backoff_factor)
-        self.backoff_max = float(backoff_max)
         self.auth_key = None if auth_key is None else bytes(auth_key)
         # A v1-only member simply downgrades its own connection.
         self.wire_versions = check_wire_versions(wire_versions)
-        self.join_grace_s = float(join_grace_s)
+        self.join_grace_s = check_positive("join_grace_s", join_grace_s)
         self._membership = membership
         self._members: Dict[str, _Member] = {}
         for endpoint in parsed:

@@ -20,7 +20,7 @@ import threading
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ReproError, check_count, check_positive
 from repro.service.rpc import ServiceClient, parse_endpoint
 
 #: Default worker heartbeat interval (seconds).
@@ -41,14 +41,8 @@ class MembershipSubscription:
 
     def __post_init__(self) -> None:
         parse_endpoint(self.coordinator)  # fail fast on a bad spec
-        if self.poll_s <= 0:
-            raise ConfigurationError(
-                f"membership poll_s must be positive, got {self.poll_s}"
-            )
-        if self.timeout <= 0:
-            raise ConfigurationError(
-                f"membership timeout must be positive, got {self.timeout}"
-            )
+        check_positive("membership poll_s", self.poll_s)
+        check_positive("membership timeout", self.timeout)
 
 
 class ClusterAnnouncer:
@@ -74,14 +68,10 @@ class ClusterAnnouncer:
     ) -> None:
         self.coordinator = parse_endpoint(coordinator)
         self.advertise = parse_endpoint(advertise).label()
-        if heartbeat_s <= 0:
-            raise ConfigurationError(
-                f"heartbeat_s must be positive, got {heartbeat_s}"
-            )
         self.worker_id = worker_id
-        self.capacity = int(capacity)
-        self.heartbeat_s = float(heartbeat_s)
-        self.timeout = float(timeout)
+        self.capacity = check_count("capacity", capacity, minimum=0)
+        self.heartbeat_s = check_positive("heartbeat_s", heartbeat_s)
+        self.timeout = check_positive("timeout", timeout)
         self.auth_key = None if auth_key is None else bytes(auth_key)
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None

@@ -9,9 +9,9 @@ deregister with ``cluster_leave``, and clients subscribe by polling
 
 The registry is deliberately a *seed-node* model, not a consensus
 protocol: membership is advisory for scheduling only.  Correctness of
-published bytes never depends on the registry being right — the elastic
-dispatcher (:mod:`repro.cluster.elastic`) preserves the stable blake2b
-placement of users into shards regardless of which endpoints exist, and
+published bytes never depends on the registry being right — under the
+elastic dispatcher (:mod:`repro.cluster.elastic`) any member may serve
+any request, the bytes rest on per-user seeds and fresh sessions, and
 the never-replay rule guards against a stale view dispatching a request
 twice.  A wrong registry can only cost throughput.
 
@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, check_positive
 
 #: A member whose heartbeat is older than this is reported ``stale``
 #: (still schedulable — the data plane finds out the hard way and
@@ -95,11 +95,7 @@ class ClusterRegistry:
     """
 
     def __init__(self, stale_after_s: float = DEFAULT_STALE_AFTER_S) -> None:
-        if stale_after_s <= 0:
-            raise ConfigurationError(
-                f"stale_after_s must be positive, got {stale_after_s}"
-            )
-        self.stale_after_s = float(stale_after_s)
+        self.stale_after_s = check_positive("stale_after_s", stale_after_s)
         self._lock = threading.Lock()
         self._members: Dict[str, ClusterMember] = {}
         self._epoch = 0

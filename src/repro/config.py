@@ -28,8 +28,8 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.core.engine import DEFAULT_DELTA_S, _check_count
-from repro.errors import ConfigurationError
+from repro.core.engine import DEFAULT_DELTA_S
+from repro.errors import ConfigurationError, check_count, check_positive
 from repro.registry import available, get, normalize_spec
 
 #: The paper's §4.1.2 mechanism suite (constructor defaults carry the
@@ -140,7 +140,7 @@ class ProtectionConfig:
             raise ConfigurationError(
                 f"delta_s must be a positive number, got {self.delta_s!r}"
             )
-        _check_count(
+        check_count(
             "max_composition_length", self.max_composition_length, optional=True
         )
         if not isinstance(self.split_policy, str):
@@ -158,7 +158,7 @@ class ProtectionConfig:
             raise ConfigurationError(
                 f"executor must be a registered name or spec, got {self.executor!r}"
             )
-        _check_count("jobs", self.jobs, optional=True)
+        check_count("jobs", self.jobs, optional=True)
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ConfigurationError(f"seed must be an integer, got {self.seed!r}")
         if self.service is not None:
@@ -231,16 +231,9 @@ class ProtectionConfig:
                     f"service.cluster.{key} must be a non-empty string, "
                     f"got {value!r}"
                 )
-        hb = cluster.get("heartbeat_s")
-        if hb is not None and (
-            isinstance(hb, bool)
-            or not isinstance(hb, (int, float))
-            or float(hb) <= 0
-        ):
-            raise ConfigurationError(
-                f"service.cluster.heartbeat_s must be a positive number, "
-                f"got {hb!r}"
-            )
+        check_positive(
+            "service.cluster.heartbeat_s", cluster.get("heartbeat_s"), optional=True
+        )
 
     # -- dict / JSON round-trip ------------------------------------------
 

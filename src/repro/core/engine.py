@@ -46,7 +46,7 @@ from repro.core.featurecache import FeatureCache
 from repro.core.search import CompositionSearchStrategy
 from repro.core.split import split_fixed_time, split_in_half
 from repro.core.trace import Trace
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, check_count, check_positive
 from repro.lppm.base import LPPM
 from repro.lppm.hybrid import HybridLPPM, HybridResult, is_protected
 from repro.metrics.dataloss import data_loss
@@ -216,19 +216,6 @@ def _split_between_pois(trace: Trace) -> Tuple[Trace, Trace]:
 # ---------------------------------------------------------------------------
 
 
-def _check_count(name: str, value: Any, optional: bool = False) -> Any:
-    """Return *value* if it is an int >= 1 (or ``None`` when *optional*).
-
-    ``bool`` and ``float`` are rejected rather than coerced: ``True``
-    would pass as 1 and ``2.7`` would silently truncate to 2.
-    """
-    if value is None and optional:
-        return value
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigurationError(f"{name} must be >= 1, got {value!r}")
-    return value
-
-
 # Worker-process state for ProcessExecutor: the engine is shipped once per
 # worker via the pool initializer instead of once per task.
 _WORKER: Dict[str, Any] = {}
@@ -261,7 +248,7 @@ class SerialExecutor:
     """Run the per-item work in-process, one item at a time."""
 
     def __init__(self, jobs: Optional[int] = None) -> None:
-        _check_count("jobs", jobs, optional=True)
+        check_count("jobs", jobs, optional=True)
         self.jobs = 1
 
     def map(
@@ -290,7 +277,7 @@ class ProcessExecutor:
     """
 
     def __init__(self, jobs: Optional[int] = None) -> None:
-        self.jobs = _check_count("jobs", jobs, optional=True)
+        self.jobs = check_count("jobs", jobs, optional=True)
 
     def map(
         self,
@@ -337,11 +324,11 @@ def _partition_items(
 ) -> Dict[int, List[Tuple[int, Any]]]:
     """Bucket *items* by ``blake2b(user_id) mod shards``, keeping indices.
 
-    This is the ``remote`` executor's **stable placement** map: it
-    depends only on item content and the logical ``shards`` modulus —
-    never on ``os.cpu_count()``, the worker budget, or which hosts serve
-    the shards — so the same user lands on the same shard on every
-    machine.  Only non-empty buckets appear.
+    The ``remote`` executor's shard labels: they depend only on item
+    content and the ``shards`` modulus, and feed only the dispatch
+    client's ``shards_served`` accounting — which member serves a
+    request, and the published bytes, do not depend on them.  Only
+    non-empty buckets appear.
     """
     buckets: Dict[int, List[Tuple[int, Any]]] = {}
     for idx, item in enumerate(items):
@@ -403,23 +390,22 @@ class RemoteMoodResult(MoodResult):
 
 @register_executor("remote")
 class RemoteExecutor:
-    """Dispatch shards to remote ``repro serve`` instances over the wire.
+    """Dispatch items to remote ``repro serve`` instances over the wire.
 
-    Items are partitioned into ``shards`` by a blake2b user-hash, and
-    each item travels as one ``protect_request`` frame to a *remote*
+    Each item travels as one ``protect_request`` frame to a *remote*
     protection service.  Dispatch is the work stealing of
-    :class:`repro.cluster.elastic.ElasticClusterClient`: placement
-    (user → shard) is content-addressed, and byte identity rests on it;
-    which endpoint serves a shard depends on load (``jobs`` caps the
-    in-flight requests per endpoint); a request whose frame may have
-    reached an endpoint is never offered to that endpoint again, so a
-    failing endpoint's requests move to the others.  The merge is
-    positional.  Because every draw derives from the trace content and
-    the codec round-trips floats exactly, the published dataset is
-    byte-identical to the serial backend — provided each endpoint
-    serves an equivalently-configured, equivalently-fitted engine and a
+    :class:`repro.cluster.elastic.ElasticClusterClient`: any member
+    serves any queued request (``jobs`` caps the in-flight requests per
+    endpoint); a request whose frame may have reached an endpoint is
+    never offered to that endpoint again, so a failing endpoint's
+    requests move to the others.  The merge is positional.  The
+    published dataset is byte-identical to the serial backend's because
+    of four things, none of them placement: every draw derives from a
+    per-user seed, each request carries one user, each endpoint serves
+    an equivalently-configured, equivalently-fitted engine from a
     **fresh service session** (pseudonym counters are session-scoped),
-    and no two items share a ``user_id``.
+    and the never-replay rule.  ``shards`` only labels requests for the
+    client's ``member_stats()["shards_served"]`` accounting.
 
     Declaratively::
 
@@ -432,7 +418,7 @@ class RemoteExecutor:
     registry: the endpoint pool may grow and shrink mid-batch as
     workers ``cluster_join``/``leave``, ``endpoints`` become optional
     seeds, and ``poll_s`` / ``join_grace_s`` tune the subscription.
-    Placement and published bytes are unchanged — see docs/CLUSTER.md.
+    The published bytes are unchanged — see docs/CLUSTER.md.
 
     Endpoints accept ``"host:port"``, ``"unix:/path"``, or
     ``{"host": ..., "port": ...}`` dicts.  ``retry_budget`` and
@@ -474,16 +460,16 @@ class RemoteExecutor:
             )
         self.endpoints = list(endpoints)
         self.coordinator = coordinator
-        if float(poll_s) <= 0:
-            raise ConfigurationError(f"poll_s must be positive, got {poll_s}")
-        self.poll_s = float(poll_s)
-        self.join_grace_s = float(join_grace_s)
+        # Only a coordinator's subscription polls, but a bad value in
+        # the spec fails with or without one.
+        self.poll_s = check_positive("poll_s", poll_s)
+        self.join_grace_s = join_grace_s
         if shards is None:
             shards = max(1, len(self.endpoints))
-        self.shards = _check_count("shards", shards)
-        self.jobs = _check_count("jobs", jobs, optional=True)
-        self.timeout = float(timeout)
-        self.retry_budget = int(retry_budget)
+        self.shards = check_count("shards", shards)
+        self.jobs = check_count("jobs", jobs, optional=True)
+        self.timeout = timeout
+        self.retry_budget = retry_budget
         self.backoff = self._parse_backoff(backoff)
         if auth_key is not None and auth_key_file is not None:
             raise ConfigurationError(
@@ -499,13 +485,13 @@ class RemoteExecutor:
         self._cluster(auth_key=None)
 
     @staticmethod
-    def _parse_backoff(spec: Any) -> Dict[str, float]:
+    def _parse_backoff(spec: Any) -> Dict[str, Any]:
         """``backoff`` spec → ElasticClusterClient kwargs (validated there)."""
         out = {"base": 0.05, "factor": 2.0, "max": 2.0}
         if spec is None:
             return out
         if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-            out["base"] = float(spec)
+            out["base"] = spec
             return out
         if isinstance(spec, dict):
             unknown = sorted(set(spec) - set(out))
@@ -513,9 +499,7 @@ class RemoteExecutor:
                 raise ConfigurationError(
                     f"unknown backoff keys {unknown}; known: {sorted(out)}"
                 )
-            for key in out:
-                if key in spec:
-                    out[key] = float(spec[key])
+            out.update(spec)
             return out
         raise ConfigurationError(
             f"backoff must be a number or a base/factor/max dict, got {spec!r}"
@@ -916,7 +900,7 @@ class ProtectionEngine:
             raise ConfigurationError("the protection engine needs at least one attack")
         if not delta_s > 0:
             raise ConfigurationError(f"delta_s must be positive, got {delta_s}")
-        _check_count("jobs", jobs, optional=True)
+        check_count("jobs", jobs, optional=True)
         self.lppms = list(lppms)
         self.attacks = list(attacks)
         self.delta_s = float(delta_s)

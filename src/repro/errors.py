@@ -2,10 +2,15 @@
 
 Every error raised by the library derives from :class:`ReproError`, so
 callers can catch a single exception type at API boundaries while still
-being able to discriminate finer-grained failures.
+being able to discriminate finer-grained failures.  :func:`check_count`
+and :func:`check_positive` are the one way a constructor checks a count
+or a duration before raising :class:`ConfigurationError`.
 """
 
 from __future__ import annotations
+
+import math
+from typing import Any
 
 
 class ReproError(Exception):
@@ -38,6 +43,38 @@ class NotFittedError(ReproError, RuntimeError):
 
 class ConfigurationError(ReproError, ValueError):
     """An LPPM, attack, or experiment was configured with invalid parameters."""
+
+
+def check_count(name: str, value: Any, minimum: int = 1, optional: bool = False) -> Any:
+    """Return *value* if it is an int >= *minimum* (or ``None`` when *optional*).
+
+    ``bool`` and ``float`` are rejected rather than coerced: ``True``
+    would pass as 1 and ``2.7`` would silently truncate to 2.
+    """
+    if value is None and optional:
+        return value
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigurationError(f"{name} must be >= {minimum}, got {value!r}")
+    return value
+
+
+def check_positive(name: str, value: Any, optional: bool = False) -> Any:
+    """Return *value* as a float if it is a finite real > 0 (or ``None``
+    when *optional*).
+
+    The check for durations: ``bool`` and numeric strings are rejected
+    rather than coerced (``True`` would pass as 1 s, ``"5"`` as 5 s), and
+    so are NaN and infinity.
+    """
+    if value is None and optional:
+        return value
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not 0 < value < math.inf
+    ):
+        raise ConfigurationError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
 
 
 class ProtectionFailedError(ReproError, RuntimeError):

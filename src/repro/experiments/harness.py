@@ -13,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.attacks import ApAttack, Attack, PitAttack, PoiAttack
+from repro.attacks import Attack, default_attack_suite
 from repro.core.dataset import MobilityDataset
 from repro.core.engine import DEFAULT_DELTA_S, ProtectionEngine
 from repro.core.split import train_test_split
 from repro.datasets.generators import SPECS, generate_dataset
-from repro.lppm import GeoInd, HeatmapConfusion, HybridLPPM, Trilateration
+from repro.lppm import HybridLPPM, default_lppm_suite
 from repro.lppm.base import LPPM
 
 
@@ -100,18 +100,10 @@ def prepare_context(
     raw = generate_dataset(name, seed=seed, n_users=n_users, days=days)
     train, test = train_test_split(raw, train_days=train_days, test_days=test_days)
     ref_lat = SPECS[name].city.center_lat
-    attacks: List[Attack] = [
-        PoiAttack(diameter_m=200.0, min_dwell_s=3600.0),
-        PitAttack(diameter_m=200.0, min_dwell_s=3600.0),
-        ApAttack(cell_size_m=800.0, ref_lat=ref_lat),
-    ]
+    attacks: List[Attack] = default_attack_suite(ref_lat)
     for attack in attacks:
         attack.fit(train)
-    lppms: List[LPPM] = [
-        GeoInd(epsilon=0.01),
-        Trilateration(radius_m=1000.0),
-        HeatmapConfusion(cell_size_m=800.0, ref_lat=ref_lat).fit(train),
-    ]
+    lppms: List[LPPM] = default_lppm_suite(train, ref_lat)
     return ExperimentContext(
         name=name,
         raw=raw,

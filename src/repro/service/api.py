@@ -1583,11 +1583,13 @@ class ProtectionService:
 
     One instance is one deployment of the middleware: it owns the proxy
     (cascade + session pseudonyms + operational counters) and the
-    collection server (protected corpus + analytics).  All four verbs
-    are coroutines; CPU-heavy protection runs on the event loop's
-    default thread pool so a serving loop stays responsive.  Requests
-    handled sequentially are fully deterministic — the loopback
-    transport relies on that to keep campaign reports reproducible.
+    collection server (protected corpus + analytics).  The two entry
+    points are the coroutines :meth:`handle` (a decoded request) and
+    :meth:`handle_wire` (a wire frame); every request's body runs on the
+    event loop's default thread pool so a serving loop stays
+    responsive.  Requests handled sequentially are fully deterministic —
+    the loopback transport relies on that to keep campaign reports
+    reproducible.
 
     Shared state (pseudonym counters, proxy stats, the collected
     corpus) is guarded by one service-wide mutex: the socket server
@@ -1629,62 +1631,34 @@ class ProtectionService:
         self.transport_stats: Optional[Callable[[], Dict[str, Any]]] = None
         self.started_monotonic = time.monotonic()
         self._state_lock = threading.Lock()
-        self._handlers = {
-            ProtectRequest: self.protect,
-            UploadRequest: self.upload,
-            QueryRequest: self.query,
-            StatsRequest: self.stats,
-            StreamOpen: self.stream_open,
-            StreamRecord: self.stream_record,
-            StreamFlush: self.stream_flush,
-            StreamClose: self.stream_close,
-            ClusterJoin: self.cluster_join,
-            ClusterLeave: self.cluster_leave,
-            ClusterHeartbeat: self.cluster_heartbeat,
-            ClusterMembershipRequest: self.cluster_membership,
-            MetricsRequest: self.metrics,
-            HelloRequest: self.hello,
+        #: Each request type's body.  :meth:`handle` runs it on the
+        #: event loop's default thread pool, so a serving loop stays
+        #: responsive while a body waits for the state lock.
+        self._handlers: Dict[type, Callable[[Any], Message]] = {
+            ProtectRequest: self._protect_sync,
+            UploadRequest: self._upload_sync,
+            QueryRequest: self._query_sync,
+            # Subclasses override ``_stats_sync()`` without a request.
+            StatsRequest: lambda request: self._stats_sync(),
+            StreamOpen: self._stream_open_sync,
+            StreamRecord: self._stream_record_sync,
+            StreamFlush: self._stream_flush_sync,
+            StreamClose: self._stream_close_sync,
+            ClusterJoin: self._cluster_join_sync,
+            ClusterLeave: self._cluster_leave_sync,
+            ClusterHeartbeat: self._cluster_heartbeat_sync,
+            ClusterMembershipRequest: self._cluster_membership_sync,
+            MetricsRequest: self._metrics_sync,
+            HelloRequest: self._hello_sync,
         }
 
     @property
     def engine(self) -> ProtectionEngine:
         return self.proxy.engine
 
-    # -- verbs -----------------------------------------------------------
-
-    async def protect(self, request: ProtectRequest) -> ProtectResponse:
-        """Run the cascade; return published pieces without ingesting."""
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, self._protect_sync, request)
-
-    async def upload(self, request: UploadRequest) -> UploadResponse:
-        """Protect one chunk and ingest its pieces into the server."""
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, self._upload_sync, request)
-
-    async def query(self, request: QueryRequest) -> QueryResponse:
-        """Answer a spatial analytics query over the collected corpus."""
-        # Validate on the loop (cheap, lock-free); read on the pool —
-        # waiting for the state lock must never stall the event loop.
-        if request.kind not in ("count", "top_cells"):
-            raise ConfigurationError(
-                f"unknown query kind {request.kind!r}; choose from ('count', 'top_cells')"
-            )
-        if request.kind == "count" and (request.lat is None or request.lng is None):
-            raise ConfigurationError("a 'count' query needs 'lat' and 'lng'")
-        if request.kind == "top_cells" and request.k < 1:
-            raise ConfigurationError(f"'top_cells' needs k >= 1, got {request.k}")
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, self._query_sync, request)
-
-    async def stats(self, request: Optional[StatsRequest] = None) -> StatsResponse:
-        """Proxy and server operational counters."""
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, self._stats_sync)
-
     # -- cluster control plane --------------------------------------------
 
-    async def cluster_join(self, request: ClusterJoin) -> ClusterJoined:
+    def _cluster_join_sync(self, request: ClusterJoin) -> ClusterJoined:
         """Register (or refresh) a worker in the membership registry."""
         self.cluster.join(
             request.endpoint, worker_id=request.worker_id, capacity=request.capacity
@@ -1692,35 +1666,28 @@ class ProtectionService:
         epoch, members = self.cluster.snapshot()
         return ClusterJoined(accepted=True, epoch=epoch, members=members)
 
-    async def cluster_leave(self, request: ClusterLeave) -> ClusterLeft:
+    def _cluster_leave_sync(self, request: ClusterLeave) -> ClusterLeft:
         """Gracefully deregister a worker from the data plane."""
         removed = self.cluster.leave(request.endpoint, reason=request.reason)
         return ClusterLeft(removed=removed, epoch=self.cluster.epoch)
 
-    async def cluster_heartbeat(
-        self, request: ClusterHeartbeat
-    ) -> ClusterHeartbeatAck:
+    def _cluster_heartbeat_sync(self, request: ClusterHeartbeat) -> ClusterHeartbeatAck:
         """Refresh a member's liveness clock; unknown members must re-join."""
         known = self.cluster.heartbeat(request.endpoint, inflight=request.inflight)
         return ClusterHeartbeatAck(known=known, epoch=self.cluster.epoch)
 
-    async def cluster_membership(
-        self, request: Optional[ClusterMembershipRequest] = None
+    def _cluster_membership_sync(
+        self, request: ClusterMembershipRequest
     ) -> ClusterMembershipResponse:
         """The registry snapshot elastic clients subscribe to."""
         epoch, members = self.cluster.snapshot()
         return ClusterMembershipResponse(epoch=epoch, members=members)
 
-    async def metrics(self, request: Optional[MetricsRequest] = None) -> MetricsResponse:
-        """Live operator metrics for this endpoint (``repro top``)."""
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, self._metrics_sync)
-
-    async def hello(self, request: HelloRequest) -> HelloResponse:
+    def _hello_sync(self, request: HelloRequest) -> HelloResponse:
         """Version negotiation, service-level.
 
         The socket server answers hellos at the transport layer (it owns
-        the per-connection framing switch); this handler keeps the verb
+        the per-connection framing switch); this body keeps the verb
         total for loopback and direct ``handle()`` callers, where no
         framing switch exists and the reply is purely informational.
         """
@@ -1729,31 +1696,18 @@ class ProtectionService:
             versions=SUPPORTED_WIRE_VERSIONS,
         )
 
-    # -- streaming verbs --------------------------------------------------
-
-    async def stream_open(self, request: StreamOpen) -> StreamOpened:
-        """Open (or resume) one user's ingestion session."""
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, self._stream_open_sync, request)
-
-    async def stream_record(self, request: StreamRecord) -> StreamAck:
-        """Ingest one record batch; closed windows are protected inline."""
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, self._stream_record_sync, request)
-
-    async def stream_flush(self, request: StreamFlush) -> StreamFlushed:
-        """Ack the durable frontier and return unacknowledged pieces."""
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, self._stream_flush_sync, request)
-
-    async def stream_close(self, request: StreamClose) -> StreamClosed:
-        """Flush and retire one user's session."""
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, self._stream_close_sync, request)
-
-    # -- sync bodies (run on the pool, under the state lock) -------------
+    # -- bodies that take the state lock ----------------------------------
 
     def _query_sync(self, request: QueryRequest) -> QueryResponse:
+        """Answer a spatial analytics query over the collected corpus."""
+        if request.kind not in ("count", "top_cells"):
+            raise ConfigurationError(
+                f"unknown query kind {request.kind!r}; choose from ('count', 'top_cells')"
+            )
+        if request.kind == "count" and (request.lat is None or request.lng is None):
+            raise ConfigurationError("a 'count' query needs 'lat' and 'lng'")
+        if request.kind == "top_cells" and request.k < 1:
+            raise ConfigurationError(f"'top_cells' needs k >= 1, got {request.k}")
         if request.kind == "count":
             with self._state_lock:
                 count = self.server.count_in_cell(request.lat, request.lng)
@@ -1774,6 +1728,7 @@ class ProtectionService:
         }
 
     def _stats_sync(self) -> StatsResponse:
+        """Proxy and server operational counters."""
         from dataclasses import asdict
 
         with self._state_lock:
@@ -1785,7 +1740,8 @@ class ProtectionService:
                 versions=self._versions(),
             )
 
-    def _metrics_sync(self) -> MetricsResponse:
+    def _metrics_sync(self, request: MetricsRequest) -> MetricsResponse:
+        """Live operator metrics for this endpoint (``repro top``)."""
         from dataclasses import asdict
 
         transport = (
@@ -1917,15 +1873,16 @@ class ProtectionService:
     # -- dispatch --------------------------------------------------------
 
     async def handle(self, message: Message) -> Message:
-        """Route one decoded request; faults become error envelopes."""
-        handler = self._handlers.get(type(message))
-        if handler is None:
+        """Run one decoded request's body on the loop's default thread
+        pool; faults become error envelopes."""
+        body = self._handlers.get(type(message))
+        if body is None:
             return ErrorEnvelope(
                 code="unsupported",
                 message=f"{type(message).__name__} is not a request this side serves",
             )
         try:
-            return await handler(message)
+            return await asyncio.get_running_loop().run_in_executor(None, body, message)
         except ReproError as exc:
             return ErrorEnvelope(code="bad_request", message=str(exc))
         except Exception as exc:  # noqa: BLE001 - the envelope is the contract
@@ -2089,13 +2046,13 @@ class LoopbackClient(ServiceClientBase):
     def __init__(
         self, service: ProtectionService, wire_version: int = WIRE_VERSION
     ) -> None:
-        if wire_version not in SUPPORTED_WIRE_VERSIONS:
+        if type(wire_version) is not int or wire_version not in SUPPORTED_WIRE_VERSIONS:
             raise ConfigurationError(
                 f"wire_version must be one of {SUPPORTED_WIRE_VERSIONS}, "
                 f"got {wire_version!r}"
             )
         self._service = service
-        self._wire_version = int(wire_version)
+        self._wire_version = wire_version
         self._loop: Optional[asyncio.AbstractEventLoop] = None
 
     def request(self, message: Message) -> Message:

@@ -11,12 +11,13 @@ never sees a v2 frame, and ``ServiceServer(wire_versions=(1,))`` pins
 an endpoint to v1 for mixed-version clusters.  Requests that carry an
 ``"id"`` tag are handled
 *concurrently* per connection — each reply echoes its request's id, so
-a pipelining client can correlate replies arriving out of order — under
-a server-wide in-flight semaphore that provides backpressure: when
-``max_inflight`` requests are being served, the server stops reading
-new lines and the kernel's TCP window pushes back on the clients.
-Untagged requests keep the v1 FIFO contract (handled inline, strictly
-in order), so old clients work unchanged.
+a pipelining client can correlate replies arriving out of order.
+Untagged requests keep the v1 FIFO contract (each is answered before
+the next frame is read), so old clients work unchanged.  Both kinds
+hold a slot of a server-wide in-flight semaphore that provides
+backpressure: when ``max_inflight`` requests are being served, the
+server stops reading new frames and the kernel's TCP window pushes
+back on the clients.
 
 Two clients share the verb vocabulary:
 
@@ -32,10 +33,10 @@ Two clients share the verb vocabulary:
 
 Multi-endpoint dispatch lives in
 :class:`repro.cluster.elastic.ElasticClusterClient`, which pools
-:class:`AsyncServiceClient` connections: placement (user → shard) is
-content-addressed, which endpoint serves a shard depends on load, and a
-request whose frame may have reached an endpoint is never offered to
-that endpoint again.  This module holds only the transports.
+:class:`AsyncServiceClient` connections: any member serves any queued
+request, and a request whose frame may have reached an endpoint is
+never offered to that endpoint again.  This module holds only the
+transports.
 
 Servers and clients optionally authenticate with a shared-secret
 HMAC-blake2b challenge/response handshake (``ServiceServer(auth_key=...)``,
@@ -64,8 +65,8 @@ import itertools
 import socket
 import threading
 from collections.abc import Awaitable, Callable, Generator
-from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Any, Dict, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import (
     AuthenticationError,
@@ -73,6 +74,8 @@ from repro.errors import (
     ProtocolError,
     ServiceError,
     TransportError,
+    check_count,
+    check_positive,
 )
 from repro.service.api import (
     AuthChallenge,
@@ -179,14 +182,37 @@ class _ByteBudget:
             self._cond.notify_all()
 
 
+@dataclass
+class _Connection:
+    """One client connection's serving state.
+
+    Every connection starts on v1 JSON framing and only a hello exchange
+    can raise ``wire_version``, so a v1-only peer never sees a v2 frame.
+    ``tasks`` holds the tagged requests being served; ``budget`` is the
+    optional per-connection byte budget.
+    """
+
+    writer: asyncio.StreamWriter
+    authed: bool
+    budget: Optional[_ByteBudget]
+    wire_version: int = WIRE_VERSION
+    nonce: Optional[str] = None
+    write_lock: asyncio.Lock = field(default_factory=asyncio.Lock)
+    tasks: Set["asyncio.Task[None]"] = field(default_factory=set)
+
+
 class ServiceServer:
     """Serve a :class:`ProtectionService` over TCP or a unix socket.
 
     Exactly one of ``(host, port)`` or ``unix_path`` addresses the
     server.  ``port=0`` binds an ephemeral port; the bound address is
     available as :attr:`address` once started.  ``max_inflight`` bounds
-    the number of tagged requests being served at once across all
-    connections — the backpressure knob (``repro serve --workers``).
+    the number of requests being served at once across all connections,
+    tagged or untagged — the backpressure knob (``repro serve
+    --workers``).  Every request goes through one serve coroutine that
+    holds an in-flight slot and its frame's bytes until its reply is
+    written; an untagged request is served before the connection's next
+    frame is read, so untagged replies keep request order.
 
     With ``auth_key`` set, every connection must complete the
     HMAC-blake2b challenge/response handshake (``auth_request`` →
@@ -212,43 +238,25 @@ class ServiceServer:
         drain_timeout_s: Optional[float] = DEFAULT_DRAIN_TIMEOUT_S,
         wire_versions: Sequence[int] = SUPPORTED_WIRE_VERSIONS,
     ) -> None:
-        versions = check_wire_versions(wire_versions)
-        if int(max_inflight) < 1:
-            raise ConfigurationError(
-                f"max_inflight must be >= 1, got {max_inflight}"
-            )
-        if int(max_inflight_bytes) < 1:
-            raise ConfigurationError(
-                f"max_inflight_bytes must be >= 1, got {max_inflight_bytes}"
-            )
-        if max_conn_inflight_bytes is not None and int(max_conn_inflight_bytes) < 1:
-            raise ConfigurationError(
-                "max_conn_inflight_bytes must be >= 1 (or None), "
-                f"got {max_conn_inflight_bytes}"
-            )
-        if drain_timeout_s is not None and float(drain_timeout_s) <= 0.0:
-            raise ConfigurationError(
-                f"drain_timeout_s must be > 0 (or None), got {drain_timeout_s}"
-            )
         if auth_key is not None and not auth_key:
             raise ConfigurationError("auth_key must be non-empty bytes (or None)")
         self.service = service
         self.host = host
         self.port = int(port)
         self.unix_path = unix_path
-        self.max_inflight = int(max_inflight)
-        self.max_inflight_bytes = int(max_inflight_bytes)
-        self.max_conn_inflight_bytes = (
-            None if max_conn_inflight_bytes is None else int(max_conn_inflight_bytes)
+        self.max_inflight = check_count("max_inflight", max_inflight)
+        self.max_inflight_bytes = check_count("max_inflight_bytes", max_inflight_bytes)
+        self.max_conn_inflight_bytes = check_count(
+            "max_conn_inflight_bytes", max_conn_inflight_bytes, optional=True
         )
-        self.drain_timeout_s = (
-            None if drain_timeout_s is None else float(drain_timeout_s)
+        self.drain_timeout_s = check_positive(
+            "drain_timeout_s", drain_timeout_s, optional=True
         )
         self.auth_key = None if auth_key is None else bytes(auth_key)
         #: Versions this endpoint will negotiate; ``(1,)`` makes it a
         #: v1-only endpoint (hellos are answered, but always with v1, so
         #: the connection never switches to binary framing).
-        self.wire_versions = versions
+        self.wire_versions = check_wire_versions(wire_versions)
         self._server: Optional[asyncio.AbstractServer] = None
         self._inflight: Optional[asyncio.Semaphore] = None
         self._byte_budget: Optional[_ByteBudget] = None
@@ -284,26 +292,31 @@ class ServiceServer:
                 transport.abort()
             raise ConnectionResetError("slow consumer evicted")
 
-    async def _serve_tagged(
-        self,
-        request_id: RequestId,
-        message: Message,
-        write_lock: asyncio.Lock,
-        writer: asyncio.StreamWriter,
-        cost: int,
-        conn_budget: Optional[_ByteBudget],
-        conn: Dict[str, Any],
+    async def _send(
+        self, conn: "_Connection", reply: Message, request_id: RequestId = None
     ) -> None:
-        """One concurrently-handled request; owns one semaphore slot.
+        """Write one reply in the connection's current framing.
 
-        The slot (and the request's byte reservation) is held until the
-        reply has been written (or the write failed): releasing earlier
-        would let a client that pipelines without reading accumulate
-        unbounded finished replies behind the write lock, defeating the
-        backpressure bound.  The reply's framing is decided under the
-        write lock: a hello that switches the connection to v2 while
-        this request is in flight switches every reply written after it
-        in the byte stream too.
+        The framing is read under the write lock: a hello that switches
+        the connection to v2 while a request is in flight switches every
+        reply written after it in the byte stream too.
+        """
+        async with conn.write_lock:
+            conn.writer.write(
+                encode_reply_for(conn.wire_version, reply, request_id=request_id)
+            )
+            await self._drain_or_evict(conn.writer)
+
+    async def _serve(
+        self, conn: "_Connection", request_id: RequestId, message: Message, cost: int
+    ) -> None:
+        """Handle one request and write its reply; owns one in-flight slot
+        and *cost* bytes of each byte budget.
+
+        The slot and the bytes are held until the reply has been written
+        (or the write failed): releasing earlier would let a client that
+        pipelines without reading accumulate unbounded finished replies
+        behind the write lock, defeating the backpressure bound.
         """
         assert self._inflight is not None
         self._active_requests += 1
@@ -316,16 +329,10 @@ class ServiceServer:
                 # handle() promises never to raise; a service that breaks
                 # that contract (or a test that injects a fault) kills the
                 # connection rather than leaving the client waiting forever.
-                writer.close()
+                conn.writer.close()
                 return
             try:
-                async with write_lock:
-                    writer.write(
-                        encode_reply_for(
-                            conn["wire_version"], reply, request_id=request_id
-                        )
-                    )
-                    await self._drain_or_evict(writer)
+                await self._send(conn, reply, request_id)
             except (ConnectionResetError, BrokenPipeError):
                 pass
         finally:
@@ -334,10 +341,10 @@ class ServiceServer:
             self._inflight.release()
             if self._byte_budget is not None:
                 await self._byte_budget.release(cost)
-            if conn_budget is not None:
-                await conn_budget.release(cost)
+            if conn.budget is not None:
+                await conn.budget.release(cost)
 
-    def _auth_reply(self, message: AuthRequest, conn_auth: Dict[str, Any]) -> Message:
+    def _auth_reply(self, message: AuthRequest, conn: "_Connection") -> Message:
         """One handshake leg; mutates the connection's auth state.
 
         The nonce is single-use: a failed proof (or a proof without a
@@ -347,9 +354,9 @@ class ServiceServer:
         if self.auth_key is None:
             return AuthResponse(ok=True)
         if message.proof is None:
-            conn_auth["nonce"] = new_auth_nonce()
-            return AuthChallenge(nonce=conn_auth["nonce"])
-        nonce = conn_auth.pop("nonce", None)
+            conn.nonce = new_auth_nonce()
+            return AuthChallenge(nonce=conn.nonce)
+        nonce, conn.nonce = conn.nonce, None
         if nonce is None:
             return ErrorEnvelope(
                 code="auth",
@@ -359,7 +366,7 @@ class ServiceServer:
             return ErrorEnvelope(
                 code="auth", message="bad credentials: proof does not match"
             )
-        conn_auth["ok"] = True
+        conn.authed = True
         return AuthResponse(ok=True)
 
     async def _read_frame(
@@ -407,33 +414,27 @@ class ServiceServer:
         # trips asyncio's stream done-callback on Python 3.11.
         assert self._inflight is not None
         self._connections += 1
-        write_lock = asyncio.Lock()
-        tasks: set = set()
-        conn_auth: Dict[str, Any] = {"ok": self.auth_key is None}
-        # Per-connection negotiated framing; every connection starts on
-        # v1 JSON and only a hello exchange can raise it, so a v1-only
-        # peer never sees a v2 frame.
-        conn: Dict[str, Any] = {"wire_version": WIRE_VERSION}
-        conn_budget: Optional[_ByteBudget] = None
-        if self.max_conn_inflight_bytes is not None:
-            conn_budget = _ByteBudget(self.max_conn_inflight_bytes)
+        conn = _Connection(
+            writer,
+            authed=self.auth_key is None,
+            budget=(
+                None
+                if self.max_conn_inflight_bytes is None
+                else _ByteBudget(self.max_conn_inflight_bytes)
+            ),
+        )
         try:
             while True:
                 try:
-                    line = await self._read_frame(reader, conn["wire_version"])
+                    line = await self._read_frame(reader, conn.wire_version)
                 except _FrameReadError as exc:
-                    async with write_lock:
-                        writer.write(
-                            encode_reply_for(
-                                conn["wire_version"],
-                                ErrorEnvelope(code="protocol", message=str(exc)),
-                            )
-                        )
-                        await self._drain_or_evict(writer)
+                    await self._send(
+                        conn, ErrorEnvelope(code="protocol", message=str(exc))
+                    )
                     break
                 if not line:
                     break
-                if conn["wire_version"] < WIRE_VERSION_V2 and not line.strip():
+                if conn.wire_version < WIRE_VERSION_V2 and not line.strip():
                     continue
                 try:
                     # Envelope first, body second: an unauthenticated
@@ -441,30 +442,24 @@ class ServiceServer:
                     # payload is materialised into traces/arrays — a
                     # keyless peer cannot make the server build objects.
                     blocks = None
-                    if conn["wire_version"] >= WIRE_VERSION_V2:
+                    if conn.wire_version >= WIRE_VERSION_V2:
                         request_id, slug, cls, body, blocks = parse_frame_v2(line)
                     else:
                         request_id, slug, cls, body = parse_frame_envelope(line)
-                    if not conn_auth["ok"] and cls not in (
-                        AuthRequest,
-                        HelloRequest,
-                    ):
+                    if not conn.authed and cls not in (AuthRequest, HelloRequest):
                         # Rejected before any engine work: no body
                         # build, no service.handle, no in-flight slot.
                         # (hello is exempt like auth: version discovery
                         # is transport plumbing, not a served verb.)
-                        payload = encode_reply_for(
-                            conn["wire_version"],
+                        await self._send(
+                            conn,
                             ErrorEnvelope(
                                 code="auth",
                                 message="authentication required: complete "
                                 "the auth handshake before any other request",
                             ),
-                            request_id=request_id,
+                            request_id,
                         )
-                        async with write_lock:
-                            writer.write(payload)
-                            await self._drain_or_evict(writer)
                         continue
                     if blocks is None:
                         message = materialize_frame(request_id, slug, cls, body)
@@ -473,26 +468,17 @@ class ServiceServer:
                             request_id, slug, cls, body, blocks
                         )
                 except ProtocolError as exc:
-                    async with write_lock:
-                        writer.write(
-                            encode_reply_for(
-                                conn["wire_version"],
-                                ErrorEnvelope(code="protocol", message=str(exc)),
-                                request_id=getattr(exc, "request_id", None),
-                            )
-                        )
-                        await self._drain_or_evict(writer)
+                    await self._send(
+                        conn,
+                        ErrorEnvelope(code="protocol", message=str(exc)),
+                        getattr(exc, "request_id", None),
+                    )
                     continue
                 if isinstance(message, AuthRequest):
                     # Transport-level: handled inline (tagged or not),
                     # never reaches the service facade.
-                    reply = self._auth_reply(message, conn_auth)
-                    payload = encode_reply_for(
-                        conn["wire_version"], reply, request_id=request_id
-                    )
-                    async with write_lock:
-                        writer.write(payload)
-                        await self._drain_or_evict(writer)
+                    reply = self._auth_reply(message, conn)
+                    await self._send(conn, reply, request_id)
                     if isinstance(reply, ErrorEnvelope):
                         # Failed proof (or proof without challenge):
                         # drop the connection, so every further guess
@@ -509,73 +495,57 @@ class ServiceServer:
                     agreed = negotiate_wire_version(
                         message.versions, self.wire_versions
                     )
-                    payload = encode_reply_for(
-                        conn["wire_version"],
-                        HelloResponse(version=agreed, versions=self.wire_versions),
-                        request_id=request_id,
-                    )
-                    async with write_lock:
-                        writer.write(payload)
-                        await self._drain_or_evict(writer)
-                        conn["wire_version"] = agreed
-                    continue
-                if request_id is None:
-                    # Untagged = legacy FIFO: handled inline, replies in
-                    # request order, exactly the v1 behaviour.
-                    self._active_requests += 1
-                    try:
-                        payload = encode_reply_for(
-                            conn["wire_version"], await self.service.handle(message)
+                    async with conn.write_lock:
+                        writer.write(
+                            encode_reply_for(
+                                conn.wire_version,
+                                HelloResponse(
+                                    version=agreed, versions=self.wire_versions
+                                ),
+                                request_id=request_id,
+                            )
                         )
-                    finally:
-                        self._active_requests -= 1
-                        self._requests_served += 1
-                    async with write_lock:
-                        writer.write(payload)
                         await self._drain_or_evict(writer)
+                        conn.wire_version = agreed
                     continue
-                # Tagged: acquire an in-flight slot *before* reading the
-                # next line — a full server stops consuming input, and
-                # TCP flow control backpressures the client.  Byte
-                # budgets are reserved first (per-connection, then
+                # Acquire the byte budgets and an in-flight slot *before*
+                # reading the next frame — a full server stops consuming
+                # input, and TCP flow control backpressures the client.
+                # Byte budgets are reserved first (per-connection, then
                 # global) so one connection full of huge frames cannot
                 # starve the global budget while also holding count
-                # slots: a blocked connection stops being read, and TCP
-                # pushes back.  The cost is the frame's actual size on
-                # the wire — for a v2 frame that is prefix + header +
+                # slots.  The cost is the frame's actual size on the
+                # wire — for a v2 frame that is prefix + header +
                 # columnar blocks, not a stringified estimate.
                 cost = len(line)
-                if conn_budget is not None:
-                    await conn_budget.acquire(cost)
+                if conn.budget is not None:
+                    await conn.budget.acquire(cost)
                 if self._byte_budget is not None:
                     await self._byte_budget.acquire(cost)
                 await self._inflight.acquire()
-                task = asyncio.ensure_future(
-                    self._serve_tagged(
-                        request_id,
-                        message,
-                        write_lock,
-                        writer,
-                        cost,
-                        conn_budget,
-                        conn,
-                    )
-                )
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
+                serving = self._serve(conn, request_id, message, cost)
+                if request_id is None:
+                    # Untagged = the v1 FIFO contract: served before the
+                    # next frame is read, so replies come in request order.
+                    await serving
+                    continue
+                # Tagged: served concurrently; the reply echoes the id.
+                task = asyncio.ensure_future(serving)
+                conn.tasks.add(task)
+                task.add_done_callback(conn.tasks.discard)
         except asyncio.CancelledError:
             pass
         except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
             pass
         finally:
-            if tasks:
+            if conn.tasks:
                 # Let in-flight replies finish (the client may be
                 # half-closed but still reading).  Server stop can
                 # cancel this handler a second time while it drains
                 # here — swallow it and fall through to the close, or
                 # asyncio logs a spurious CancelledError at teardown.
                 try:
-                    await asyncio.gather(*tasks, return_exceptions=True)
+                    await asyncio.gather(*conn.tasks, return_exceptions=True)
                 except asyncio.CancelledError:
                     pass
             writer.close()
@@ -645,8 +615,8 @@ class ServiceServer:
 
         Three ordered steps: (1) close the listening socket so no new
         connection can arrive; (2) acquire every in-flight slot, which
-        completes only once all tagged requests have been served *and
-        their replies written*; (3) flush every open streaming window
+        completes only once every request, tagged or untagged, has been
+        served *and its reply written*; (3) flush every open streaming window
         through the cascade so no accepted record is lost.  Returns the
         stream-flush summary (``sessions`` / ``windows_flushed`` /
         ``records_flushed``).  ``repro serve`` runs this on SIGTERM.

@@ -37,13 +37,12 @@ resumption is loss- and duplication-free.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.engine import DEFAULT_CHUNK_S, ProtectedPiece, _check_count
+from repro.core.engine import DEFAULT_CHUNK_S, ProtectedPiece
 from repro.core.trace import Trace
-from repro.errors import ConfigurationError, StreamError
+from repro.errors import ConfigurationError, StreamError, check_count, check_positive
 from repro.metrics.distortion import spatial_temporal_distortion
 from repro.rng import make_rng, stable_user_seed
 from repro.stream.window import (
@@ -92,18 +91,10 @@ class StreamConfig:
                 f"stream overflow must be one of {OVERFLOW_POLICIES}, "
                 f"got {self.overflow!r}"
             )
-        for name in ("window_s", "gap_s"):
-            value = getattr(self, name)
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, (int, float))
-                or not 0 < value < math.inf
-            ):
-                raise ConfigurationError(
-                    f"{name} must be a positive finite number, got {value!r}"
-                )
-        _check_count("max_pending_records", self.max_pending_records)
-        _check_count("max_unacked_windows", self.max_unacked_windows)
+        check_positive("window_s", self.window_s)
+        check_positive("gap_s", self.gap_s)
+        check_count("max_pending_records", self.max_pending_records)
+        check_count("max_unacked_windows", self.max_unacked_windows)
         if not isinstance(self.refit, bool):
             raise ConfigurationError(f"refit must be true or false, got {self.refit!r}")
 

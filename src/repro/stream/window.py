@@ -28,7 +28,7 @@ from typing import List, Optional
 from repro.core.engine import DEFAULT_CHUNK_S
 from repro.core.split import fixed_window_end
 from repro.core.trace import Trace
-from repro.errors import ConfigurationError, StreamError
+from repro.errors import ConfigurationError, StreamError, check_positive
 
 #: Supported window kinds.
 WINDOW_KINDS = ("tumbling", "session")
@@ -69,14 +69,10 @@ class WindowAssembler:
             raise ConfigurationError(
                 f"unknown window kind {kind!r}; choose from {WINDOW_KINDS}"
             )
-        if float(window_s) <= 0:
-            raise ConfigurationError(f"window_s must be positive, got {window_s}")
-        if float(gap_s) <= 0:
-            raise ConfigurationError(f"gap_s must be positive, got {gap_s}")
         self.user_id = user_id
         self.kind = kind
-        self.window_s = float(window_s)
-        self.gap_s = float(gap_s)
+        self.window_s = check_positive("window_s", window_s)
+        self.gap_s = check_positive("gap_s", gap_s)
         self._ordinals: List[int] = []
         self._t: List[float] = []
         self._lat: List[float] = []

@@ -46,10 +46,17 @@ class TestSubscriptionValidation:
             MembershipSubscription("127.0.0.1:1", poll_s=0.0)
         with pytest.raises(ConfigurationError):
             MembershipSubscription("127.0.0.1:1", timeout=-1.0)
+        with pytest.raises(ConfigurationError, match="poll_s"):
+            MembershipSubscription("127.0.0.1:1", poll_s=True)
 
     def test_announcer_validation(self):
         with pytest.raises(ConfigurationError):
             ClusterAnnouncer("127.0.0.1:1", "127.0.0.1:2", heartbeat_s=0.0)
+        # True and 1.5 used to be coerced to 1.0 s and a capacity of 1.
+        with pytest.raises(ConfigurationError, match="must be positive"):
+            ClusterAnnouncer("127.0.0.1:1", "127.0.0.1:2", heartbeat_s=True)
+        with pytest.raises(ConfigurationError, match="capacity"):
+            ClusterAnnouncer("127.0.0.1:1", "127.0.0.1:2", capacity=1.5)
         with pytest.raises(ConfigurationError):
             ClusterAnnouncer("@@@", "127.0.0.1:2")
 

@@ -112,6 +112,8 @@ class TestStalenessAndPrune:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             ClusterRegistry(stale_after_s=0.0)
+        with pytest.raises(ConfigurationError, match="must be positive"):
+            ClusterRegistry(stale_after_s="15")
         registry = ClusterRegistry()
         with pytest.raises(ConfigurationError):
             registry.join("not an endpoint")

@@ -1,10 +1,12 @@
 """Tests for the socket transport: TCP/unix server, client SDK, CLI serve."""
 
 import asyncio
+import concurrent.futures
 import os
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -167,6 +169,20 @@ class TestTcpTransport:
             ServiceClient()
 
 
+class _GatedStats(ProtectionService):
+    """Parks every stats request before it takes the state lock."""
+
+    def __init__(self, engine):
+        super().__init__(engine)
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def _stats_sync(self):
+        self.entered.set()
+        self.release.wait(30.0)
+        return super()._stats_sync()
+
+
 class _SlowStats(ProtectionService):
     """Service whose stats verb dawdles (off the state lock)."""
 
@@ -174,11 +190,9 @@ class _SlowStats(ProtectionService):
         super().__init__(engine)
         self._delay_s = delay_s
 
-    async def stats(self, request=None):
-        import asyncio
-
-        await asyncio.sleep(self._delay_s)
-        return await super().stats(request)
+    def _stats_sync(self):
+        time.sleep(self._delay_s)
+        return super()._stats_sync()
 
 
 class TestClientDesyncRecovery:
@@ -398,8 +412,10 @@ class TestConcurrentRequests:
         assert seen == set(range(5))
 
     def test_invalid_max_inflight_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ServiceServer(ProtectionService(stub_engine()), max_inflight=0)
+        # 2.7 and True used to be coerced to 2 and 1.
+        for bad in (0, 2.7, True):
+            with pytest.raises(ConfigurationError, match="must be >= 1"):
+                ServiceServer(ProtectionService(stub_engine()), max_inflight=bad)
 
 
 class TestAsyncClient:
@@ -707,6 +723,8 @@ class TestByteBudget:
             ServiceServer(service, max_conn_inflight_bytes=0)
         with pytest.raises(ConfigurationError):
             ServiceServer(service, drain_timeout_s=0.0)
+        with pytest.raises(ConfigurationError, match="must be positive"):
+            ServiceServer(service, drain_timeout_s="5")
 
     def test_tiny_byte_budget_still_serves_everything(self):
         """A budget smaller than any frame degrades to serial service —
@@ -800,6 +818,32 @@ class TestGracefulDrain:
                 socket.create_connection((host, port), timeout=0.5).close()
 
         asyncio.run(scenario())
+
+    def test_drain_waits_for_an_untagged_reply(self):
+        """An untagged request holds an in-flight slot like a tagged one,
+        so drain() returns only once its reply has been written."""
+        service = _GatedStats(stub_engine())
+        server = ServiceServer(service, port=0)
+        host, port = server.start_background()
+        try:
+            with socket.create_connection((host, port), timeout=30) as sock:
+                fh = sock.makefile("rwb")
+                fh.write(encode_message(StatsRequest()))
+                fh.flush()
+                assert service.entered.wait(30.0)
+                drained = asyncio.run_coroutine_threadsafe(
+                    server.drain(), server._thread_loop
+                )
+                with pytest.raises(concurrent.futures.TimeoutError):
+                    drained.result(timeout=0.5)
+                service.release.set()
+                summary = drained.result(timeout=30.0)
+                reply_id, reply = decode_frame(fh.readline())
+        finally:
+            service.release.set()
+            server.stop_background()
+        assert summary["sessions"] == 0
+        assert reply_id is None and isinstance(reply, StatsResponse)
 
 
 class TestServeSigtermDrain:

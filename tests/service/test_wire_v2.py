@@ -981,8 +981,11 @@ class TestConfigEdges:
             )
 
     def test_loopback_rejects_unknown_wire_version(self):
-        with pytest.raises(ConfigurationError, match="wire_version"):
-            LoopbackClient(ProtectionService(stub_engine()), wire_version=7)
+        # True and 2.0 compare equal to supported versions; True used to
+        # be stored as v1.  A version is an int, checked, never coerced.
+        for version in (7, True, 2.0, "1"):
+            with pytest.raises(ConfigurationError, match="wire_version"):
+                LoopbackClient(ProtectionService(stub_engine()), wire_version=version)
 
     def test_endpoint_dict_specs(self):
         assert parse_endpoint({"host": "10.0.0.1", "port": 8}).label() == (

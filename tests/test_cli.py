@@ -378,6 +378,12 @@ class TestConfigCommands:
             '{"executor": {"name": "remote", "endpoints": ["127.0.0.1:1"], "wire": [2]}}',
             '{"executor": {"name": "remote", "endpoints": ["127.0.0.1:1"], "wire": [1, 3]}}',
             '{"executor": {"name": "remote", "endpoints": ["127.0.0.1:1"], "wire": []}}',
+            '{"executor": {"name": "remote", "endpoints": ["127.0.0.1:1"], "retry_budget": 2.7}}',
+            '{"executor": {"name": "remote", "endpoints": ["127.0.0.1:1"], "retry_budget": true}}',
+            '{"executor": {"name": "remote", "endpoints": ["127.0.0.1:1"], "timeout": "5"}}',
+            '{"executor": {"name": "remote", "endpoints": ["127.0.0.1:1"], "poll_s": true}}',
+            '{"executor": {"name": "remote", "endpoints": ["127.0.0.1:1"], "backoff": {"base": true}}}',
+            '{"executor": {"name": "remote", "endpoints": ["127.0.0.1:1"], "join_grace_s": "30"}}',
         ],
     )
     def test_config_validate_checks_values_without_coercing(

@@ -18,9 +18,11 @@ __all__ = [
 
 
 def default_attack_suite(ref_lat: float = 45.0):
-    """The paper's three attacks with their §4.1.1 parameters."""
+    """The paper's three attacks with their §4.1.1 parameters, in the
+    screen order of :data:`repro.config.DEFAULT_ATTACK_SPECS` (AP, PIT,
+    POI: the most decisive first)."""
     return [
-        PoiAttack(diameter_m=200.0, min_dwell_s=3600.0),
-        PitAttack(diameter_m=200.0, min_dwell_s=3600.0),
         ApAttack(cell_size_m=800.0, ref_lat=ref_lat),
+        PitAttack(diameter_m=200.0, min_dwell_s=3600.0),
+        PoiAttack(diameter_m=200.0, min_dwell_s=3600.0),
     ]

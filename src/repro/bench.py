@@ -230,20 +230,35 @@ def bench_rank_at_scale(
 
 
 def bench_feature_kernels(seed: int = 7, repeat: int = 5) -> Dict[str, Dict[str, float]]:
-    """POI extraction and set-distance timings, fast vs reference."""
+    """POI extraction and set-distance timings, fast vs reference.
+
+    Extraction runs on a :func:`synthetic_trace` with no long jump and on
+    its Geo-I and TRL outputs, whose jumps the cut pre-pass of
+    :func:`extract_pois` skips; any difference from
+    :func:`extract_pois_reference` fails the bench."""
+    from repro.lppm import GeoInd, Trilateration
+
     trace = synthetic_trace("kern", seed=seed, n_places=6, visits_per_place=4)
+    probes = {
+        "extract_pois": trace,
+        "extract_pois_geoi": GeoInd(epsilon=0.01).apply(trace, seed),
+        "extract_pois_trl": Trilateration(radius_m=1000.0).apply(trace, seed),
+    }
+    out: Dict[str, Dict[str, float]] = {}
+    for name, probe in probes.items():
+        if extract_pois(probe) != extract_pois_reference(probe):
+            raise AssertionError(f"extract_pois differs from the reference on the {name} probe")
+        out[name] = _speedup_entry(
+            time_fn(lambda: extract_pois(probe), repeat=repeat),
+            time_fn(lambda: extract_pois_reference(probe), repeat=repeat),
+        )
     a = PoiAttack()._extract(trace)
     b = PoiAttack()._extract(synthetic_trace("kern2", seed=seed + 1, n_places=6))
-    return {
-        "extract_pois": _speedup_entry(
-            time_fn(lambda: extract_pois(trace), repeat=repeat),
-            time_fn(lambda: extract_pois_reference(trace), repeat=repeat),
-        ),
-        "poi_set_distance": _speedup_entry(
-            time_fn(lambda: poi_set_distance(a, b), repeat=repeat, warmup=2),
-            time_fn(lambda: poi_set_distance_reference(a, b), repeat=repeat),
-        ),
-    }
+    out["poi_set_distance"] = _speedup_entry(
+        time_fn(lambda: poi_set_distance(a, b), repeat=repeat, warmup=2),
+        time_fn(lambda: poi_set_distance_reference(a, b), repeat=repeat),
+    )
+    return out
 
 
 def bench_engine_smoke(

@@ -46,7 +46,7 @@ from repro.core.featurecache import FeatureCache
 from repro.core.search import CompositionSearchStrategy
 from repro.core.split import split_fixed_time, split_in_half
 from repro.core.trace import Trace
-from repro.errors import ConfigurationError, check_count, check_positive
+from repro.errors import ConfigurationError, check_count, check_integer, check_positive
 from repro.lppm.base import LPPM
 from repro.lppm.hybrid import HybridLPPM, HybridResult, is_protected
 from repro.metrics.dataloss import data_loss
@@ -898,14 +898,14 @@ class ProtectionEngine:
             raise ConfigurationError("the protection engine needs at least one LPPM")
         if not attacks:
             raise ConfigurationError("the protection engine needs at least one attack")
-        if not delta_s > 0:
-            raise ConfigurationError(f"delta_s must be positive, got {delta_s}")
         check_count("jobs", jobs, optional=True)
         self.lppms = list(lppms)
         self.attacks = list(attacks)
-        self.delta_s = float(delta_s)
-        self.max_composition_length = max_composition_length
-        self.seed = int(seed)
+        self.delta_s = check_positive("delta_s", delta_s, finite=False)
+        self.max_composition_length = check_count(
+            "max_composition_length", max_composition_length, optional=True
+        )
+        self.seed = check_integer("seed", seed)
         self.split_policy = split_policy
         self._split_fn = (
             split_policy if callable(split_policy) else build("split_policy", split_policy)

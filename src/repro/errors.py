@@ -2,9 +2,10 @@
 
 Every error raised by the library derives from :class:`ReproError`, so
 callers can catch a single exception type at API boundaries while still
-being able to discriminate finer-grained failures.  :func:`check_count`
-and :func:`check_positive` are the one way a constructor checks a count
-or a duration before raising :class:`ConfigurationError`.
+being able to discriminate finer-grained failures.  :func:`check_count`,
+:func:`check_positive` and :func:`check_integer` are the one way a
+constructor checks a count, a duration or a seed before raising
+:class:`ConfigurationError`.
 """
 
 from __future__ import annotations
@@ -58,23 +59,36 @@ def check_count(name: str, value: Any, minimum: int = 1, optional: bool = False)
     return value
 
 
-def check_positive(name: str, value: Any, optional: bool = False) -> Any:
+def check_positive(
+    name: str, value: Any, optional: bool = False, finite: bool = True
+) -> Any:
     """Return *value* as a float if it is a finite real > 0 (or ``None``
-    when *optional*).
+    when *optional*; +inf too when not *finite*).
 
     The check for durations: ``bool`` and numeric strings are rejected
     rather than coerced (``True`` would pass as 1 s, ``"5"`` as 5 s), and
-    so are NaN and infinity.
+    so are NaN and, unless *finite* is false, infinity (a bound that is
+    never reached, such as a recursion floor that never splits).
     """
     if value is None and optional:
         return value
     if (
         isinstance(value, bool)
         or not isinstance(value, (int, float))
-        or not 0 < value < math.inf
+        or not (0 < value < math.inf or (value == math.inf and not finite))
     ):
-        raise ConfigurationError(f"{name} must be positive and finite, got {value!r}")
+        what = "positive and finite" if finite else "positive"
+        raise ConfigurationError(f"{name} must be {what}, got {value!r}")
     return float(value)
+
+
+def check_integer(name: str, value: Any) -> int:
+    """Return *value* if it is an ``int`` other than a ``bool``: the check
+    for seeds.  A float, a bool or a numeric string is rejected rather
+    than coerced (``2.7`` would run as seed 2, ``True`` as seed 1)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 class ProtectionFailedError(ReproError, RuntimeError):

@@ -42,11 +42,15 @@ class HybridResult:
 def is_protected(obfuscated: Trace, true_user: str, attacks: "Sequence[Attack]") -> bool:
     """``True`` iff **every** attack fails to re-identify *true_user* (Eq. 5).
 
-    Attacks are evaluated lazily: the first successful re-identification
-    short-circuits, mirroring Algorithm 1's inner while loop.  This is
-    the composition-search hot loop — ``reidentify`` routes through each
-    attack's :meth:`~repro.attacks.base.Attack.top1` fast path (a single
-    argmin over the profile set), never a full ranking sort.
+    Attacks are evaluated lazily, in the order given: the first
+    successful re-identification short-circuits, mirroring Algorithm 1's
+    inner while loop.  Eq. 5 is a conjunction, so the order of *attacks*
+    decides what a verdict costs, never the verdict: list the attack
+    that re-identifies most candidates first (the default suite screens
+    AP, PIT, then POI).  This is the composition-search hot loop —
+    ``reidentify`` routes through each attack's
+    :meth:`~repro.attacks.base.Attack.top1` fast path (a single argmin
+    over the profile set), never a full ranking sort.
     """
     for attack in attacks:
         if attack.reidentify(obfuscated) == true_user:

@@ -8,8 +8,8 @@ compares the MMC of an anonymous trace against the MMCs of known users.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+import functools
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -18,26 +18,45 @@ from repro.errors import ConfigurationError
 from repro.poi.clustering import POI, extract_pois, merge_nearby_pois
 
 
-@dataclass(frozen=True)
 class MarkovChain:
-    """A user's MMC: states (POIs, heaviest first), transitions, stationary law."""
+    """A user's MMC: states (POIs, heaviest first), transitions, stationary law.
 
-    states: Tuple[POI, ...]
-    #: Row-stochastic transition matrix, shape ``(n, n)``.
-    transitions: np.ndarray
-    #: Stationary distribution estimated from visit frequencies.
-    stationary: np.ndarray
+    *transitions* is the row-stochastic ``(n, n)`` matrix, or a function
+    of no argument that builds it: :func:`build_mmc` passes one that
+    keeps the chronological visits, and the matrix is built on the first
+    read of :attr:`transitions`.  No attack reads it (the PIT-attack's
+    distances use the states and the stationary law), so a fit or a
+    screened candidate never pays for it.  *stationary* is the
+    stationary distribution estimated from visit frequencies.
+    """
 
-    def __post_init__(self) -> None:
+    __slots__ = ("states", "stationary", "_transitions")
+
+    def __init__(
+        self,
+        states: Sequence[POI],
+        transitions: Union[np.ndarray, Callable[[], np.ndarray]],
+        stationary: np.ndarray,
+    ) -> None:
+        self.states: Tuple[POI, ...] = tuple(states)
+        self.stationary = stationary
+        self._transitions = transitions
         n = len(self.states)
-        if self.transitions.shape != (n, n):
+        if not callable(transitions) and transitions.shape != (n, n):
             raise ConfigurationError(
-                f"transition matrix shape {self.transitions.shape} does not match {n} states"
+                f"transition matrix shape {transitions.shape} does not match {n} states"
             )
-        if self.stationary.shape != (n,):
+        if stationary.shape != (n,):
             raise ConfigurationError(
-                f"stationary vector shape {self.stationary.shape} does not match {n} states"
+                f"stationary vector shape {stationary.shape} does not match {n} states"
             )
+
+    @property
+    def transitions(self) -> np.ndarray:
+        """Row-stochastic transition matrix, shape ``(n, n)``."""
+        if callable(self._transitions):
+            self._transitions = self._transitions()
+        return self._transitions
 
     def __len__(self) -> int:
         return len(self.states)
@@ -62,6 +81,20 @@ def _assign_visits_to_states(visits: Sequence[POI], states: Sequence[POI], radiu
     return indices
 
 
+def _transitions(
+    visits: Sequence[POI], states: Sequence[POI], radius_m: float, smoothing: float
+) -> np.ndarray:
+    """Transition matrix estimated from consecutive visits, smoothed."""
+    n = len(states)
+    seq = _assign_visits_to_states(visits, states, radius_m=radius_m)
+    counts = np.full((n, n), smoothing, dtype=np.float64)
+    for a, b in zip(seq, seq[1:]):
+        if a != b:
+            counts[a, b] += 1.0
+    row_sums = counts.sum(axis=1, keepdims=True)
+    return counts / row_sums
+
+
 def build_mmc(
     trace: Trace,
     diameter_m: float = 200.0,
@@ -76,7 +109,9 @@ def build_mmc(
     Steps: extract chronological POI visits, merge repeat visits into
     places, keep the ``max_states`` heaviest places as states, estimate
     transitions from consecutive visits (with additive smoothing so the
-    chain stays ergodic), and take visit frequency as the stationary law.
+    chain stays ergodic; on the first read of
+    :attr:`MarkovChain.transitions`), and take visit frequency as the
+    stationary law.
     Returns an empty chain (0 states) when the trace has no qualifying POI
     — callers treat such users as unprofiled.
 
@@ -92,20 +127,13 @@ def build_mmc(
         visits = extract_pois(trace, diameter_m=diameter_m, min_dwell_s=min_dwell_s)
     if places is None:
         places = merge_nearby_pois(visits, merge_radius_m=diameter_m)
-    states = places[:max_states]
-    n = len(states)
-    if n == 0:
+    states = tuple(places[:max_states])
+    if not states:
         return MarkovChain(states=(), transitions=np.zeros((0, 0)), stationary=np.zeros(0))
-    seq = _assign_visits_to_states(visits, states, radius_m=diameter_m)
-    counts = np.full((n, n), smoothing, dtype=np.float64)
-    for a, b in zip(seq, seq[1:]):
-        if a != b:
-            counts[a, b] += 1.0
-    row_sums = counts.sum(axis=1, keepdims=True)
-    transitions = counts / row_sums
     weights = np.array([float(s.weight) for s in states])
     stationary = weights / weights.sum()
-    return MarkovChain(states=tuple(states), transitions=transitions, stationary=stationary)
+    transitions = functools.partial(_transitions, tuple(visits), states, diameter_m, smoothing)
+    return MarkovChain(states=states, transitions=transitions, stationary=stationary)
 
 
 def stationary_of(transitions: np.ndarray, iterations: int = 200) -> np.ndarray:

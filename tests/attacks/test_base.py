@@ -74,7 +74,7 @@ class TestAttackContract:
 class TestDefaultSuite:
     def test_three_attacks(self):
         suite = default_attack_suite()
-        assert [a.name for a in suite] == ["POI-attack", "PIT-attack", "AP-attack"]
+        assert [a.name for a in suite] == ["AP-attack", "PIT-attack", "POI-attack"]
 
     def test_paper_parameters(self):
         suite = {a.name: a for a in default_attack_suite()}

@@ -114,6 +114,26 @@ class TestFromConfig:
             ProtectionEngine([_Shift()], [_ThresholdAttack()], jobs=0)
         with pytest.raises(ConfigurationError, match="delta_s"):
             ProtectionEngine([_Shift()], [_ThresholdAttack()], delta_s=float("nan"))
+        # Checked as ProtectionConfig.validate checks them, never coerced:
+        # coercion would run seed 2.7 as 2, build no chain for a length of
+        # True or 0, and run delta_s=True as 1 s.
+        bad = [
+            ("seed", 2.7),
+            ("seed", True),
+            ("seed", "5"),
+            ("max_composition_length", True),
+            ("max_composition_length", 0),
+            ("max_composition_length", 2.5),
+            ("delta_s", True),
+            ("delta_s", "5"),
+        ]
+        for key, value in bad:
+            with pytest.raises(ConfigurationError, match=key):
+                ProtectionEngine([_Shift()], [_ThresholdAttack()], **{key: value})
+            with pytest.raises(ConfigurationError, match=key):
+                ProtectionConfig(**{key: value}).validate()
+        engine = ProtectionEngine([_Shift()], [_ThresholdAttack()], delta_s=float("inf"))
+        assert engine.delta_s == float("inf")
 
 
 @pytest.fixture(scope="module")

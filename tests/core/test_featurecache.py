@@ -230,7 +230,14 @@ class TestEngineCacheWiring:
         background = synthetic_background(6, seed=5)
         attacks = [a.fit(background) for a in default_attack_suite()]
         engine = ProtectionEngine([GeoInd(0.015)], attacks, seed=1)
-        engine.protect(background.traces()[0])
+        # A user outside the background: the AP-attack, which screens
+        # first, cannot re-identify their candidate, so the PIT- and
+        # POI-attacks see it too (a background user's candidate is
+        # decided by the AP-attack alone).
+        engine.protect(synthetic_trace("newcomer", seed=99))
         stats = engine.feature_cache.stats()
         assert stats["misses"] > 0
         assert stats["hits"] > 0  # POI/PIT sharing alone guarantees hits
+        # Heatmap, visits, places and MMC miss once; the POI-attack's
+        # visits and places are the PIT-attack's.
+        assert (stats["misses"], stats["hits"]) == (4, 2)

@@ -14,7 +14,8 @@ class TestDefaults:
     def test_paper_defaults_validate(self):
         cfg = ProtectionConfig.paper_defaults()
         assert [s["name"] for s in cfg.lppms] == ["geoi", "trl", "hmc"]
-        assert [s["name"] for s in cfg.attacks] == ["poi", "pit", "ap"]
+        # Screen order: the attack that re-identifies most candidates first.
+        assert [s["name"] for s in cfg.attacks] == ["ap", "pit", "poi"]
         assert cfg.delta_s == 4 * 3600.0
         assert cfg.executor == "serial"
 

@@ -24,6 +24,7 @@ retained original implementations in :mod:`repro.attacks.reference` and
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -44,12 +45,17 @@ from repro.attacks.reference import (
 from repro.bench import CITY_LAT, synthetic_background, synthetic_trace
 from repro.core.dataset import MobilityDataset
 from repro.core.trace import Trace
+from repro.geo.geodesy import EARTH_RADIUS_M, equirectangular_distance_m
 from repro.geo.grid import Cell
 from repro.lppm.geoi import GeoInd
 from repro.lppm.hmc import HeatmapConfusion
 from repro.lppm.trl import Trilateration
+from repro.poi import clustering
 from repro.poi.heatmap import build_heatmap
 from repro.poi.clustering import POI, extract_pois, extract_pois_reference
+from tests.poi.test_bulk import pois_state
+
+M_PER_DEG = 111_320.0
 
 
 def random_walk_trace(seed, n=400, lat0=45.76, lng0=4.84, step_m=60.0):
@@ -89,6 +95,65 @@ def random_pois(seed, n, lat0=45.76, lng0=4.84, spread=0.01):
     ]
 
 
+def assert_extracts_as_reference(trace, diameter_m=200.0, min_dwell_s=3600.0):
+    """``extract_pois`` returns the reference's POIs bit for bit (NaN
+    fields included), with the cut pre-pass's record floor as shipped and
+    lowered to 2 (so it also cuts traces shorter than
+    ``_CUT_MIN_RECORDS``)."""
+    want = pois_state(extract_pois_reference(trace, diameter_m, min_dwell_s))
+    assert pois_state(extract_pois(trace, diameter_m, min_dwell_s)) == want
+    with mock.patch.object(clustering, "_CUT_MIN_RECORDS", 2):
+        assert pois_state(extract_pois(trace, diameter_m, min_dwell_s)) == want
+
+
+def metres_trace(user_id, lat0, lng0, steps_m, dts):
+    """A trace from *lat0*/*lng0* by ``(north, east)`` steps in metres."""
+    steps = np.asarray(steps_m, dtype=float).reshape(-1, 2)
+    lats = lat0 + np.cumsum(steps[:, 0]) / M_PER_DEG
+    # A walk over a pole comes back down the other side.
+    lats = np.where(np.abs(lats) > 90.0, np.sign(lats) * 180.0 - lats, lats)
+    lngs = lng0 + np.cumsum(steps[:, 1]) / (M_PER_DEG * np.cos(np.radians(lats)))
+    return Trace(user_id, np.cumsum(dts), lats, lngs)
+
+
+def cut_threshold_deg(diameter_m=200.0):
+    """The jump, in degrees of latitude, above which the pre-pass cuts."""
+    return diameter_m * clustering._CUT_MARGIN / (EARTH_RADIUS_M * clustering._DEG)
+
+
+@st.composite
+def dwell_jump_traces(draw):
+    """Stays, moves of about one cut margin and long jumps, anywhere up to
+    0.05 degrees from a pole, with clustering parameters to match."""
+    n = draw(st.integers(min_value=0, max_value=120))
+    diameter = draw(st.sampled_from([50.0, 200.0, 2000.0]))
+    dwell = draw(st.sampled_from([0.0, 600.0, 3600.0]))
+    lat0 = draw(st.floats(min_value=-89.95, max_value=89.95))
+    lng0 = draw(st.floats(min_value=-180.0, max_value=180.0))
+    scale = {"stay": 0.1, "edge": 1.01, "jump": 8.0}
+    steps, dts = [], []
+    for _ in range(n):
+        kind = draw(st.sampled_from(sorted(scale)))
+        angle = draw(st.floats(min_value=0.0, max_value=2 * math.pi))
+        length = diameter * scale[kind] * draw(st.floats(min_value=0.9, max_value=1.1))
+        steps.append((length * math.cos(angle), length * math.sin(angle)))
+        dts.append(draw(st.integers(min_value=0, max_value=2400)))
+    return metres_trace("h", lat0, lng0, steps, dts), diameter, dwell
+
+
+@pytest.fixture(scope="module")
+def walk_lppm_outputs():
+    """Geo-I, TRL and HMC outputs of the random walks."""
+    hmc = HeatmapConfusion(cell_size_m=800.0, ref_lat=CITY_LAT)
+    hmc.fit(MobilityDataset("walks", [random_walk_trace(s + 50) for s in range(6)]))
+    geoi, trl = GeoInd(epsilon=0.01), Trilateration(radius_m=1000.0)
+    outputs = []
+    for seed in range(8):
+        walk = random_walk_trace(seed)
+        outputs += [geoi.apply(walk, seed), trl.apply(walk, seed), hmc.apply(walk)]
+    return outputs
+
+
 class TestClusteringEquivalence:
     @pytest.mark.parametrize("seed", range(8))
     def test_extract_pois_bit_identical(self, seed):
@@ -105,6 +170,116 @@ class TestClusteringEquivalence:
 
     def test_extract_pois_empty_trace(self):
         assert extract_pois(Trace.empty("u")) == []
+
+    def test_lppm_outputs_of_the_walks(self, walk_lppm_outputs):
+        for trace in walk_lppm_outputs:
+            for diameter, dwell in [(200.0, 3600.0), (500.0, 600.0), (200.0, 0.0)]:
+                assert_extracts_as_reference(trace, diameter, dwell)
+
+    @pytest.mark.parametrize("ulps", [-3, -1, 0, 1, 3])
+    def test_jumps_ulps_either_side_of_the_margin(self, ulps):
+        # Dwells at three places, each ending just inside one radius north
+        # of where it started.  The next place lies back south of that
+        # record, across the dwell, by the largest latitude step the
+        # pre-pass does not cut, moved `ulps` ulps of latitude (1 is the
+        # smallest step it cuts).
+        threshold = cut_threshold_deg()
+        edge = 100.0 * (1 - 1e-9) / (EARTH_RADIUS_M * clustering._DEG)
+        lats, lat = [], 45.76
+        for _ in range(3):
+            lats += [lat] * 12 + [lat + edge]
+            lat = lats[-1] - threshold
+            while lats[-1] - lat > threshold:
+                lat = np.nextafter(lat, np.inf)
+            for _ in range(abs(ulps)):
+                lat = np.nextafter(lat, -np.inf if ulps > 0 else np.inf)
+        trace = Trace("m", np.arange(len(lats)) * 400.0, lats, np.full(len(lats), 4.84))
+        jumps = -np.diff(trace.lats)[12::13]
+        assert len(jumps) == 2 and set((jumps > threshold).tolist()) == {ulps > 0}
+        for dwell in (0.0, 3600.0, 4400.0):
+            assert_extracts_as_reference(trace, 200.0, dwell)
+
+    def test_jump_of_nearly_a_diameter_the_scan_absorbs(self):
+        # A long dwell whose last record lies just inside the radius: the
+        # centroid barely moves toward it, so the scan still absorbs a
+        # record 0.9998 diameters back across the dwell.  A cut margin of
+        # 0.9998 or less would cut there.
+        deg = 1.0 / (EARTH_RADIUS_M * clustering._DEG)
+        lat0, n = 45.76, 4000
+        a = lat0 + 100.0 * (1 - 1e-6) * deg
+        b = (n * lat0 + a) / (n + 1) - 99.99 * deg
+        lats = [lat0] * n + [a] + [b] * 20
+        trace = Trace("d", np.arange(len(lats)) * 60.0, lats, np.full(len(lats), 4.84))
+        assert 0.9998 < (a - b) / (200.0 * deg) < 1.0
+        (poi,) = extract_pois_reference(trace, 200.0, 3600.0)
+        assert poi.weight == len(lats)
+        assert_extracts_as_reference(trace, 200.0, 3600.0)
+
+    @pytest.mark.parametrize("lat0", [89.7, 89.82, 89.9, 89.99, -89.8, -89.95])
+    def test_traces_near_the_poles(self, lat0):
+        rng = np.random.default_rng(int(abs(lat0) * 100))
+        steps = rng.normal(0.0, 150.0, size=(200, 2))
+        steps[40:80] *= 0.05
+        steps[120:170] *= 0.05
+        trace = metres_trace("p", lat0, 10.0, steps, rng.integers(60, 600, size=200))
+        assert np.abs(trace.lats).max() < 90.0
+        for diameter in (200.0, 1000.0):
+            assert_extracts_as_reference(trace, diameter, 1800.0)
+
+    def test_pole_jump_the_scan_absorbs(self):
+        # Within 0.001 degrees of the pole the equirectangular weights move
+        # so fast that the scan absorbs a record 205.7 m from the one
+        # before it: only the latitude bound keeps the pre-pass from
+        # cutting there.
+        lats = [89.99999129228046, 89.9991701249205, 89.99994655911796]
+        lngs = [-103.47328591222683, -152.5948558008197, 65.22168263599411]
+        trace = Trace("pole", [0.0, 1000.0, 5000.0], lats, lngs)
+        jump = equirectangular_distance_m(lats[1], lngs[1], lats[2], lngs[2])
+        assert jump > 200.0 * clustering._CUT_MARGIN
+        (poi,) = extract_pois_reference(trace, 200.0, 0.0)
+        assert poi.weight == 3
+        assert_extracts_as_reference(trace, 200.0, 0.0)
+
+    def test_single_record_pieces(self):
+        # Every record 5 km from the one before: every piece is one record.
+        steps = [(5000.0 * (-1) ** i, 0.0) for i in range(120)]
+        trace = metres_trace("s", 45.76, 4.84, steps, np.full(120, 600.0))
+        assert len(extract_pois_reference(trace, 200.0, 0.0)) == 120
+        for dwell in (0.0, 3600.0):
+            assert_extracts_as_reference(trace, 200.0, dwell)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_min_dwell_zero(self, seed):
+        assert_extracts_as_reference(random_walk_trace(seed, step_m=150.0), 200.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("lats", math.nan), ("lngs", math.nan), ("lngs", math.inf), ("lngs", -math.inf),
+         ("timestamps", math.nan)],
+    )
+    def test_non_finite_values(self, field, value):
+        base = random_walk_trace(3, step_m=150.0)
+        for index in (0, 57, len(base) - 1):
+            arrays = {f: getattr(base, f).copy() for f in ("timestamps", "lats", "lngs")}
+            arrays[field][index] = value
+            trace = Trace("x", arrays["timestamps"], arrays["lats"], arrays["lngs"])
+            assert_extracts_as_reference(trace, 200.0, 600.0)
+
+    def test_infinite_latitude_is_rejected_as_before(self):
+        base = random_walk_trace(3)
+        lats = base.lats.copy()
+        lats[57] = math.inf
+        trace = Trace("x", base.timestamps, lats, base.lngs)
+        with pytest.raises(ValueError):
+            extract_pois_reference(trace)
+        with pytest.raises(ValueError):
+            extract_pois(trace)
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=dwell_jump_traces())
+    def test_random_traces(self, case):
+        trace, diameter, dwell = case
+        assert_extracts_as_reference(trace, diameter, dwell)
 
 
 class TestRankingsEquivalent:

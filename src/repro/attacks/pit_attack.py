@@ -130,10 +130,8 @@ class PitAttack(Attack):
             raise ConfigurationError(
                 f"unknown PIT distance {distance!r}; choose from {sorted(PIT_DISTANCES)}"
             )
-        self.diameter_m = float(diameter_m)
-        self.min_dwell_s = float(min_dwell_s)
-        self.max_states = validate_profile_params(
-            self.diameter_m, self.min_dwell_s, max_states, "max_states"
+        self.diameter_m, self.min_dwell_s, self.max_states = validate_profile_params(
+            diameter_m, min_dwell_s, max_states, "max_states"
         )
         self.distance_name = distance
         self._profiles: Dict[str, MarkovChain] = {}

@@ -78,10 +78,8 @@ class PoiAttack(Attack):
         max_pois: int = 20,
     ) -> None:
         super().__init__()
-        self.diameter_m = float(diameter_m)
-        self.min_dwell_s = float(min_dwell_s)
-        self.max_pois = validate_profile_params(
-            self.diameter_m, self.min_dwell_s, max_pois, "max_pois"
+        self.diameter_m, self.min_dwell_s, self.max_pois = validate_profile_params(
+            diameter_m, min_dwell_s, max_pois, "max_pois"
         )
         self._profiles: Dict[str, List[POI]] = {}
         self.index = PlaceIndex({})

@@ -57,26 +57,16 @@ Commands
     baseline (``.github/lint_baseline.json``); ``--write-baseline``
     re-pins it, ``--list-rules`` prints the catalogue.
 ``mood bench smoke`` / ``mood bench micro [--out BENCH.json]`` /
-``mood bench service [--out BENCH.json] [--smoke]`` /
-``mood bench remote [--out BENCH.json] [--smoke]`` /
-``mood bench scale [--tier 10k] [--city lyon] [--out BENCH.json]`` /
-``mood bench stream [--out BENCH.json] [--smoke]``
+``mood bench scale [--tier 10k] [--city lyon] [--out BENCH.json]``
     Perf gate: ``smoke`` runs the tier-1 test suite plus a sub-minute
-    kernel bench (the CI job); ``micro`` runs the full micro suite at
-    N ∈ {100, 1000} profiled users and writes a ``BENCH_*.json``
-    trajectory snapshot; ``service`` measures requests/s through the
-    loopback and TCP transports plus executor-backend throughput;
-    ``remote`` drives the remote executor against a loopback 2-server
-    cluster (byte-identity to serial asserted, with and without killing
-    an endpoint mid-run, plus a chaos leg where a flapping endpoint
-    rejoins mid-batch — writes ``BENCH_5.json``); ``scale`` streams a
-    full synth tier recording users/s + peak RSS, asserts the corpus
-    digest survives regeneration and tier-prefix extraction, and runs
-    CI-capped protection legs per executor (writes ``BENCH_6.json``);
-    ``stream`` replays a synth slice through the streaming ingestion
-    path, asserts a records/s floor, bounded memory under a 2× overload
-    burst, and byte-identity of flushed output against the batch
-    protect path (writes ``BENCH_7.json``).
+    kernel bench (the CI job), which also holds the v2 codec's speedup
+    floor over v1 and the streaming replay floor and overload memory
+    bound; ``micro`` runs the full micro suite at N ∈ {100, 1000}
+    profiled users and writes a ``BENCH_*.json`` trajectory snapshot;
+    ``scale`` streams a full synth tier recording users/s + peak RSS,
+    asserts the corpus digest survives regeneration and tier-prefix
+    extraction, and runs CI-capped protection legs per executor (writes
+    ``BENCH_6.json``).
 """
 
 from __future__ import annotations
@@ -405,35 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=[100, 1000],
         help="profiled-user counts for the rank() benches",
     )
-    service = bench_sub.add_parser(
-        "service", help="service-path throughput: transports and executor backends"
-    )
-    service.add_argument(
-        "--out",
-        default=None,
-        metavar="FILE",
-        help="JSON snapshot path (default: print only)",
-    )
-    service.add_argument(
-        "--smoke",
-        action="store_true",
-        help="smaller corpus and request counts (the <60 s CI job)",
-    )
-    remote = bench_sub.add_parser(
-        "remote",
-        help="remote-executor throughput over a loopback 2-server cluster",
-    )
-    remote.add_argument(
-        "--out",
-        default=None,
-        metavar="FILE",
-        help="JSON snapshot path (default: print only)",
-    )
-    remote.add_argument(
-        "--smoke",
-        action="store_true",
-        help="smaller corpus (the <60 s CI job)",
-    )
     scale = bench_sub.add_parser(
         "scale",
         help="tiered corpus load yardstick: generation throughput, "
@@ -452,55 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="JSON snapshot path (default: print only)",
     )
-    bstream = bench_sub.add_parser(
-        "stream",
-        help="streaming-ingestion yardstick: records/s, overload-burst "
-        "memory bound, stream-vs-batch byte-identity",
-    )
-    bstream.add_argument(
-        "--out",
-        default=None,
-        metavar="FILE",
-        help="JSON snapshot path (default: print only)",
-    )
-    bstream.add_argument(
-        "--smoke",
-        action="store_true",
-        help="smaller corpus slice (the <60 s CI job)",
-    )
-    cluster = bench_sub.add_parser(
-        "cluster",
-        help="elastic-cluster yardstick: byte-identity and joiner "
-        "throughput under membership churn (join + leave mid-batch)",
-    )
-    cluster.add_argument(
-        "--out",
-        default=None,
-        metavar="FILE",
-        help="JSON snapshot path (default: print only)",
-    )
-    cluster.add_argument(
-        "--smoke",
-        action="store_true",
-        help="smaller corpus (the <60 s CI job)",
-    )
-    codec = bench_sub.add_parser(
-        "codec",
-        help="wire-codec yardstick: v1 JSON vs v2 binary throughput "
-        "(3x floor) and cross-framing byte-identity",
-    )
-    codec.add_argument(
-        "--out",
-        default=None,
-        metavar="FILE",
-        help="JSON snapshot path (default: print only)",
-    )
-    codec.add_argument(
-        "--smoke",
-        action="store_true",
-        help="smaller identity corpus (the <60 s CI job)",
-    )
-    for p in (smoke, micro, service, remote, scale, bstream, cluster, codec):
+    for p in (smoke, micro, scale):
         p.add_argument("--seed", type=int, default=7, help="bench corpus seed")
 
     lint = sub.add_parser(
@@ -715,7 +628,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _build_served_engine(args: argparse.Namespace):
-    """Context-fitted engine for ``serve``/``bench service`` (config-aware)."""
+    """Context-fitted engine for ``serve`` (config-aware)."""
     from repro.config import ProtectionConfig
     from repro.core.engine import ProtectionEngine
     from repro.experiments.harness import prepare_context
@@ -1123,19 +1036,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     modes = {
         "micro": lambda: bench.run_micro(sizes=tuple(args.sizes), seed=args.seed),
-        "service": lambda: bench.run_service(seed=args.seed, smoke=args.smoke),
-        "remote": lambda: bench.run_remote(seed=args.seed, smoke=args.smoke),
         "scale": lambda: bench.run_scale(
             tier=args.tier, city=args.city, seed=args.seed
         ),
-        "stream": lambda: bench.run_stream(seed=args.seed, smoke=args.smoke),
-        "cluster": lambda: bench.run_cluster(seed=args.seed, smoke=args.smoke),
-        "codec": lambda: bench.run_codec(seed=args.seed, smoke=args.smoke),
     }
     if args.bench_command in modes:
         snapshot = modes[args.bench_command]()
         print(bench.format_snapshot(snapshot))
-        if args.bench_command in ("service", "scale"):
+        if args.bench_command == "scale":
             print(bench.EXECUTOR_WALL_NOTE)
         if args.out:
             with open(args.out, "w") as f:

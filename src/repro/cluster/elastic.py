@@ -502,9 +502,7 @@ class ElasticClusterClient:
         try:
             while True:
                 try:
-                    if client is None or client._broken is not None:
-                        if client is not None:
-                            await client.close()
+                    if client is None:
                         client = AsyncServiceClient(
                             endpoint,
                             timeout=sub.timeout,
@@ -523,7 +521,12 @@ class ElasticClusterClient:
                     OSError,
                 ):
                     # Coordinator unreachable: scheduling keeps running
-                    # on the last known membership.
+                    # on the last known membership.  The client goes, a
+                    # refused dial included (it never connected), so the
+                    # next poll dials afresh.
+                    if client is not None:
+                        await client.close()
+                        client = None
                     await asyncio.sleep(sub.poll_s)
                     continue
                 if isinstance(reply, ErrorEnvelope) and reply.code == "auth":

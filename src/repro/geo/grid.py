@@ -10,12 +10,13 @@ discretisation shared between the attacker and the protection mechanism.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, check_positive
 from repro.geo.geodesy import EARTH_RADIUS_M
 
 _DEG = math.pi / 180.0
@@ -39,11 +40,15 @@ class MetricGrid:
     """
 
     def __init__(self, cell_size_m: float, ref_lat: float = 45.0) -> None:
-        if not (math.isfinite(cell_size_m) and cell_size_m > 0):
-            raise ConfigurationError(f"cell_size_m must be finite and positive, got {cell_size_m}")
-        if not -89.0 <= ref_lat <= 89.0:
-            raise ConfigurationError(f"ref_lat must be in [-89, 89], got {ref_lat}")
-        self.cell_size_m = float(cell_size_m)
+        # Checked, never coerced: True would build 1 m cells or a grid
+        # anchored at latitude 1.
+        self.cell_size_m = check_positive("cell_size_m", cell_size_m)
+        if (
+            isinstance(ref_lat, bool)
+            or not isinstance(ref_lat, numbers.Real)
+            or not -89.0 <= ref_lat <= 89.0
+        ):
+            raise ConfigurationError(f"ref_lat must be a real in [-89, 89], got {ref_lat!r}")
         self.ref_lat = float(ref_lat)
         self._m_per_deg_lat = EARTH_RADIUS_M * _DEG
         self._m_per_deg_lng = EARTH_RADIUS_M * _DEG * math.cos(ref_lat * _DEG)

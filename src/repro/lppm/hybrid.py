@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.core.trace import Trace
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, check_integer
 from repro.lppm.base import LPPM
 from repro.metrics.distortion import spatial_temporal_distortion
 from repro.rng import SeedLike, make_rng, stable_user_seed
@@ -75,7 +75,7 @@ class HybridLPPM:
             raise ConfigurationError("HybridLPPM needs at least one attack")
         self.lppms = list(lppms_by_distortion)
         self.attacks = list(attacks)
-        self.seed = int(seed)
+        self.seed = check_integer("seed", seed)
 
     def protect(self, trace: Trace) -> HybridResult:
         """Apply the first protecting mechanism in the configured order."""

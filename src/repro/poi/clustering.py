@@ -154,16 +154,22 @@ def _validate_merge_radius(merge_radius_m: float) -> None:
 
 
 def validate_profile_params(
-    diameter_m: float, min_dwell_s: float, max_places: Any, max_name: str
-) -> int:
+    diameter_m: Any, min_dwell_s: Any, max_places: Any, max_name: str
+) -> Tuple[float, float, int]:
     """Check the place-profile parameters of the POI- and PIT-attacks.
 
     A parameter that lets no place through (a NaN or infinite clustering
     parameter, or a place cap below one) would make the attack profile
     nobody and answer "unknown" for every trace, so MooD would count
-    every candidate as safe from it.  Raises :class:`ConfigurationError`;
-    returns *max_places* (named *max_name* in the message) as an ``int``.
+    every candidate as safe from it.  A bool or a numeric string is
+    rejected, not coerced: ``True`` would cluster at 1 m.  Raises
+    :class:`ConfigurationError`; returns ``(diameter_m, min_dwell_s,
+    max_places)`` as ``(float, float, int)``, *max_places* named
+    *max_name* in the message.
     """
+    for name, value in (("diameter_m", diameter_m), ("min_dwell_s", min_dwell_s)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigurationError(f"{name} must be a real number, got {value!r}")
     _validate_extract_params(diameter_m, min_dwell_s)
     if (
         isinstance(max_places, bool)
@@ -171,7 +177,7 @@ def validate_profile_params(
         or max_places < 1
     ):
         raise ConfigurationError(f"{max_name} must be an integer >= 1, got {max_places!r}")
-    return int(max_places)
+    return float(diameter_m), float(min_dwell_s), int(max_places)
 
 
 def extract_pois(

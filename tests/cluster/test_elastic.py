@@ -7,6 +7,7 @@ have reached an endpoint is never offered to it again).
 """
 
 import asyncio
+import socket
 import threading
 import time
 
@@ -26,6 +27,8 @@ from repro.errors import (
 from repro.lppm.base import LPPM
 from repro.service.api import ProtectionService, StatsRequest, StatsResponse
 from repro.service.rpc import ServiceClient, ServiceServer
+
+from tests.service.chaos import ChaosProxy
 
 DAY = 86_400.0
 
@@ -119,6 +122,37 @@ class _KillingService(_CountingService):
             self.stats_served += 1
             raise ConnectionResetError("killed after receipt")
         return await super().handle(message)
+
+
+class _DroppingCoordinator:
+    """A coordinator address that accepts each connection and closes it
+    at once; sets *on_second_accept* when the second connection arrives."""
+
+    def __init__(self, on_second_accept):
+        self.sock = socket.create_server(("127.0.0.1", 0))
+        self.sock.settimeout(0.05)
+        self.endpoint = "%s:%d" % self.sock.getsockname()
+        self.accepts = 0
+        self._on_second = on_second_accept
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while not self._stop.is_set():
+            try:
+                conn, _ = self.sock.accept()
+            except socket.timeout:
+                continue
+            conn.close()
+            self.accepts += 1
+            if self.accepts == 2:
+                self._on_second.set()
+
+    def close(self):
+        self._stop.set()
+        self._thread.join(5.0)
+        self.sock.close()
 
 
 @pytest.fixture
@@ -364,6 +398,69 @@ class TestElasticMembership:
         replies = asyncio.run(drive())
         assert all(isinstance(r, StatsResponse) for r in replies)
         assert worker.stats_served == 3
+
+    def test_unreachable_coordinator_keeps_the_last_membership(self, spawn):
+        """Every membership poll fails: scheduling keeps running on the
+        seed endpoint.  The worker answers only after the coordinator's
+        second accept, which the poll loop makes only after it has
+        handled the first failure and dropped the broken client."""
+        worker = _GatedService(mk_engine())
+        worker_ep = spawn(worker)
+        coordinator = _DroppingCoordinator(on_second_accept=worker.release)
+        client = ElasticClusterClient(
+            [worker_ep],
+            membership=MembershipSubscription(coordinator.endpoint, poll_s=0.02),
+            max_inflight=1,
+        )
+
+        async def drive():
+            try:
+                return await client.run(stats_batch(2))
+            finally:
+                await client.close()
+
+        try:
+            replies = asyncio.run(drive())
+        finally:
+            coordinator.close()
+        assert all(isinstance(r, StatsResponse) for r in replies)
+        assert worker.release.is_set()
+        assert coordinator.accepts >= 2
+        assert worker.stats_served == 2
+
+    def test_coordinator_down_at_the_first_poll_is_found_later(self, spawn):
+        """The first polls are refused; the coordinator then comes up
+        with a joined worker, and the run completes on that worker.  A
+        refused dial must not leave the poll loop holding a client that
+        never connected: the loop would die, and the run would fail
+        after the grace."""
+        coordinator = spawn(ProtectionService(mk_engine()))
+        worker = _CountingService(mk_engine())
+        worker_ep = spawn(worker)
+        host, _, port = coordinator.rpartition(":")
+        with ServiceClient(host=host, port=int(port)) as control:
+            control.cluster_join(worker_ep)
+        with ChaosProxy(host, int(port), start_down=True) as proxy:
+            client = ElasticClusterClient(
+                [],
+                membership=MembershipSubscription(proxy.endpoint, poll_s=0.02),
+                join_grace_s=5.0,
+                # ChaosProxy relays v1 frames.
+                wire_versions=(1,),
+            )
+
+            async def drive():
+                task = asyncio.ensure_future(client.run(stats_batch(2)))
+                try:
+                    await asyncio.sleep(0.1)  # the first polls are refused
+                    proxy.go_up()
+                    return await task
+                finally:
+                    await client.close()
+
+            replies = asyncio.run(drive())
+        assert all(isinstance(r, StatsResponse) for r in replies)
+        assert worker.stats_served == 2
 
     def test_empty_cluster_fails_after_grace(self, spawn):
         coordinator = spawn(ProtectionService(mk_engine()))

@@ -5,6 +5,7 @@ metrics against a locally spawned two-endpoint cluster, driven as a
 real subprocess (the exact artifact an operator runs).
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -117,11 +118,18 @@ class TestTopInProcess:
         assert "--endpoints" in capsys.readouterr().err
 
     def test_request_metrics_verb(self, cluster2, capsys):
+        """After one ``stats`` request, the worker's metrics show the
+        transport counters moving and a positive uptime."""
         _, workers = cluster2
         host, _, port = workers[0].rpartition(":")
+        with ServiceClient(host=host, port=int(port)) as client:
+            client.stats()
         code = main(
             ["request", "metrics", "--host", host, "--port", port]
         )
         out = capsys.readouterr().out
         assert code == 0
-        assert '"uptime_s"' in out and '"versions"' in out
+        body = json.loads(out)
+        assert body["uptime_s"] > 0
+        assert body["transport"]["requests_served"] >= 1
+        assert "versions" in body

@@ -134,6 +134,20 @@ class TestFromConfig:
                 ProtectionConfig(**{key: value}).validate()
         engine = ProtectionEngine([_Shift()], [_ThresholdAttack()], delta_s=float("inf"))
         assert engine.delta_s == float("inf")
+        # Attack and grid knobs are checked where they are stored, never
+        # coerced: True would cluster at 1 m, build 1 m cells or anchor a
+        # grid at latitude 1, and "3600" would dwell 3600 s.
+        bad_components = [
+            ("attacks", {"name": "pit", "diameter_m": True}, "diameter_m"),
+            ("attacks", {"name": "poi", "min_dwell_s": "3600"}, "min_dwell_s"),
+            ("attacks", {"name": "ap", "cell_size_m": True}, "cell_size_m"),
+            ("attacks", {"name": "ap", "ref_lat": True}, "ref_lat"),
+            ("lppms", {"name": "hmc", "cell_size_m": "800"}, "cell_size_m"),
+            ("lppms", {"name": "cloaking", "ref_lat": "45"}, "ref_lat"),
+        ]
+        for field, spec, key in bad_components:
+            with pytest.raises(ConfigurationError, match=key):
+                ProtectionEngine.from_config(ProtectionConfig(**{field: [spec]}))
 
 
 @pytest.fixture(scope="module")

@@ -24,13 +24,14 @@ class TestMetricGrid:
             MetricGrid(0.0)
         with pytest.raises(ConfigurationError):
             MetricGrid(-10.0)
-        for bad in (float("nan"), float("inf")):
-            with pytest.raises(ConfigurationError):
+        for bad in (float("nan"), float("inf"), True, "800", None):
+            with pytest.raises(ConfigurationError, match="cell_size_m"):
                 MetricGrid(bad)
 
     def test_invalid_ref_lat(self):
-        with pytest.raises(ConfigurationError):
-            MetricGrid(800.0, ref_lat=90.0)
+        for bad in (90.0, float("nan"), True, "45", None):
+            with pytest.raises(ConfigurationError, match="ref_lat"):
+                MetricGrid(800.0, ref_lat=bad)
 
     def test_point_in_its_cell(self):
         grid = MetricGrid(800.0, ref_lat=46.0)

@@ -68,6 +68,10 @@ class TestHybridLPPM:
             HybridLPPM([], [_ThresholdAttack("a", 0.1)])
         with pytest.raises(ConfigurationError):
             HybridLPPM([Identity()], [])
+        # The seed is checked, never coerced: 2.7 would run as seed 2.
+        for bad in (2.7, True, "5"):
+            with pytest.raises(ConfigurationError, match="seed"):
+                HybridLPPM([Identity()], [_ThresholdAttack("a", 0.1)], seed=bad)
 
     def test_picks_first_protecting(self):
         atk = _ThresholdAttack("a", 0.15)

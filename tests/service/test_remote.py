@@ -6,6 +6,8 @@ the byte-identical dataset to every local backend — including when one
 endpoint dies mid-batch and its shards fail over to the survivor.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,23 @@ def corpus(n_users=6, days=2, period=3600.0):
     return ds
 
 
+class _AfterPeer(ProtectionService):
+    """Holds each protect request until *peer* has protected a chunk
+    (for at most 30 s), so both endpoints provably serve the batch."""
+
+    def __init__(self, engine, peer):
+        super().__init__(engine)
+        self.peer = peer
+
+    def _protect_sync(self, request):
+        deadline = time.monotonic() + 30.0
+        while self.peer.proxy.stats.chunks_processed < 1:
+            if time.monotonic() > deadline:
+                break
+            time.sleep(0.005)
+        return super()._protect_sync(request)
+
+
 class _DyingService(ProtectionService):
     """Answers ``die_after`` requests, then kills its connection."""
 
@@ -86,10 +105,10 @@ def cluster():
     """Two fresh servers; yields a factory so tests pick the services."""
     servers = []
 
-    def spawn(*services):
+    def spawn(*services, **server_kwargs):
         endpoints = []
         for service in services:
-            server = ServiceServer(service, port=0)
+            server = ServiceServer(service, port=0, **server_kwargs)
             host, port = server.start_background()
             servers.append(server)
             endpoints.append(f"{host}:{port}")
@@ -120,6 +139,24 @@ class TestRemoteByteIdentity:
         assert to_csv_string(report.published_dataset()) == reference_csv
         assert report.non_protected() == reference.non_protected()
         assert report.data_loss() == reference.data_loss()
+
+    def test_mixed_version_endpoints_publish_serial_bytes(self, cluster, micro_ctx):
+        """A v1-only endpoint beside a v2 one, behind one remote
+        executor on the real MooD engine: the serial bytes, with each
+        endpoint protecting part of the batch."""
+        reference = micro_ctx.engine().protect_dataset(micro_ctx.test, daily=True)
+        v1_only = ProtectionService(micro_ctx.engine())
+        v2 = _AfterPeer(micro_ctx.engine(), peer=v1_only)
+        endpoints = cluster(v1_only, wire_versions=(1,)) + cluster(v2)
+        engine = micro_ctx.engine(
+            executor={"name": "remote", "endpoints": endpoints}, jobs=2
+        )
+        report = engine.protect_dataset(micro_ctx.test, daily=True)
+        assert to_csv_string(report.published_dataset()) == to_csv_string(
+            reference.published_dataset()
+        )
+        assert v1_only.proxy.stats.chunks_processed >= 1
+        assert v2.proxy.stats.chunks_processed >= 1
 
     def test_remote_readouts_match_serial(self, cluster):
         """Per-user aggregates survive the wire: loss, distortion, counts."""

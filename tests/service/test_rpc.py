@@ -13,10 +13,12 @@ import numpy as np
 import pytest
 
 from repro.core.engine import ProtectionEngine
+from repro.core.split import split_fixed_time
 from repro.core.trace import Trace
 from repro.errors import ConfigurationError, ProtocolError, TransportError
 from repro.lppm.base import LPPM
 from repro.service.api import (
+    WIRE_VERSION_V2,
     ErrorEnvelope,
     LoopbackClient,
     ProtectionService,
@@ -83,24 +85,49 @@ class TestTcpTransport:
             with ServiceClient(host=host, port=port) as second:
                 assert second.stats().server["uploads"] == 1
 
-    def test_tcp_equals_loopback(self):
+    @pytest.mark.parametrize("engine", ["stub", "micro"])
+    def test_tcp_equals_loopback(self, engine, request):
         """The socket transport must answer exactly like the loopback.
 
-        ``uptime_s`` is the one wall-clock field of ``stats_response``
-        (PR 8): it is compared for presence, not equality.
+        The ``micro`` input runs the real MooD engine over every test
+        user's day chunks.  The loopback speaks v1 and the TCP client
+        negotiates v2, so the two framings must give the same replies
+        too.  ``uptime_s`` is the one wall-clock field of
+        ``stats_response``: it is compared for presence, not equality.
         """
-        trace = day_trace("bob", days=2)
-        with LoopbackClient(ProtectionService(stub_engine())) as loopback:
-            expected = loopback.upload(trace).to_body()
-            expected_stats = loopback.stats().to_body()
-        with ServiceServer(ProtectionService(stub_engine()), port=0) as server:
+        if engine == "stub":
+            make_engine = stub_engine
+            uploads = [(day_trace("bob", days=2), 0)]
+        else:
+            ctx = request.getfixturevalue("micro_ctx")
+            make_engine = ctx.engine
+            uploads = [
+                (chunk, day)
+                for trace in ctx.test.traces()
+                for day, chunk in enumerate(split_fixed_time(trace, DAY))
+                if len(chunk)
+            ]
+        first = uploads[0][0]
+
+        def drive(client):
+            replies = [
+                client.upload(chunk, day_index=day).to_body()
+                for chunk, day in uploads
+            ]
+            replies.append(
+                client.query_count(float(first.lats[0]), float(first.lngs[0]))
+            )
+            stats = client.stats().to_body()
+            assert stats.pop("uptime_s") >= 0.0
+            return replies + [stats]
+
+        with LoopbackClient(ProtectionService(make_engine())) as loopback:
+            expected = drive(loopback)
+        with ServiceServer(ProtectionService(make_engine()), port=0) as server:
             host, port = server.address
             with ServiceClient(host=host, port=port) as client:
-                assert client.upload(trace).to_body() == expected
-                stats = client.stats().to_body()
-                assert stats.pop("uptime_s") >= 0.0
-                assert expected_stats.pop("uptime_s") >= 0.0
-                assert stats == expected_stats
+                assert drive(client) == expected
+                assert client._wire_version == WIRE_VERSION_V2
 
     def test_garbage_line_answered_with_error_frame(self):
         with ServiceServer(ProtectionService(stub_engine()), port=0) as server:

@@ -198,7 +198,8 @@ class TestFlapAndRejoin:
         when the batch starts and comes up mid-batch.  Under permanent
         retirement (the PR-4 behaviour) this batch could never finish;
         with probation it completes byte-identically."""
-        host, port = servers(ProtectionService(mk_engine()))
+        service = ProtectionService(mk_engine())
+        host, port = servers(service)
         with ChaosProxy(host, port, start_down=True) as proxy:
             assert not proxy.is_up
             timer = threading.Timer(0.25, proxy.go_up)
@@ -216,8 +217,10 @@ class TestFlapAndRejoin:
             finally:
                 timer.cancel()
             assert to_csv_string(report.published_dataset()) == reference_csv
-            # The endpoint really was dialled only after it came back.
+            # The endpoint really was dialled only after it came back,
+            # and it protected the batch: at least one chunk per user.
             assert proxy.connections_accepted >= 1
+            assert service.proxy.stats.chunks_processed >= len(soak_corpus)
 
     def test_two_endpoint_flap_heals_without_divergence(
         self, soak_corpus, reference_csv, servers
@@ -580,7 +583,7 @@ class TestStreamSoak:
 class _GatedProtect(ProtectionService):
     """Parks the first protect request until released, pinning the batch
     provably mid-dispatch while the membership churn happens around it —
-    no timing race, CI-deterministic (same gate as ``bench cluster``)."""
+    no timing race, CI-deterministic."""
 
     def __init__(self, engine):
         super().__init__(engine)

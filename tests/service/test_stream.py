@@ -128,12 +128,26 @@ class TestStreamVerbs:
 
 
 class TestByteIdentity:
-    def test_stream_equals_batch_protect(self):
-        """The acceptance pin: same engine, same windows, same bytes."""
-        trace = random_trace()
-        flushed = stream_whole_trace(mk_client(), trace)
-        batch = mk_client().protect(trace, daily=True)
-        assert_pieces_equal(flushed.pieces, batch.pieces)
+    @pytest.mark.parametrize("engine", ["stub", "micro"])
+    def test_stream_equals_batch_protect(self, engine, request):
+        """The acceptance pin: same engine, same windows, same bytes.
+
+        The ``micro`` input streams every test user through the real
+        MooD engine."""
+        if engine == "stub":
+            make_engine, traces = stub_engine, [random_trace()]
+        else:
+            ctx = request.getfixturevalue("micro_ctx")
+            make_engine, traces = ctx.engine, ctx.test.traces()
+        with LoopbackClient(
+            ProtectionService(make_engine())
+        ) as stream_client, LoopbackClient(
+            ProtectionService(make_engine())
+        ) as batch_client:
+            for trace in traces:
+                flushed = stream_whole_trace(stream_client, trace)
+                batch = batch_client.protect(trace, daily=True)
+                assert_pieces_equal(flushed.pieces, batch.pieces)
 
     def test_session_windows_also_deterministic(self):
         trace = random_trace(seed=9)

@@ -234,6 +234,12 @@ class TestNegotiationAgainstRealServer:
                 body = client.protect(day_trace("dave")).to_body()
                 if version == WIRE_VERSION:
                     reference = body
+                # No framing switch on the loopback: the service answers
+                # the hello itself, and the answer is informational.
+                hello = client.request(HelloRequest(versions=(1, 2)))
+                assert isinstance(hello, HelloResponse)
+                assert hello.version == WIRE_VERSION_V2
+                assert tuple(hello.versions) == tuple(SUPPORTED_WIRE_VERSIONS)
         assert body == reference
 
     def test_invalid_wire_versions_rejected(self):

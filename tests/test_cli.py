@@ -36,6 +36,12 @@ class TestParser:
     def test_bench_subcommand_required(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bench"])
+        # Retired modes: tier-1 tests and `bench smoke` legs gate what
+        # they gated.
+        for retired in ("service", "remote", "codec", "cluster", "stream"):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(["bench", retired])
+            assert exc.value.code == 2
 
     def test_serve_args(self):
         args = build_parser().parse_args(
@@ -59,11 +65,6 @@ class TestParser:
         assert args.lat == 45.0
         with pytest.raises(SystemExit):
             build_parser().parse_args(["request", "teleport"])
-
-    def test_bench_service_args(self):
-        args = build_parser().parse_args(["bench", "service", "--smoke"])
-        assert args.bench_command == "service"
-        assert args.smoke
 
     def test_generate_corpus_flag(self):
         args = build_parser().parse_args(
@@ -220,25 +221,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "count-query fidelity" in out
         assert "mechanism usage" in out
-
-    def test_bench_service_writes_snapshot(self, tmp_path, capsys):
-        import json
-
-        out = tmp_path / "BENCH_svc.json"
-        code = main(["bench", "service", "--smoke", "--out", str(out)])
-        assert code == 0
-        snapshot = json.loads(out.read_text())
-        assert snapshot["mode"] == "service"
-        assert snapshot["transports_identical"] is True
-        assert snapshot["executors_identical"] is True
-        assert set(snapshot["executors"]) == {"serial", "process"}
-        # Pool start-up dominates 4 users: wall time only, no users/s.
-        entries = list(snapshot["executors"].values())
-        assert all(set(e) == {"wall_s", "evaluations"} for e in entries)
-        assert len({e["evaluations"] for e in entries}) == 1
-        for entry in snapshot["transports"].values():
-            assert entry["requests_per_s"] > 0
-        assert "transport" in capsys.readouterr().out
 
     def test_request_against_live_server(self, tmp_path, capsys):
         import numpy as np

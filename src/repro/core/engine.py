@@ -562,7 +562,7 @@ class RemoteExecutor:
             daily, chunk_s = False, DEFAULT_CHUNK_S
         elif method == "protect_daily":
             daily = True
-            chunk_s = float(kwargs.get("chunk_s", DEFAULT_CHUNK_S))
+            chunk_s = kwargs.get("chunk_s", DEFAULT_CHUNK_S)
         else:
             raise ConfigurationError(
                 f"the remote executor only serves 'protect' and 'protect_daily' "
@@ -1055,6 +1055,7 @@ class ProtectionEngine:
         recursive fine-grained splitting), modelling users who upload
         their data daily.
         """
+        chunk_s = check_positive("chunk_s", chunk_s)
         result = MoodResult(user_id=trace.user_id, original_records=len(trace))
         for chunk in split_fixed_time(trace, chunk_s):
             self._protect_rec(chunk, result)
@@ -1104,7 +1105,9 @@ class ProtectionEngine:
 
         With ``daily=True`` each trace is pre-chunked into *chunk_s*
         windows (the §4.5 crowdsensing mode) before the cascade.
+        *chunk_s* is checked here, before any executor sees it.
         """
+        chunk_s = check_positive("chunk_s", chunk_s)
         t0 = time.perf_counter()
         ev0 = self.evaluations
         traces = dataset.traces()

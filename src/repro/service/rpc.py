@@ -2,16 +2,19 @@
 
 The server is an asyncio shell around
 :class:`repro.service.api.ProtectionService`: JSON lines in, JSON lines
-out, connections multiplexed on the event loop while protection work
-runs on the pool.  Every connection starts on v1 JSON framing; a
-client may offer the negotiated v2 binary framing with a ``hello``
-exchange (see ``docs/SERVICE.md``), after which both directions carry
-length-prefixed frames with columnar ndarray payloads — a v1-only peer
-never sees a v2 frame, and ``ServiceServer(wire_versions=(1,))`` pins
-an endpoint to v1 for mixed-version clusters.  Requests that carry an
-``"id"`` tag are handled
-*concurrently* per connection — each reply echoes its request's id, so
-a pipelining client can correlate replies arriving out of order.
+out, connections multiplexed on the event loop.  A data-path body
+(``ProtectionService.LOOP_REQUESTS``) runs on the loop's own thread,
+every other body on the loop's thread pool, so the loop serves nothing
+else while a cascade runs.  Every connection starts on v1 JSON
+framing; a client may offer the negotiated v2 binary framing with a
+``hello`` exchange (see ``docs/SERVICE.md``), after which both
+directions carry length-prefixed frames with columnar ndarray payloads
+— a v1-only peer never sees a v2 frame, and
+``ServiceServer(wire_versions=(1,))`` pins an endpoint to v1 for
+mixed-version clusters.  Requests that carry an ``"id"`` tag are
+handled *concurrently* per connection — each reply echoes its
+request's id, so a pipelining client can correlate replies arriving out
+of order.
 Untagged requests keep the v1 FIFO contract (each is answered before
 the next frame is read), so old clients work unchanged.  Both kinds
 hold a slot of a server-wide in-flight semaphore that provides
@@ -278,7 +281,9 @@ class ServiceServer:
         their in-flight slots and bytes) are pinned forever.  After
         ``drain_timeout_s`` the transport is aborted — RST, no lingering
         FIN handshake — and the connection handler unwinds through its
-        normal disconnect path.
+        normal disconnect path.  The deadline keeps counting while a
+        data-path body holds the loop, so it must outlast the longest
+        cascade body or a reading client can be evicted too.
         """
         if self.drain_timeout_s is None:
             await writer.drain()
@@ -626,8 +631,9 @@ class ServiceServer:
         if self._inflight is not None:
             for _ in range(self.max_inflight):
                 await self._inflight.acquire()
-        loop = asyncio.get_event_loop()
-        return await loop.run_in_executor(None, self.service.drain_streams)
+        # Flushing runs the cascade, so it runs on this loop's thread
+        # like every data-path body (ProtectionService.LOOP_REQUESTS).
+        return self.service.drain_streams()
 
     def transport_stats(self) -> Dict[str, Any]:
         """Transport-level counters (budgets, evictions, drain state).

@@ -262,6 +262,21 @@ class TestExecutorDeterminism:
         ):
             with pytest.raises(ConfigurationError):
                 ProtectionEngine.from_config(ProtectionConfig(executor=executor))
+        # chunk_s is checked once, before any executor sees it.  "86400"
+        # used to fail on serial but publish on remote, True ran 1-second
+        # chunks, and 0.0 and NaN failed with a different error on each
+        # executor.  Nothing listens on the remote endpoint, so a request
+        # sent would fail as a transport error instead.
+        ds = MobilityDataset("toy")
+        for i in range(2):
+            ds.add(_trace(f"u{i}"))
+        for executor in ("serial", {"name": "process", "jobs": 2}, remote):
+            engine = ProtectionEngine([_Shift()], [_ThresholdAttack()], executor=executor)
+            for bad in ("86400", True, 0.0, float("nan")):
+                with pytest.raises(ConfigurationError, match="chunk_s"):
+                    engine.protect_dataset(ds, daily=True, chunk_s=bad)
+                with pytest.raises(ConfigurationError, match="chunk_s"):
+                    engine.protect_daily(_trace(), chunk_s=bad)
 
     def test_protect_dataset_reports(self):
         lppms = [_Shift("strong", 0.3)]

@@ -1,7 +1,11 @@
 """Tests for the service API v2: messages, codec, facade, loopback."""
 
 import asyncio
+import os
 import struct
+import subprocess
+import sys
+import textwrap
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Set
@@ -505,6 +509,39 @@ class TestProtectionService:
         with LoopbackClient(service) as client:
             client.upload(day_trace("gina"))
         assert server.stats.uploads == 1
+
+    def test_unclosed_client_lets_the_interpreter_exit(self):
+        """A client left for the collector at exit must not hang the
+        process.  stats runs on the loop's thread pool, so the client's
+        loop owns an executor when it is collected."""
+        script = textwrap.dedent(
+            """
+            from repro.core.engine import ProtectionEngine
+            from repro.lppm.identity import Identity
+            from repro.service.api import LoopbackClient, ProtectionService, StatsRequest
+
+            class Never:
+                name = "never"
+
+                def reidentify(self, trace):
+                    return "<nobody>"
+
+            engine = ProtectionEngine([Identity()], [Never()])
+            client = LoopbackClient(ProtectionService(engine))
+            print(type(client.request(StatsRequest())).__name__)
+            """
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "StatsResponse"
 
 
 

@@ -222,6 +222,60 @@ class _SlowStats(ProtectionService):
         return super()._stats_sync()
 
 
+class _GatedProtect(ProtectionService):
+    """Parks every protect request before it runs the cascade."""
+
+    def __init__(self, engine):
+        super().__init__(engine)
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def _protect_sync(self, request):
+        self.entered.set()
+        self.release.wait(30.0)
+        return super()._protect_sync(request)
+
+
+class _ThreadLog(ProtectionService):
+    """Records the thread each body runs on, per verb."""
+
+    def __init__(self, engine):
+        super().__init__(engine)
+        self.threads = {}
+
+    def _note(self, verb):
+        self.threads.setdefault(verb, set()).add(threading.current_thread())
+
+    def _protect_sync(self, request):
+        self._note("protect")
+        return super()._protect_sync(request)
+
+    def _upload_sync(self, request):
+        self._note("upload")
+        return super()._upload_sync(request)
+
+    def _stream_record_sync(self, request):
+        self._note("stream_record")
+        return super()._stream_record_sync(request)
+
+    def _stats_sync(self):
+        self._note("stats")
+        return super()._stats_sync()
+
+    def _query_sync(self, request):
+        self._note("query")
+        return super()._query_sync(request)
+
+
+def _drive_every_logged_verb(client):
+    client.protect(day_trace("p"))
+    client.upload(day_trace("u"))
+    client.stream_open("s")
+    client.stream_record("s", [(i, i * 60.0, 45.0, 4.0) for i in range(3)])
+    client.stats()
+    client.query_count(45.0, 4.0)
+
+
 class TestClientDesyncRecovery:
     """Satellite regression: a timed-out/truncated exchange must never let
     the next request read the stale tail of the previous reply."""
@@ -423,6 +477,73 @@ class TestConcurrentRequests:
         assert first[0] is None and second[0] is None
         assert isinstance(first[1], StatsResponse)
         assert isinstance(second[1], QueryResponse)
+
+    def test_data_path_bodies_run_on_the_serving_loop_thread(self):
+        """Bodies that run the cascade or query what it published skip
+        the thread-pool hand-off; every other body keeps the pool."""
+        data_path = ("protect", "upload", "stream_record", "query")
+        service = _ThreadLog(stub_engine())
+        server = ServiceServer(service, port=0)
+        host, port = server.start_background()
+        try:
+            with ServiceClient(host=host, port=port) as client:
+                _drive_every_logged_verb(client)
+            loop_thread = server._thread
+        finally:
+            server.stop_background()
+        assert loop_thread.name == "mood-service-server"
+        for verb in data_path:
+            assert service.threads[verb] == {loop_thread}, verb
+        assert loop_thread not in service.threads["stats"]
+
+        # Through the loopback transport the loop is the caller's own.
+        service = _ThreadLog(stub_engine())
+        with LoopbackClient(service) as client:
+            _drive_every_logged_verb(client)
+        for verb in data_path:
+            assert service.threads[verb] == {threading.current_thread()}, verb
+        assert threading.current_thread() not in service.threads["stats"]
+
+    def test_control_verb_waits_for_the_cascade_body_in_progress(self):
+        """A cluster_heartbeat on a second connection is served once the
+        protect body occupying the loop returns — late, never dropped."""
+        from repro.service.api import (
+            ClusterHeartbeat,
+            ClusterHeartbeatAck,
+            ProtectRequest,
+            ProtectResponse,
+        )
+
+        service = _GatedProtect(stub_engine())
+        server = ServiceServer(service, port=0)
+        host, port = server.start_background()
+        try:
+            with socket.create_connection((host, port), timeout=30) as upload, \
+                    socket.create_connection((host, port), timeout=30) as control:
+                upload_fh = upload.makefile("rwb")
+                upload_fh.write(
+                    encode_message(ProtectRequest(trace=day_trace("p")), request_id=1)
+                )
+                upload_fh.flush()
+                assert service.entered.wait(30.0)
+                control_fh = control.makefile("rwb")
+                control_fh.write(
+                    encode_message(ClusterHeartbeat(endpoint="w:1"), request_id=2)
+                )
+                control_fh.flush()
+                control.settimeout(0.5)
+                with pytest.raises(socket.timeout):
+                    control.recv(1, socket.MSG_PEEK)
+                control.settimeout(30.0)
+                service.release.set()
+                beat_id, beat = decode_frame(control_fh.readline())
+                protect_id, protected = decode_frame(upload_fh.readline())
+        finally:
+            service.release.set()
+            server.stop_background()
+        assert beat_id == 2 and isinstance(beat, ClusterHeartbeatAck)
+        assert beat.known is False  # "w:1" never joined
+        assert protect_id == 1 and isinstance(protected, ProtectResponse)
 
     def test_inflight_bound_still_serves_everything(self):
         """max_inflight=1 serialises the work but loses no request."""
@@ -846,16 +967,16 @@ class TestGracefulDrain:
 
         asyncio.run(scenario())
 
-    def test_drain_waits_for_an_untagged_reply(self):
-        """An untagged request holds an in-flight slot like a tagged one,
-        so drain() returns only once its reply has been written."""
-        service = _GatedStats(stub_engine())
+    @staticmethod
+    def _drain_behind(service, request):
+        """Send *request* untagged, drain while its body is parked, then
+        release it; returns the drain summary and the reply."""
         server = ServiceServer(service, port=0)
         host, port = server.start_background()
         try:
             with socket.create_connection((host, port), timeout=30) as sock:
                 fh = sock.makefile("rwb")
-                fh.write(encode_message(StatsRequest()))
+                fh.write(encode_message(request))
                 fh.flush()
                 assert service.entered.wait(30.0)
                 drained = asyncio.run_coroutine_threadsafe(
@@ -870,7 +991,24 @@ class TestGracefulDrain:
             service.release.set()
             server.stop_background()
         assert summary["sessions"] == 0
+        return reply_id, reply
+
+    def test_drain_waits_for_an_untagged_reply(self):
+        """An untagged request holds an in-flight slot like a tagged one,
+        so drain() returns only once its reply has been written."""
+        reply_id, reply = self._drain_behind(_GatedStats(stub_engine()), StatsRequest())
         assert reply_id is None and isinstance(reply, StatsResponse)
+
+    def test_drain_waits_for_a_cascade_reply(self):
+        """A protect body runs on the loop's own thread, and drain() still
+        returns only once its reply has been written."""
+        from repro.service.api import ProtectRequest, ProtectResponse
+
+        reply_id, reply = self._drain_behind(
+            _GatedProtect(stub_engine()), ProtectRequest(trace=day_trace("p"))
+        )
+        assert reply_id is None and isinstance(reply, ProtectResponse)
+        assert reply.user_id == "p"
 
 
 class TestServeSigtermDrain:

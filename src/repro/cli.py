@@ -24,8 +24,8 @@ Commands
     Run the protection service as a real middleware: fit an engine on
     the dataset's background split, then serve the versioned JSON-lines
     protocol (see docs/SERVICE.md) over TCP or a unix socket.  Tagged
-    requests are handled concurrently; ``--workers`` bounds how many are
-    in flight at once and ``--max-inflight-mib`` bounds their summed
+    requests are pipelined; ``--workers`` bounds how many have been read
+    and not yet answered, and ``--max-inflight-mib`` bounds their summed
     request bytes (backpressure).  With an auth key (``--auth-key``,
     ``--auth-key-file``, or ``service.auth_key_file`` in the config)
     every connection must complete the shared-secret handshake before
@@ -202,8 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="max concurrently-served requests (backpressure bound; "
-        "default 32)",
+        help="max requests read and not yet answered (backpressure "
+        "bound; default 32)",
     )
     serve.add_argument(
         "--max-inflight-mib",
@@ -991,6 +991,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         erased += closed.erased_records
     wall = time.time() - t0
     stats = client.stats().stream
+    client.close()
     print(f"records streamed   : {sent}")
     print(f"pieces published   : {pieces}")
     print(f"records erased     : {erased}")

@@ -90,7 +90,7 @@ class ClusterRegistry:
     """Thread-safe membership table with an epoch counter.
 
     All methods may be called from any thread: service handlers run on
-    the event loop and its executor pool, heartbeat announcers run on
+    the threads of the loops that serve them, heartbeat announcers on
     their own threads.
     """
 

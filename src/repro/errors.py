@@ -91,10 +91,6 @@ def check_integer(name: str, value: Any) -> int:
     return value
 
 
-class ProtectionFailedError(ReproError, RuntimeError):
-    """MooD could not protect a trace and erasure was disallowed by the caller."""
-
-
 class ProtocolError(ReproError, ValueError):
     """A service message violates the wire protocol (bad JSON, version, or schema)."""
 

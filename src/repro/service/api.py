@@ -49,7 +49,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    FrozenSet,
     List,
     Optional,
     Tuple,
@@ -1590,40 +1589,18 @@ class ProtectionService:
     are fully deterministic — the loopback transport relies on that to
     keep campaign reports reproducible.
 
-    Where a body runs depends on its verb.  A data-path body — one that
-    runs the cascade or queries what it published, :attr:`LOOP_REQUESTS`
-    — runs on the calling loop's own thread.  Each does its work under
-    the state lock, so no two could run side by side anyway, and skipping
-    the hand-off to the thread pool and back takes that cost off every
-    upload and query.  The price: while one runs, the loop serves nothing
-    else — hello, auth and ``cluster_*`` on every connection wait for it.
-    Every other body runs on the loop's default thread pool, so a tagged
-    one can be overtaken by the requests read after it.
+    Every body runs on the thread of the loop that awaits :meth:`handle`,
+    so while one runs that loop serves nothing else (see *Request-id
+    framing and concurrency* in ``docs/SERVICE.md``).
 
     Shared state (pseudonym counters, proxy stats, the collected
-    corpus) is guarded by one service-wide mutex: pool bodies run beside
-    a loop's data-path body, and several loops (a socket server's,
-    loopback clients') may drive one service, so an unguarded
-    ``SessionPseudonyms`` get/increment could hand two concurrent
-    uploads of the same user the same pseudonym.  The lock is a plain
-    :class:`threading.Lock` (not an asyncio one) because the service
-    may be driven from different event loops over its lifetime and the
-    pool bodies take it on pool threads.
+    corpus) is guarded by one service-wide mutex: several loops on
+    different threads (a socket server's, loopback clients') may drive
+    one service, so an unguarded ``SessionPseudonyms`` get/increment
+    could hand two concurrent uploads of the same user the same
+    pseudonym.  The lock is a plain :class:`threading.Lock` (not an
+    asyncio one) because those loops run on different threads.
     """
-
-    #: The data path: request types whose body runs the cascade or
-    #: queries what it published.  :meth:`handle` runs them on the
-    #: calling loop's thread (see the class docstring).
-    LOOP_REQUESTS: FrozenSet[type] = frozenset(
-        {
-            ProtectRequest,
-            UploadRequest,
-            QueryRequest,
-            StreamRecord,
-            StreamFlush,
-            StreamClose,
-        }
-    )
 
     def __init__(
         self,
@@ -1654,9 +1631,7 @@ class ProtectionService:
         self.transport_stats: Optional[Callable[[], Dict[str, Any]]] = None
         self.started_monotonic = time.monotonic()
         self._state_lock = threading.Lock()
-        #: Each request type's body.  :meth:`handle` runs a
-        #: :attr:`LOOP_REQUESTS` body on the calling loop's thread and
-        #: every other body on the loop's default thread pool.
+        #: Each request type's body, run by :meth:`handle`.
         self._handlers: Dict[type, Callable[[Any], Message]] = {
             ProtectRequest: self._protect_sync,
             UploadRequest: self._upload_sync,
@@ -1896,9 +1871,8 @@ class ProtectionService:
     # -- dispatch --------------------------------------------------------
 
     async def handle(self, message: Message) -> Message:
-        """Run one decoded request's body — a :attr:`LOOP_REQUESTS`
-        body on this loop's thread, any other on the loop's default
-        thread pool; faults become error envelopes."""
+        """Run one decoded request's body on this loop's thread; faults
+        become error envelopes."""
         body = self._handlers.get(type(message))
         if body is None:
             return ErrorEnvelope(
@@ -1906,9 +1880,7 @@ class ProtectionService:
                 message=f"{type(message).__name__} is not a request this side serves",
             )
         try:
-            if type(message) in self.LOOP_REQUESTS:
-                return body(message)
-            return await asyncio.get_running_loop().run_in_executor(None, body, message)
+            return body(message)
         except ReproError as exc:
             return ErrorEnvelope(code="bad_request", message=str(exc))
         except Exception as exc:  # noqa: BLE001 - the envelope is the contract
@@ -2092,8 +2064,7 @@ class LoopbackClient(ServiceClientBase):
         return decode_frame_any(reply)[1]
 
     def close(self) -> None:
-        if self._loop is not None and not self._loop.is_closed():
-            self._loop.run_until_complete(self._loop.shutdown_default_executor())
+        if self._loop is not None:
             self._loop.close()
         self._loop = None
 
@@ -2102,11 +2073,3 @@ class LoopbackClient(ServiceClientBase):
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        # Not close(): its shutdown_default_executor() starts a thread,
-        # which never starts at interpreter exit, so the process hangs.
-        # loop.close() shuts the executor down without waiting.
-        loop = getattr(self, "_loop", None)
-        if loop is not None and not loop.is_closed():
-            loop.close()

@@ -66,7 +66,6 @@ class CrowdsensingCampaign:
                 f"CrowdsensingCampaign takes an engine or a 'service'; got {got}"
             )
         self.service = service if service is not None else ProtectionService(engine)
-        self.chunk_s = float(chunk_s)
         self.clients: List[MobileClient] = [
             MobileClient(trace, chunk_s) for trace in raw.traces() if len(trace) > 0
         ]

@@ -13,6 +13,7 @@ from typing import List, Optional
 
 from repro.core.split import split_fixed_time
 from repro.core.trace import Trace
+from repro.errors import check_positive
 
 
 @dataclass
@@ -33,8 +34,10 @@ class MobileClient:
 
     def __init__(self, trace: Trace, chunk_s: float = 86_400.0) -> None:
         self.user_id = trace.user_id
-        self.chunk_s = float(chunk_s)
-        self._chunks: List[Trace] = split_fixed_time(trace, chunk_s) if len(trace) else []
+        self.chunk_s = check_positive("chunk_s", chunk_s)
+        self._chunks: List[Trace] = (
+            split_fixed_time(trace, self.chunk_s) if len(trace) else []
+        )
         self._next = 0
 
     @property

@@ -2,25 +2,25 @@
 
 The server is an asyncio shell around
 :class:`repro.service.api.ProtectionService`: JSON lines in, JSON lines
-out, connections multiplexed on the event loop.  A data-path body
-(``ProtectionService.LOOP_REQUESTS``) runs on the loop's own thread,
-every other body on the loop's thread pool, so the loop serves nothing
-else while a cascade runs.  Every connection starts on v1 JSON
-framing; a client may offer the negotiated v2 binary framing with a
-``hello`` exchange (see ``docs/SERVICE.md``), after which both
-directions carry length-prefixed frames with columnar ndarray payloads
-— a v1-only peer never sees a v2 frame, and
+out, connections multiplexed on the event loop.  Every body runs on the
+loop's own thread, so the loop serves nothing else while one runs.
+Every connection starts on v1 JSON framing; a client may offer the
+negotiated v2 binary framing with a ``hello`` exchange (see
+``docs/SERVICE.md``), after which both directions carry length-prefixed
+frames with columnar ndarray payloads — a v1-only peer never sees a v2
+frame, and
 ``ServiceServer(wire_versions=(1,))`` pins an endpoint to v1 for
 mixed-version clusters.  Requests that carry an ``"id"`` tag are
-handled *concurrently* per connection — each reply echoes its
-request's id, so a pipelining client can correlate replies arriving out
-of order.
+pipelined per connection — the next frame is read before the reply is
+written, and each reply echoes its request's id, so a client can
+correlate replies arriving out of order.
 Untagged requests keep the v1 FIFO contract (each is answered before
 the next frame is read), so old clients work unchanged.  Both kinds
 hold a slot of a server-wide in-flight semaphore that provides
-backpressure: when ``max_inflight`` requests are being served, the
-server stops reading new frames and the kernel's TCP window pushes
-back on the clients.
+backpressure: when ``max_inflight`` requests have been read and not
+yet answered, the server stops reading new frames and the kernel's TCP
+window pushes back on the clients.  The server and the asyncio client
+read every frame with one coroutine, :func:`read_frame`.
 
 Two clients share the verb vocabulary:
 
@@ -117,11 +117,11 @@ from repro.service.api import (
 #: Generous per-line cap: a month-long trace at 1 Hz is ~10 MB of JSON.
 MAX_LINE_BYTES = 64 * 1024 * 1024
 
-#: Default bound on concurrently-served requests (`repro serve --workers`).
+#: Default bound on requests read and not yet answered (`repro serve --workers`).
 DEFAULT_MAX_INFLIGHT = 32
 
-#: Default bound on the summed size of tagged request lines being served
-#: at once, across all connections.  Complements ``max_inflight`` (a
+#: Default bound on the summed size of the request frames read and not
+#: yet answered, across all connections.  Complements ``max_inflight`` (a
 #: *count* bound): 32 small queries and 32 month-long traces cost very
 #: different amounts of memory.
 DEFAULT_MAX_INFLIGHT_BYTES = 256 * 1024 * 1024
@@ -151,11 +151,37 @@ def v2_frame_remainder(prefix: bytes) -> int:
     return header_len + blocks_len
 
 
-class _FrameReadError(Exception):
-    """Internal: the connection's next frame can never be served (it is
-    oversized, or violates the negotiated framing).  The message is
-    reported to the peer and the connection closed — after either fault
-    the byte stream cannot be resynchronised."""
+async def read_frame(reader: asyncio.StreamReader, binary: bool) -> bytes:
+    """The next frame on *reader*: a v1 JSON line, or with *binary* a
+    length-prefixed v2 frame.
+
+    Returns ``b""`` at a clean EOF, before any byte of a next frame, and
+    lets :class:`asyncio.IncompleteReadError` through for a frame the
+    peer cut short.  A frame that can never be read — a line over the
+    reader's limit (:data:`MAX_LINE_BYTES`), or a v2 prefix that
+    :func:`v2_frame_remainder` refuses before the payload is read —
+    raises :class:`~repro.errors.ProtocolError`; after it the byte
+    stream cannot be resynchronised.
+    """
+    try:
+        if not binary:
+            return await reader.readuntil(b"\n")
+        prefix = await reader.readexactly(V2_PREFIX_LEN)
+    except asyncio.IncompleteReadError as exc:
+        if exc.partial:
+            raise
+        return b""
+    except asyncio.LimitOverrunError:
+        raise ProtocolError(
+            f"the peer sent a line over the {MAX_LINE_BYTES}-byte cap"
+        ) from None
+    try:
+        rest = v2_frame_remainder(prefix)
+    except ProtocolError as exc:
+        raise ProtocolError(
+            f"the peer broke the negotiated v2 framing: {exc}"
+        ) from None
+    return prefix + await reader.readexactly(rest)
 
 
 class _ByteBudget:
@@ -210,12 +236,12 @@ class ServiceServer:
     Exactly one of ``(host, port)`` or ``unix_path`` addresses the
     server.  ``port=0`` binds an ephemeral port; the bound address is
     available as :attr:`address` once started.  ``max_inflight`` bounds
-    the number of requests being served at once across all connections,
-    tagged or untagged — the backpressure knob (``repro serve
-    --workers``).  Every request goes through one serve coroutine that
-    holds an in-flight slot and its frame's bytes until its reply is
-    written; an untagged request is served before the connection's next
-    frame is read, so untagged replies keep request order.
+    the number of requests read and not yet answered across all
+    connections, tagged or untagged — the backpressure knob (``repro
+    serve --workers``).  Every request goes through one serve coroutine
+    that holds an in-flight slot and its frame's bytes until its reply
+    is written; an untagged request is served before the connection's
+    next frame is read, so untagged replies keep request order.
 
     With ``auth_key`` set, every connection must complete the
     HMAC-blake2b challenge/response handshake (``auth_request`` →
@@ -245,7 +271,7 @@ class ServiceServer:
             raise ConfigurationError("auth_key must be non-empty bytes (or None)")
         self.service = service
         self.host = host
-        self.port = int(port)
+        self.port = _check_port(port, lowest=0)
         self.unix_path = unix_path
         self.max_inflight = check_count("max_inflight", max_inflight)
         self.max_inflight_bytes = check_count("max_inflight_bytes", max_inflight_bytes)
@@ -281,9 +307,9 @@ class ServiceServer:
         their in-flight slots and bytes) are pinned forever.  After
         ``drain_timeout_s`` the transport is aborted — RST, no lingering
         FIN handshake — and the connection handler unwinds through its
-        normal disconnect path.  The deadline keeps counting while a
-        data-path body holds the loop, so it must outlast the longest
-        cascade body or a reading client can be evicted too.
+        normal disconnect path.  The deadline keeps counting while a body
+        holds the loop, so it must outlast the longest body or a reading
+        client can be evicted too.
         """
         if self.drain_timeout_s is None:
             await writer.drain()
@@ -374,43 +400,6 @@ class ServiceServer:
         conn.authed = True
         return AuthResponse(ok=True)
 
-    async def _read_frame(
-        self, reader: asyncio.StreamReader, wire_version: int
-    ) -> bytes:
-        """The connection's next frame, in its negotiated framing.
-
-        Returns ``b""`` at EOF (including a peer that vanished
-        mid-frame — there is nobody left to answer).  Raises
-        :class:`_FrameReadError` for streams that can never be served.
-
-        v2 framing reads the fixed 16-byte prefix first and enforces the
-        size cap from the *declared* lengths before the payload read
-        (:func:`v2_frame_remainder`), so a binary frame's byte cost is
-        known exactly (prefix + header + columnar blocks) before a
-        budget is charged.
-        """
-        if wire_version < WIRE_VERSION_V2:
-            try:
-                return await reader.readline()
-            except (asyncio.LimitOverrunError, ValueError):
-                raise _FrameReadError(
-                    f"line exceeds {MAX_LINE_BYTES} bytes"
-                ) from None
-        try:
-            prefix = await reader.readexactly(V2_PREFIX_LEN)
-        except asyncio.IncompleteReadError:
-            return b""
-        try:
-            rest = v2_frame_remainder(prefix)
-        except ProtocolError as exc:
-            raise _FrameReadError(
-                f"peer broke the negotiated v2 framing: {exc}"
-            ) from None
-        try:
-            return prefix + await reader.readexactly(rest)
-        except asyncio.IncompleteReadError:
-            return b""
-
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
@@ -431,8 +420,12 @@ class ServiceServer:
         try:
             while True:
                 try:
-                    line = await self._read_frame(reader, conn.wire_version)
-                except _FrameReadError as exc:
+                    line = await read_frame(
+                        reader, conn.wire_version >= WIRE_VERSION_V2
+                    )
+                except asyncio.IncompleteReadError:
+                    break  # the peer vanished mid-frame: nobody to answer
+                except ProtocolError as exc:
                     await self._send(
                         conn, ErrorEnvelope(code="protocol", message=str(exc))
                     )
@@ -534,7 +527,8 @@ class ServiceServer:
                     # next frame is read, so replies come in request order.
                     await serving
                     continue
-                # Tagged: served concurrently; the reply echoes the id.
+                # Tagged: the next frame is read before this reply is
+                # written; the reply echoes the id.
                 task = asyncio.ensure_future(serving)
                 conn.tasks.add(task)
                 task.add_done_callback(conn.tasks.discard)
@@ -631,8 +625,6 @@ class ServiceServer:
         if self._inflight is not None:
             for _ in range(self.max_inflight):
                 await self._inflight.acquire()
-        # Flushing runs the cascade, so it runs on this loop's thread
-        # like every data-path body (ProtectionService.LOOP_REQUESTS).
         return self.service.drain_streams()
 
     def transport_stats(self) -> Dict[str, Any]:
@@ -735,6 +727,16 @@ class ServiceServer:
 # ---------------------------------------------------------------------------
 
 
+def _check_port(port: Any, lowest: int = 1) -> int:
+    """*port* if it is an ``int`` other than a ``bool`` in
+    *lowest*..65535; ``lowest=0`` admits a server's ephemeral port."""
+    if isinstance(port, bool) or not isinstance(port, int) or not lowest <= port <= 65535:
+        raise ConfigurationError(
+            f"port must be an integer in {lowest}..65535, got {port!r}"
+        )
+    return port
+
+
 @dataclass(frozen=True)
 class Endpoint:
     """One ``repro serve`` address: TCP ``(host, port)`` or a unix path."""
@@ -749,6 +751,10 @@ class Endpoint:
             raise ConfigurationError(
                 f"an endpoint needs either host+port or unix_path, got {self!r}"
             )
+        if tcp:
+            _check_port(self.port)
+        elif not self.unix_path:
+            raise ConfigurationError("an endpoint's unix_path must not be empty")
 
     def label(self) -> str:
         if self.unix_path is not None:
@@ -775,23 +781,24 @@ def parse_endpoint(spec: Any) -> Endpoint:
                 f"endpoint {spec!r} is not 'host:port' or 'unix:/path'"
             )
         try:
-            return Endpoint(host=host, port=int(port))
+            number = int(port)
         except ValueError:
             raise ConfigurationError(
                 f"endpoint {spec!r} has a non-numeric port"
             ) from None
+        return Endpoint(host=host, port=number)
     if isinstance(spec, Mapping):
         if "unix" in spec:
             return Endpoint(unix_path=str(spec["unix"]))
         if "unix_path" in spec:
             return Endpoint(unix_path=str(spec["unix_path"]))
         if "host" in spec and "port" in spec:
-            return Endpoint(host=str(spec["host"]), port=int(spec["port"]))
+            return Endpoint(host=str(spec["host"]), port=spec["port"])
         raise ConfigurationError(
             f"endpoint dict needs host+port or unix, got {dict(spec)!r}"
         )
     if isinstance(spec, (tuple, list)) and len(spec) == 2:
-        return Endpoint(host=str(spec[0]), port=int(spec[1]))
+        return Endpoint(host=str(spec[0]), port=spec[1])
     raise ConfigurationError(f"cannot parse endpoint {spec!r}")
 
 
@@ -837,15 +844,9 @@ class ServiceClient(ServiceClientBase):
         auth_key: Optional[bytes] = None,
         wire_versions: Sequence[int] = SUPPORTED_WIRE_VERSIONS,
     ) -> None:
-        if unix_path is None and (host is None or port is None):
-            raise ConfigurationError(
-                "ServiceClient needs either host+port or unix_path"
-            )
         versions = check_wire_versions(wire_versions)
-        self._host = host
-        self._port = None if port is None else int(port)
-        self._unix_path = unix_path
-        self._timeout = timeout
+        self._endpoint = Endpoint(host=host, port=port, unix_path=unix_path)
+        self._timeout = check_positive("timeout", timeout)
         self._auth_key = None if auth_key is None else bytes(auth_key)
         self._wire_versions = versions
         self._wire_version = WIRE_VERSION
@@ -857,13 +858,14 @@ class ServiceClient(ServiceClientBase):
         self._connect()
 
     def _connect(self) -> None:
-        if self._unix_path is not None:
+        endpoint = self._endpoint
+        if endpoint.unix_path is not None:
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             sock.settimeout(self._timeout)
-            sock.connect(self._unix_path)
+            sock.connect(endpoint.unix_path)
         else:
             sock = socket.create_connection(
-                (self._host, self._port), timeout=self._timeout
+                (endpoint.host, endpoint.port), timeout=self._timeout
             )
         self._sock = sock
         self._file = sock.makefile("rwb")
@@ -1092,7 +1094,7 @@ class AsyncServiceClient:
     ) -> None:
         versions = check_wire_versions(wire_versions)
         self.endpoint = endpoint
-        self.timeout = timeout
+        self.timeout = check_positive("timeout", timeout)
         self._auth_key = None if auth_key is None else bytes(auth_key)
         self._wire_versions = versions
         self._wire_version = WIRE_VERSION
@@ -1164,9 +1166,11 @@ class AsyncServiceClient:
         self._writer.write(encode_hello_frame(hello, request_id=request_id))
         await self._writer.drain()
         try:
-            line = await asyncio.wait_for(self._reader.readline(), self.timeout)
-        except ValueError:  # asyncio's readline past the stream limit
-            raise ProtocolError(f"reply exceeds {MAX_LINE_BYTES} bytes") from None
+            line = await asyncio.wait_for(
+                read_frame(self._reader, binary=False), self.timeout
+            )
+        except asyncio.IncompleteReadError:
+            line = b""
         if not line:
             raise ConnectionError("the peer closed the connection during negotiation")
         try:
@@ -1186,44 +1190,11 @@ class AsyncServiceClient:
         binary = self._wire_version >= WIRE_VERSION_V2
         try:
             while True:
-                if binary:
-                    try:
-                        prefix = await self._reader.readexactly(V2_PREFIX_LEN)
-                    except asyncio.IncompleteReadError as exc:
-                        if not exc.partial:
-                            raise TransportError(
-                                f"{self.endpoint.label()} closed the "
-                                "connection"
-                            ) from exc
-                        raise TransportError(
-                            f"{self.endpoint.label()} closed the connection "
-                            "mid-frame"
-                        ) from exc
-                    try:
-                        rest = v2_frame_remainder(prefix)
-                    except ProtocolError as exc:
-                        raise TransportError(
-                            f"{self.endpoint.label()} broke the negotiated "
-                            f"v2 framing: {exc}"
-                        ) from exc
-                    try:
-                        line = prefix + await self._reader.readexactly(rest)
-                    except asyncio.IncompleteReadError as exc:
-                        raise TransportError(
-                            f"{self.endpoint.label()} closed the connection "
-                            "mid-frame"
-                        ) from exc
-                else:
-                    line = await self._reader.readline()
-                    if not line:
-                        raise TransportError(
-                            f"{self.endpoint.label()} closed the connection"
-                        )
-                    if not line.endswith(b"\n"):
-                        raise TransportError(
-                            f"reply from {self.endpoint.label()} exceeds "
-                            f"{MAX_LINE_BYTES} bytes (truncated)"
-                        )
+                line = await read_frame(self._reader, binary)
+                if not line:
+                    raise TransportError(
+                        f"{self.endpoint.label()} closed the connection"
+                    )
                 try:
                     reply_id, message = decode_frame_any(line)
                 except ProtocolError as exc:
@@ -1256,6 +1227,10 @@ class AsyncServiceClient:
                     future.set_result(message)
         except asyncio.CancelledError:
             raise
+        except asyncio.IncompleteReadError:
+            self._poison(f"{self.endpoint.label()} closed the connection mid-frame")
+        except ProtocolError as exc:  # from read_frame: the stream is lost
+            self._poison(f"{self.endpoint.label()}: {exc}")
         except TransportError as exc:
             self._poison(str(exc), exc)
         except Exception as exc:  # noqa: BLE001 - any fault poisons the link

@@ -3,8 +3,7 @@
 The :class:`StreamHub` owns every open stream session of a
 :class:`~repro.service.api.ProtectionService`.  It is deliberately
 synchronous and lock-free — the service calls it under its own state
-lock, from the serving loop's thread or a pool thread (see
-``ProtectionService.LOOP_REQUESTS``) — and keyed by user id, so a
+lock — and keyed by user id, so a
 session survives a client reconnect and can be resumed from its
 watermark.
 

@@ -87,10 +87,6 @@ class WindowAssembler:
         """Records buffered in the open window."""
         return len(self._t)
 
-    @property
-    def last_t(self) -> Optional[float]:
-        return self._t[-1] if self._t else None
-
     def add(
         self, ordinal: int, t: float, lat: float, lng: float
     ) -> Optional[ClosedWindow]:

@@ -183,10 +183,6 @@ class ZoneGraph:
         """True iff zones *a* and *b* are directly linked."""
         return b in self._adjacency[a]
 
-    def neighbors(self, zone_id: int) -> List[int]:
-        """Sorted direct neighbours of *zone_id*."""
-        return sorted(self._adjacency[zone_id])
-
     def route(self, a: int, b: int) -> List[int]:
         """Shortest zone-id path from *a* to *b* (inclusive of both)."""
         path = [a]

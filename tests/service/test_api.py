@@ -512,8 +512,7 @@ class TestProtectionService:
 
     def test_unclosed_client_lets_the_interpreter_exit(self):
         """A client left for the collector at exit must not hang the
-        process.  stats runs on the loop's thread pool, so the client's
-        loop owns an executor when it is collected."""
+        process."""
         script = textwrap.dedent(
             """
             from repro.core.engine import ProtectionEngine

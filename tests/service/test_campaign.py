@@ -124,6 +124,9 @@ class TestCampaignThroughServiceApi:
             CrowdsensingCampaign(corpus(), engine, service=service)
         with pytest.raises(ConfigurationError, match="neither"):
             CrowdsensingCampaign(corpus())
+        for bad in (True, float("inf"), "86400", 0.0):
+            with pytest.raises(ConfigurationError, match="chunk_s"):
+                CrowdsensingCampaign(corpus(), engine, chunk_s=bad)
 
     def test_campaign_report_matches_direct_proxy_loop(self):
         """Service + codec round-trip must not change campaign outcomes."""

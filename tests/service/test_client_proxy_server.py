@@ -6,7 +6,7 @@ import pytest
 from repro.core.dataset import MobilityDataset
 from repro.core.engine import ProtectionEngine
 from repro.core.trace import Trace
-from repro.errors import InvalidRecordError
+from repro.errors import ConfigurationError, InvalidRecordError
 from repro.geo.grid import MetricGrid
 from repro.lppm.base import LPPM
 from repro.service.client import MobileClient, UploadChunk
@@ -48,6 +48,11 @@ class TestMobileClient:
         client = MobileClient(multi_day_trace(days=3), chunk_s=DAY)
         assert client.days_total == 3
         assert client.days_remaining == 3
+        # Checked, not coerced: True made one-second chunks, inf one chunk
+        # uploaded at virtual time inf, "86400" a bare TypeError.
+        for bad in (True, float("inf"), "86400", 0.0, float("nan")):
+            with pytest.raises(ConfigurationError, match="chunk_s"):
+                MobileClient(multi_day_trace(days=3), chunk_s=bad)
 
     def test_next_upload_sequence(self):
         client = MobileClient(multi_day_trace(days=2), chunk_s=DAY)

@@ -21,6 +21,8 @@ from repro.service.api import (
     WIRE_VERSION_V2,
     ErrorEnvelope,
     LoopbackClient,
+    ProtectRequest,
+    ProtectResponse,
     ProtectionService,
     QueryRequest,
     QueryResponse,
@@ -30,6 +32,7 @@ from repro.service.api import (
     encode_message,
 )
 from repro.service.rpc import (
+    AsyncServiceClient,
     Endpoint,
     ServiceClient,
     ServiceServer,
@@ -191,9 +194,30 @@ class TestTcpTransport:
             assert len(published) == 20
             assert len(set(published)) == 20  # no duplicates across connections
 
-    def test_client_requires_an_address(self):
+    def test_client_requires_an_address(self, monkeypatch):
+        def no_socket(*args, **kwargs):
+            raise AssertionError("a socket was opened")
+
+        monkeypatch.setattr(socket, "socket", no_socket)
+        monkeypatch.setattr(socket, "create_connection", no_socket)
         with pytest.raises(ConfigurationError):
             ServiceClient()
+        # Timeouts and ports are checked, not coerced: 0 used to raise
+        # BlockingIOError, True to run as 1 s or port 1, 2.9 as port 2.
+        endpoint = Endpoint(host="127.0.0.1", port=7464)
+        for bad in (0, True, -1.0, "5", float("nan")):
+            with pytest.raises(ConfigurationError, match="timeout"):
+                ServiceClient(host="127.0.0.1", port=7464, timeout=bad)
+            with pytest.raises(ConfigurationError, match="timeout"):
+                AsyncServiceClient(endpoint, timeout=bad)
+        for bad in (True, 2.9, "7464", 0, -1, 65536):
+            with pytest.raises(ConfigurationError, match="port"):
+                ServiceClient(host="127.0.0.1", port=bad)
+        with pytest.raises(ConfigurationError, match="unix_path"):
+            ServiceClient(unix_path="")
+        for bad in (True, 2.7, "7464", -1, 65536):
+            with pytest.raises(ConfigurationError, match="port"):
+                ServiceServer(ProtectionService(stub_engine()), port=bad)
 
 
 class _GatedStats(ProtectionService):
@@ -211,15 +235,17 @@ class _GatedStats(ProtectionService):
 
 
 class _SlowStats(ProtectionService):
-    """Service whose stats verb dawdles (off the state lock)."""
+    """Service whose ``handle`` awaits before a stats body, as a wrapper
+    of ``handle`` may; the loop serves other frames meanwhile."""
 
     def __init__(self, engine, delay_s=0.5):
         super().__init__(engine)
         self._delay_s = delay_s
 
-    def _stats_sync(self):
-        time.sleep(self._delay_s)
-        return super()._stats_sync()
+    async def handle(self, message):
+        if isinstance(message, StatsRequest):
+            await asyncio.sleep(self._delay_s)
+        return await super().handle(message)
 
 
 class _GatedProtect(ProtectionService):
@@ -254,6 +280,10 @@ class _ThreadLog(ProtectionService):
         self._note("upload")
         return super()._upload_sync(request)
 
+    def _stream_open_sync(self, request):
+        self._note("stream_open")
+        return super()._stream_open_sync(request)
+
     def _stream_record_sync(self, request):
         self._note("stream_record")
         return super()._stream_record_sync(request)
@@ -266,6 +296,14 @@ class _ThreadLog(ProtectionService):
         self._note("query")
         return super()._query_sync(request)
 
+    def _metrics_sync(self, request):
+        self._note("metrics")
+        return super()._metrics_sync(request)
+
+    def _cluster_heartbeat_sync(self, request):
+        self._note("cluster_heartbeat")
+        return super()._cluster_heartbeat_sync(request)
+
 
 def _drive_every_logged_verb(client):
     client.protect(day_trace("p"))
@@ -274,6 +312,20 @@ def _drive_every_logged_verb(client):
     client.stream_record("s", [(i, i * 60.0, 45.0, 4.0) for i in range(3)])
     client.stats()
     client.query_count(45.0, 4.0)
+    client.metrics()
+    client.cluster_heartbeat("w:1")
+
+
+_LOGGED_VERBS = {
+    "protect",
+    "upload",
+    "stream_open",
+    "stream_record",
+    "stats",
+    "query",
+    "metrics",
+    "cluster_heartbeat",
+}
 
 
 class TestClientDesyncRecovery:
@@ -478,10 +530,9 @@ class TestConcurrentRequests:
         assert isinstance(first[1], StatsResponse)
         assert isinstance(second[1], QueryResponse)
 
-    def test_data_path_bodies_run_on_the_serving_loop_thread(self):
-        """Bodies that run the cascade or query what it published skip
-        the thread-pool hand-off; every other body keeps the pool."""
-        data_path = ("protect", "upload", "stream_record", "query")
+    def test_every_body_runs_on_the_serving_loop_thread(self):
+        """No body is handed to a thread pool: each runs on the thread
+        of the loop that read its request."""
         service = _ThreadLog(stub_engine())
         server = ServiceServer(service, port=0)
         host, port = server.start_background()
@@ -492,27 +543,20 @@ class TestConcurrentRequests:
         finally:
             server.stop_background()
         assert loop_thread.name == "mood-service-server"
-        for verb in data_path:
-            assert service.threads[verb] == {loop_thread}, verb
-        assert loop_thread not in service.threads["stats"]
+        assert service.threads == {verb: {loop_thread} for verb in _LOGGED_VERBS}
 
         # Through the loopback transport the loop is the caller's own.
         service = _ThreadLog(stub_engine())
         with LoopbackClient(service) as client:
             _drive_every_logged_verb(client)
-        for verb in data_path:
-            assert service.threads[verb] == {threading.current_thread()}, verb
-        assert threading.current_thread() not in service.threads["stats"]
+        assert service.threads == {
+            verb: {threading.current_thread()} for verb in _LOGGED_VERBS
+        }
 
     def test_control_verb_waits_for_the_cascade_body_in_progress(self):
         """A cluster_heartbeat on a second connection is served once the
         protect body occupying the loop returns — late, never dropped."""
-        from repro.service.api import (
-            ClusterHeartbeat,
-            ClusterHeartbeatAck,
-            ProtectRequest,
-            ProtectResponse,
-        )
+        from repro.service.api import ClusterHeartbeat, ClusterHeartbeatAck
 
         service = _GatedProtect(stub_engine())
         server = ServiceServer(service, port=0)
@@ -694,7 +738,21 @@ class TestEndpointParsing:
         assert parse_endpoint(Endpoint(host="h", port=3)).label() == "h:3"
 
     def test_rejects_garbage(self):
-        for bad in ("just-a-host", "h:not-a-port", {"port": 1}, 42, ("h",)):
+        for bad in (
+            "just-a-host",
+            "h:not-a-port",
+            {"port": 1},
+            42,
+            ("h",),
+            # Checked, not coerced: these read as ports 1 and 2, or were
+            # accepted out of range, or raised a bare ValueError.
+            ("h", True),
+            {"host": "h", "port": 2.9},
+            "h:99999",
+            "h:-1",
+            ("h", "x"),
+            "unix:",
+        ):
             with pytest.raises(ConfigurationError):
                 parse_endpoint(bad)
 
@@ -898,8 +956,6 @@ class TestSlowConsumerEviction:
     def test_unread_replies_evict_the_connection(self):
         """A client that stops reading must not pin server memory: after
         drain_timeout_s its transport is aborted and counted."""
-        from repro.service.api import ProtectRequest
-
         with ServiceServer(
             ProtectionService(stub_engine()), port=0, drain_timeout_s=0.2
         ) as server:
@@ -946,9 +1002,9 @@ class TestGracefulDrain:
         # run inside the server's): drain() must flush it even with no
         # wire traffic.
         service = ProtectionService(stub_engine())
-        client = LoopbackClient(service)
-        client.stream_open("u")
-        client.stream_record("u", [(i, i * 60.0, 45.0, 4.0) for i in range(7)])
+        with LoopbackClient(service) as client:
+            client.stream_open("u")
+            client.stream_record("u", [(i, i * 60.0, 45.0, 4.0) for i in range(7)])
 
         async def scenario():
             server = ServiceServer(service, port=0)
@@ -967,16 +1023,25 @@ class TestGracefulDrain:
 
         asyncio.run(scenario())
 
-    @staticmethod
-    def _drain_behind(service, request):
-        """Send *request* untagged, drain while its body is parked, then
-        release it; returns the drain summary and the reply."""
+    @pytest.mark.parametrize(
+        "gated, request_, expected",
+        [
+            (_GatedStats, StatsRequest(), StatsResponse),
+            (_GatedProtect, ProtectRequest(trace=day_trace("p")), ProtectResponse),
+        ],
+        ids=["stats", "protect"],
+    )
+    def test_drain_waits_for_the_reply_in_progress(self, gated, request_, expected):
+        """An untagged request holds an in-flight slot like a tagged one,
+        and its body parks the loop thread, so drain() returns only once
+        its reply has been written."""
+        service = gated(stub_engine())
         server = ServiceServer(service, port=0)
         host, port = server.start_background()
         try:
             with socket.create_connection((host, port), timeout=30) as sock:
                 fh = sock.makefile("rwb")
-                fh.write(encode_message(request))
+                fh.write(encode_message(request_))
                 fh.flush()
                 assert service.entered.wait(30.0)
                 drained = asyncio.run_coroutine_threadsafe(
@@ -991,24 +1056,9 @@ class TestGracefulDrain:
             service.release.set()
             server.stop_background()
         assert summary["sessions"] == 0
-        return reply_id, reply
-
-    def test_drain_waits_for_an_untagged_reply(self):
-        """An untagged request holds an in-flight slot like a tagged one,
-        so drain() returns only once its reply has been written."""
-        reply_id, reply = self._drain_behind(_GatedStats(stub_engine()), StatsRequest())
-        assert reply_id is None and isinstance(reply, StatsResponse)
-
-    def test_drain_waits_for_a_cascade_reply(self):
-        """A protect body runs on the loop's own thread, and drain() still
-        returns only once its reply has been written."""
-        from repro.service.api import ProtectRequest, ProtectResponse
-
-        reply_id, reply = self._drain_behind(
-            _GatedProtect(stub_engine()), ProtectRequest(trace=day_trace("p"))
-        )
-        assert reply_id is None and isinstance(reply, ProtectResponse)
-        assert reply.user_id == "p"
+        assert reply_id is None and isinstance(reply, expected)
+        if expected is ProtectResponse:
+            assert reply.user_id == "p"
 
 
 class TestServeSigtermDrain:

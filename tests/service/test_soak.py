@@ -460,9 +460,8 @@ class TestStreamSoak:
 
     @staticmethod
     def batch_reference(trace):
-        return LoopbackClient(ProtectionService(mk_engine())).protect(
-            trace, daily=True
-        ).pieces
+        with LoopbackClient(ProtectionService(mk_engine())) as client:
+            return client.protect(trace, daily=True).pieces
 
     @staticmethod
     def proxy_client(proxy, timeout=5.0):

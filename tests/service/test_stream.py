@@ -39,9 +39,22 @@ def stub_engine():
     return ProtectionEngine([_Shift()], [_NeverAttack()])
 
 
+_open_clients = []
+
+
 def mk_client(**stream_kwargs):
     stream = StreamConfig(**stream_kwargs) if stream_kwargs else None
-    return LoopbackClient(ProtectionService(stub_engine(), stream=stream))
+    client = LoopbackClient(ProtectionService(stub_engine(), stream=stream))
+    _open_clients.append(client)
+    return client
+
+
+@pytest.fixture(autouse=True)
+def _close_clients():
+    """Close every client the test made with ``mk_client``."""
+    yield
+    while _open_clients:
+        _open_clients.pop().close()
 
 
 def random_trace(user="stream-user", n=300, seed=5, span_days=3.0):

@@ -72,6 +72,7 @@ from repro.service.api import (
     trace_from_wire_v2,
     v2_frame_lengths,
 )
+from repro.service import rpc
 from repro.service.rpc import (
     AsyncServiceClient,
     MAX_LINE_BYTES,
@@ -561,7 +562,7 @@ class TestV2FramingFaults:
 class TestServerV2ReadFaults:
     """The server's side of a broken v2 stream: bad magic from a peer
     that negotiated v2 is answered once, then the connection closes; a
-    peer that vanishes mid-frame just ends its connection."""
+    peer that vanishes mid-frame, v2 or v1, just ends its connection."""
 
     def test_peer_breaking_the_v2_framing_gets_one_envelope(self):
         with ServiceServer(ProtectionService(stub_engine()), port=0) as server:
@@ -588,6 +589,14 @@ class TestServerV2ReadFaults:
                 fh.flush()
                 sock.shutdown(socket.SHUT_WR)
                 assert fh.read() == b""  # nobody left to answer
+            # A v1 line without its newline is a frame cut short too: it
+            # used to be parsed and answered.
+            with socket.create_connection((host, port), timeout=30) as sock:
+                fh = sock.makefile("rwb")
+                fh.write(encode_message(StatsRequest())[:-1])
+                fh.flush()
+                sock.shutdown(socket.SHUT_WR)
+                assert fh.read() == b""
             with ServiceClient(host=host, port=port) as client:
                 assert client.stats().server["uploads"] == 0
 
@@ -1221,9 +1230,10 @@ class TestNegotiationFaults:
         )
 
 
-def _v2_session_server(script):
-    """Accept one connection, answer the hello with an agreed-v2 reply,
-    then hand the raw file to *script* for the scripted exchange."""
+def _v2_session_server(script, agreed=WIRE_VERSION_V2):
+    """Accept one connection, answer the hello agreeing on *agreed* (v2
+    unless told otherwise), then hand the raw file to *script* for the
+    scripted exchange."""
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener.bind(("127.0.0.1", 0))
     listener.listen(1)
@@ -1237,7 +1247,7 @@ def _v2_session_server(script):
             fh.write(
                 encode_message(
                     HelloResponse(
-                        version=WIRE_VERSION_V2,
+                        version=agreed,
                         versions=SUPPORTED_WIRE_VERSIONS,
                     ),
                     request_id=rid,
@@ -1325,14 +1335,17 @@ class TestSyncReadFaults:
 
 
 class TestAsyncReadFaults:
-    def _attempt(self, replies, match):
+    def _attempt(self, replies, match, agreed=WIRE_VERSION_V2):
         def script(fh):
-            _read_v2_frame(fh)
+            if agreed == WIRE_VERSION_V2:
+                _read_v2_frame(fh)
+            else:
+                fh.readline()
             if replies:
                 fh.write(replies)
                 fh.flush()
 
-        host, port, listener, thread = _v2_session_server(script)
+        host, port, listener, thread = _v2_session_server(script, agreed)
 
         async def scenario():
             client = AsyncServiceClient(
@@ -1340,7 +1353,7 @@ class TestAsyncReadFaults:
             )
             await client.connect()
             try:
-                assert client._wire_version == WIRE_VERSION_V2
+                assert client._wire_version == agreed
                 with pytest.raises(TransportError, match=match):
                     await client.request(StatsRequest())
                 # Once poisoned, every later request fails fast.
@@ -1371,6 +1384,16 @@ class TestAsyncReadFaults:
             WIRE_MAGIC_V2 + struct.pack("<IQ", 100, 400) + b"{" * 10,
             "mid-frame",
         )
+
+    def test_v1_reply_cut_short_is_mid_frame(self):
+        # Used to read "exceeds 67108864 bytes (truncated)".
+        line = encode_message(StatsResponse(), request_id=0)
+        self._attempt(line[:-5], "closed the connection mid-frame", WIRE_VERSION)
+
+    def test_v1_line_over_the_cap(self, monkeypatch):
+        # Used to read "read loop failed: Separator is found, ...".
+        monkeypatch.setattr(rpc, "MAX_LINE_BYTES", 1024)
+        self._attempt(b"x" * 4096 + b"\n", "over the 1024-byte cap", WIRE_VERSION)
 
     def test_attributable_decode_failure_keeps_the_stream(self):
         """A well-framed reply that fails to decode but carries a known

@@ -262,6 +262,9 @@ class TestCommands:
             assert f'"count": {n}' in capsys.readouterr().out
             assert main(base[:1] + ["stats"] + base[1:]) == 0
             assert '"uploads": 1' in capsys.readouterr().out
+            # A zero timeout is refused before dialling, not a traceback.
+            assert main(base[:1] + ["stats"] + base[1:] + ["--timeout", "0"]) == 2
+            assert capsys.readouterr().err.startswith("error: timeout must be")
 
     def test_bench_micro_writes_snapshot(self, tmp_path, capsys):
         import json

@@ -20,25 +20,24 @@ Commands
     Regenerate a paper table/figure as an ASCII table.
 ``mood campaign --dataset privamov``
     Run the crowdsensing deployment simulation.
-``mood serve [--host H --port P | --unix PATH] [--workers N] [--auth-key-file F]``
+``mood serve [--host H --port P | --unix PATH] [--auth-key-file F]``
     Run the protection service as a real middleware: fit an engine on
     the dataset's background split, then serve the versioned JSON-lines
-    protocol (see docs/SERVICE.md) over TCP or a unix socket.  Tagged
-    requests are pipelined; ``--workers`` bounds how many have been read
-    and not yet answered, and ``--max-inflight-mib`` bounds their summed
-    request bytes (backpressure).  With an auth key (``--auth-key``,
+    protocol (see docs/SERVICE.md) over TCP or a unix socket.  Each
+    connection is served one request at a time, so a client that
+    pipelines is pushed back by TCP.  With an auth key (``--auth-key``,
     ``--auth-key-file``, or ``service.auth_key_file`` in the config)
     every connection must complete the shared-secret handshake before
     any other request is served.  SIGTERM drains gracefully: stop
-    accepting, finish in-flight requests, flush open streaming windows
-    (see docs/STREAMING.md), then exit.
+    accepting, finish the requests already read, flush open streaming
+    windows (see docs/STREAMING.md), then exit.
 ``mood request <protect|upload|query|stats|metrics> [--csv FILE] [--lat --lng]``
     One-shot client against a running ``serve`` instance; prints the
     response body as JSON.  ``--auth-key`` / ``--auth-key-file`` match
     the server's key; ``--timeout`` bounds each request round-trip.
 ``mood top [--endpoints H:P,... | --coordinator COORD]``
     Live per-endpoint metrics board over a running cluster: queue
-    depth, in-flight bytes, stream sessions, cache hit rate, and (with
+    depth, requests served, stream sessions, cache hit rate, and (with
     ``--coordinator``) the registry's view of each member.  ``--plain
     --iterations N`` prints N frames and exits (scriptable).  With
     ``serve --cluster-join COORD`` an endpoint announces itself to a
@@ -196,22 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--unix", default=None, metavar="PATH", help="serve on a unix socket instead"
-    )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="max requests read and not yet answered (backpressure "
-        "bound; default 32)",
-    )
-    serve.add_argument(
-        "--max-inflight-mib",
-        type=float,
-        default=None,
-        metavar="MIB",
-        help="bound on the summed size of in-flight request lines "
-        "(default 256 MiB)",
     )
     serve.add_argument(
         "--drain-timeout",
@@ -654,10 +637,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         stream_cfg = StreamConfig.from_dict(cfg.stream)
     service = ProtectionService(engine, stream=stream_cfg)
     kwargs = {}
-    if args.workers is not None:
-        kwargs["max_inflight"] = args.workers
-    if args.max_inflight_mib is not None:
-        kwargs["max_inflight_bytes"] = int(args.max_inflight_mib * 1024 * 1024)
     if args.drain_timeout is not None:
         kwargs["drain_timeout_s"] = args.drain_timeout
     server = ServiceServer(
@@ -706,8 +685,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"serving {ctx.name} protection service on {where} (auth {auth})",
             flush=True,
         )
-        # SIGTERM = graceful drain: stop accepting, let in-flight
-        # requests finish, flush open streaming windows, then exit 0 —
+        # SIGTERM = graceful drain: stop accepting, answer the requests
+        # already read, flush open streaming windows, then exit 0 —
         # an orchestrator's `kill` never loses an accepted record.
         loop = asyncio.get_running_loop()
         stopping = asyncio.Event()
@@ -799,8 +778,8 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
     Each frame polls every watched endpoint's ``metrics`` verb and (with
     ``--coordinator``) the coordinator's membership, so the board shows
-    both what an endpoint says about itself (queue depth, in-flight
-    bytes, cache hit rate) and what the registry believes about it
+    both what an endpoint says about itself (queue depth, requests
+    served, cache hit rate) and what the registry believes about it
     (alive / stale / left).  ``--plain --iterations N`` turns the board
     into a scriptable snapshot — that mode is what the acceptance test
     drives in a subprocess.
@@ -854,8 +833,8 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
     header = (
         f"{'ENDPOINT':<28} {'STATE':<14} {'UP(S)':>7} {'INFL':>6} "
-        f"{'MIB':>7} {'SERVED':>8} {'CONNS':>6} {'CHUNKS':>7} "
-        f"{'STREAMS':>7} {'CACHE':>5}"
+        f"{'SERVED':>8} {'CONNS':>6} {'CHUNKS':>7} {'STREAMS':>7} "
+        f"{'CACHE':>5}"
     )
     frames = 0
     try:
@@ -878,15 +857,10 @@ def _cmd_top(args: argparse.Namespace) -> int:
                     continue
                 state = ("up/" + registry) if registry else "up"
                 transport = reply.transport
-                inflight = (
-                    f"{transport.get('inflight_requests', 0)}"
-                    f"/{transport.get('max_inflight', '-')}"
-                )
-                mib = transport.get("inflight_bytes", 0) / (1024 * 1024)
                 proxy = reply.service.get("proxy", {})
                 rows.append(
                     f"{label:<28} {state:<14} {reply.uptime_s:>7.0f} "
-                    f"{inflight:>6} {mib:>7.1f} "
+                    f"{transport.get('inflight_requests', 0):>6} "
                     f"{transport.get('requests_served', 0):>8} "
                     f"{transport.get('connections_accepted', 0):>6} "
                     f"{proxy.get('chunks_processed', 0):>7} "

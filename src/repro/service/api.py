@@ -1192,9 +1192,9 @@ class MetricsResponse(WireMessage, slug="metrics_response"):
 
     * ``transport`` — socket-server counters from
       :meth:`~repro.service.rpc.ServiceServer.transport_stats`: queue
-      depth (``inflight_requests``), in-flight bytes, byte budgets,
-      slow-consumer evictions, requests served.  Empty when the service
-      is not socket-fronted (loopback).
+      depth (``inflight_requests``), requests served, connections
+      accepted, slow-consumer evictions, drain state.  Empty when the
+      service is not socket-fronted (loopback).
     * ``service`` — proxy + collection-server counters.
     * ``stream`` — the :class:`~repro.stream.StreamHub` stats block.
     * ``feature_cache`` — engine FeatureCache hits/misses/entries.
@@ -1460,8 +1460,8 @@ def v2_frame_lengths(prefix: bytes) -> Tuple[int, int]:
     """``(header_len, blocks_len)`` from a frame's 16-byte prefix.
 
     Transports call this on the fixed prefix *before* reading the rest,
-    so size caps and byte budgets are enforced on the frame's actual
-    payload bytes without buffering an oversized frame first.
+    so the size cap is enforced on the frame's actual payload bytes
+    without buffering an oversized frame first.
     """
     if len(prefix) < V2_PREFIX_LEN or not is_v2_frame(prefix):
         raise ProtocolError("not a v2 binary frame (bad magic)")
@@ -1626,8 +1626,8 @@ class ProtectionService:
         self.cluster = cluster
         #: Set by :class:`~repro.service.rpc.ServiceServer` when this
         #: service is socket-fronted, so ``metrics`` can report queue
-        #: depth and in-flight bytes.  Loopback deployments leave it
-        #: None and the transport block comes back empty.
+        #: depth and evictions.  Loopback deployments leave it None and
+        #: the transport block comes back empty.
         self.transport_stats: Optional[Callable[[], Dict[str, Any]]] = None
         self.started_monotonic = time.monotonic()
         self._state_lock = threading.Lock()

@@ -10,17 +10,14 @@ negotiated v2 binary framing with a ``hello`` exchange (see
 frames with columnar ndarray payloads — a v1-only peer never sees a v2
 frame, and
 ``ServiceServer(wire_versions=(1,))`` pins an endpoint to v1 for
-mixed-version clusters.  Requests that carry an ``"id"`` tag are
-pipelined per connection — the next frame is read before the reply is
-written, and each reply echoes its request's id, so a client can
-correlate replies arriving out of order.
-Untagged requests keep the v1 FIFO contract (each is answered before
-the next frame is read), so old clients work unchanged.  Both kinds
-hold a slot of a server-wide in-flight semaphore that provides
-backpressure: when ``max_inflight`` requests have been read and not
-yet answered, the server stops reading new frames and the kernel's TCP
-window pushes back on the clients.  The server and the asyncio client
-read every frame with one coroutine, :func:`read_frame`.
+mixed-version clusters.  Each connection is served one request at a
+time, tagged or not: the server reads a frame, writes its reply, and
+only then reads the next, so replies come in request order and each
+echoes its request's ``"id"`` tag.  A client may still pipeline; its
+requests wait unread behind the reply in progress, and the kernel's TCP
+window pushes back once the buffers between them fill.  The server and
+the asyncio client read every frame with one coroutine,
+:func:`read_frame`.
 
 Two clients share the verb vocabulary:
 
@@ -68,8 +65,8 @@ import itertools
 import socket
 import threading
 from collections.abc import Awaitable, Callable, Generator
-from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import (
     AuthenticationError,
@@ -77,7 +74,6 @@ from repro.errors import (
     ProtocolError,
     ServiceError,
     TransportError,
-    check_count,
     check_positive,
 )
 from repro.service.api import (
@@ -116,15 +112,6 @@ from repro.service.api import (
 
 #: Generous per-line cap: a month-long trace at 1 Hz is ~10 MB of JSON.
 MAX_LINE_BYTES = 64 * 1024 * 1024
-
-#: Default bound on requests read and not yet answered (`repro serve --workers`).
-DEFAULT_MAX_INFLIGHT = 32
-
-#: Default bound on the summed size of the request frames read and not
-#: yet answered, across all connections.  Complements ``max_inflight`` (a
-#: *count* bound): 32 small queries and 32 month-long traces cost very
-#: different amounts of memory.
-DEFAULT_MAX_INFLIGHT_BYTES = 256 * 1024 * 1024
 
 #: How long a reply write may sit in :meth:`StreamWriter.drain` before
 #: the connection is declared a slow consumer and evicted.
@@ -184,50 +171,18 @@ async def read_frame(reader: asyncio.StreamReader, binary: bool) -> bytes:
     return prefix + await reader.readexactly(rest)
 
 
-class _ByteBudget:
-    """Counting byte semaphore with an oversized-frame escape hatch.
-
-    ``acquire(n)`` blocks while admitting *n* more bytes would exceed
-    the budget **and** something else is already admitted; a frame
-    larger than the whole budget is therefore admitted alone (when
-    ``used == 0``) instead of deadlocking — the budget degrades to
-    serial service for pathological frames rather than wedging.
-    """
-
-    def __init__(self, limit: int) -> None:
-        self.limit = int(limit)
-        self.used = 0
-        self._cond = asyncio.Condition()
-
-    async def acquire(self, n: int) -> None:
-        async with self._cond:
-            while self.used > 0 and self.used + n > self.limit:
-                await self._cond.wait()
-            self.used += n
-
-    async def release(self, n: int) -> None:
-        async with self._cond:
-            self.used = max(0, self.used - n)
-            self._cond.notify_all()
-
-
 @dataclass
 class _Connection:
     """One client connection's serving state.
 
     Every connection starts on v1 JSON framing and only a hello exchange
     can raise ``wire_version``, so a v1-only peer never sees a v2 frame.
-    ``tasks`` holds the tagged requests being served; ``budget`` is the
-    optional per-connection byte budget.
     """
 
     writer: asyncio.StreamWriter
     authed: bool
-    budget: Optional[_ByteBudget]
     wire_version: int = WIRE_VERSION
     nonce: Optional[str] = None
-    write_lock: asyncio.Lock = field(default_factory=asyncio.Lock)
-    tasks: Set["asyncio.Task[None]"] = field(default_factory=set)
 
 
 class ServiceServer:
@@ -235,23 +190,22 @@ class ServiceServer:
 
     Exactly one of ``(host, port)`` or ``unix_path`` addresses the
     server.  ``port=0`` binds an ephemeral port; the bound address is
-    available as :attr:`address` once started.  ``max_inflight`` bounds
-    the number of requests read and not yet answered across all
-    connections, tagged or untagged — the backpressure knob (``repro
-    serve --workers``).  Every request goes through one serve coroutine
-    that holds an in-flight slot and its frame's bytes until its reply
-    is written; an untagged request is served before the connection's
-    next frame is read, so untagged replies keep request order.
+    available as :attr:`address` once started.  Each connection is
+    served one request at a time, tagged or not: the server reads a
+    frame, writes its reply, and only then reads the next frame.  A
+    connection therefore holds at most one request read and not yet
+    answered, and a client that pipelines without reading is pushed
+    back by TCP once the buffers between it and the server fill.
 
     With ``auth_key`` set, every connection must complete the
     HMAC-blake2b challenge/response handshake (``auth_request`` →
     ``auth_challenge`` → ``auth_request`` with proof → ``auth_response``)
     before any other verb is served: an unauthenticated request is
     answered with an ``error`` envelope of code ``auth`` **before any
-    engine work** — it never reaches :meth:`ProtectionService.handle`,
-    never takes an in-flight slot.  Without a key the handshake is a
-    no-op (an ``auth_request`` is answered ``ok`` immediately), so keyed
-    clients interoperate with keyless servers and vice versa.
+    engine work** — it never reaches :meth:`ProtectionService.handle`.
+    Without a key the handshake is a no-op (an ``auth_request`` is
+    answered ``ok`` immediately), so keyed clients interoperate with
+    keyless servers and vice versa.
     """
 
     def __init__(
@@ -260,10 +214,7 @@ class ServiceServer:
         host: str = "127.0.0.1",
         port: int = 0,
         unix_path: Optional[str] = None,
-        max_inflight: int = DEFAULT_MAX_INFLIGHT,
         auth_key: Optional[bytes] = None,
-        max_inflight_bytes: int = DEFAULT_MAX_INFLIGHT_BYTES,
-        max_conn_inflight_bytes: Optional[int] = None,
         drain_timeout_s: Optional[float] = DEFAULT_DRAIN_TIMEOUT_S,
         wire_versions: Sequence[int] = SUPPORTED_WIRE_VERSIONS,
     ) -> None:
@@ -272,11 +223,9 @@ class ServiceServer:
         self.service = service
         self.host = host
         self.port = _check_port(port, lowest=0)
-        self.unix_path = unix_path
-        self.max_inflight = check_count("max_inflight", max_inflight)
-        self.max_inflight_bytes = check_count("max_inflight_bytes", max_inflight_bytes)
-        self.max_conn_inflight_bytes = check_count(
-            "max_conn_inflight_bytes", max_conn_inflight_bytes, optional=True
+        # Checked as the clients check it, not first at bind time.
+        self.unix_path = (
+            None if unix_path is None else Endpoint(unix_path=unix_path).unix_path
         )
         self.drain_timeout_s = check_positive(
             "drain_timeout_s", drain_timeout_s, optional=True
@@ -287,8 +236,8 @@ class ServiceServer:
         #: the connection never switches to binary framing).
         self.wire_versions = check_wire_versions(wire_versions)
         self._server: Optional[asyncio.AbstractServer] = None
-        self._inflight: Optional[asyncio.Semaphore] = None
-        self._byte_budget: Optional[_ByteBudget] = None
+        #: Set whenever no request is being served; :meth:`drain` waits on it.
+        self._idle: Optional[asyncio.Event] = None
         self._evictions = 0
         self._active_requests = 0
         self._requests_served = 0
@@ -302,9 +251,9 @@ class ServiceServer:
     async def _drain_or_evict(self, writer: asyncio.StreamWriter) -> None:
         """Flush the writer, evicting a consumer that will not read.
 
-        A client that stops reading its socket parks every reply behind
-        the kernel send buffer; without a deadline those replies (and
-        their in-flight slots and bytes) are pinned forever.  After
+        A client that stops reading its socket parks the reply behind
+        the kernel send buffer; without a deadline that reply, and the
+        connection with it, is pinned forever.  After
         ``drain_timeout_s`` the transport is aborted — RST, no lingering
         FIN handshake — and the connection handler unwinds through its
         normal disconnect path.  The deadline keeps counting while a body
@@ -326,54 +275,11 @@ class ServiceServer:
     async def _send(
         self, conn: "_Connection", reply: Message, request_id: RequestId = None
     ) -> None:
-        """Write one reply in the connection's current framing.
-
-        The framing is read under the write lock: a hello that switches
-        the connection to v2 while a request is in flight switches every
-        reply written after it in the byte stream too.
-        """
-        async with conn.write_lock:
-            conn.writer.write(
-                encode_reply_for(conn.wire_version, reply, request_id=request_id)
-            )
-            await self._drain_or_evict(conn.writer)
-
-    async def _serve(
-        self, conn: "_Connection", request_id: RequestId, message: Message, cost: int
-    ) -> None:
-        """Handle one request and write its reply; owns one in-flight slot
-        and *cost* bytes of each byte budget.
-
-        The slot and the bytes are held until the reply has been written
-        (or the write failed): releasing earlier would let a client that
-        pipelines without reading accumulate unbounded finished replies
-        behind the write lock, defeating the backpressure bound.
-        """
-        assert self._inflight is not None
-        self._active_requests += 1
-        try:
-            try:
-                reply = await self.service.handle(message)
-            except asyncio.CancelledError:
-                raise
-            except Exception:
-                # handle() promises never to raise; a service that breaks
-                # that contract (or a test that injects a fault) kills the
-                # connection rather than leaving the client waiting forever.
-                conn.writer.close()
-                return
-            try:
-                await self._send(conn, reply, request_id)
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-        finally:
-            self._active_requests -= 1
-            self._requests_served += 1
-            self._inflight.release()
-            if self._byte_budget is not None:
-                await self._byte_budget.release(cost)
-            if conn.budget is not None:
-                await conn.budget.release(cost)
+        """Write one reply in the connection's current framing."""
+        conn.writer.write(
+            encode_reply_for(conn.wire_version, reply, request_id=request_id)
+        )
+        await self._drain_or_evict(conn.writer)
 
     def _auth_reply(self, message: AuthRequest, conn: "_Connection") -> Message:
         """One handshake leg; mutates the connection's auth state.
@@ -403,20 +309,14 @@ class ServiceServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        # Cancellation (server shutdown) is absorbed so the connection
-        # task always finishes cleanly: a task left in cancelled state
-        # trips asyncio's stream done-callback on Python 3.11.
-        assert self._inflight is not None
+        # One request at a time: each reply is written before the next
+        # frame is read.  Cancellation (server shutdown) is absorbed so
+        # the connection task always finishes cleanly: a task left in
+        # cancelled state trips asyncio's stream done-callback on
+        # Python 3.11.
+        assert self._idle is not None
         self._connections += 1
-        conn = _Connection(
-            writer,
-            authed=self.auth_key is None,
-            budget=(
-                None
-                if self.max_conn_inflight_bytes is None
-                else _ByteBudget(self.max_conn_inflight_bytes)
-            ),
-        )
+        conn = _Connection(writer, authed=self.auth_key is None)
         try:
             while True:
                 try:
@@ -430,7 +330,9 @@ class ServiceServer:
                         conn, ErrorEnvelope(code="protocol", message=str(exc))
                     )
                     break
-                if not line:
+                if not line or self._draining:
+                    # A frame read once drain() began is not served: the
+                    # connection closes, and the client sees EOF.
                     break
                 if conn.wire_version < WIRE_VERSION_V2 and not line.strip():
                     continue
@@ -446,9 +348,9 @@ class ServiceServer:
                         request_id, slug, cls, body = parse_frame_envelope(line)
                     if not conn.authed and cls not in (AuthRequest, HelloRequest):
                         # Rejected before any engine work: no body
-                        # build, no service.handle, no in-flight slot.
-                        # (hello is exempt like auth: version discovery
-                        # is transport plumbing, not a served verb.)
+                        # build, no service.handle.  (hello is exempt
+                        # like auth: version discovery is transport
+                        # plumbing, not a served verb.)
                         await self._send(
                             conn,
                             ErrorEnvelope(
@@ -486,67 +388,39 @@ class ServiceServer:
                     continue
                 if isinstance(message, HelloRequest):
                     # Transport-level: the reply is the framing switch
-                    # point.  The agreed version applies to every frame
-                    # after this reply in the byte stream — concurrent
-                    # in-flight replies pick it up at their own write —
-                    # so the write and the switch share the write lock.
+                    # point.  It goes out in the framing the request
+                    # came in, and every frame after it, both ways, uses
+                    # the agreed version.
                     agreed = negotiate_wire_version(
                         message.versions, self.wire_versions
                     )
-                    async with conn.write_lock:
-                        writer.write(
-                            encode_reply_for(
-                                conn.wire_version,
-                                HelloResponse(
-                                    version=agreed, versions=self.wire_versions
-                                ),
-                                request_id=request_id,
-                            )
-                        )
-                        await self._drain_or_evict(writer)
-                        conn.wire_version = agreed
+                    await self._send(
+                        conn,
+                        HelloResponse(version=agreed, versions=self.wire_versions),
+                        request_id,
+                    )
+                    conn.wire_version = agreed
                     continue
-                # Acquire the byte budgets and an in-flight slot *before*
-                # reading the next frame — a full server stops consuming
-                # input, and TCP flow control backpressures the client.
-                # Byte budgets are reserved first (per-connection, then
-                # global) so one connection full of huge frames cannot
-                # starve the global budget while also holding count
-                # slots.  The cost is the frame's actual size on the
-                # wire — for a v2 frame that is prefix + header +
-                # columnar blocks, not a stringified estimate.
-                cost = len(line)
-                if conn.budget is not None:
-                    await conn.budget.acquire(cost)
-                if self._byte_budget is not None:
-                    await self._byte_budget.acquire(cost)
-                await self._inflight.acquire()
-                serving = self._serve(conn, request_id, message, cost)
-                if request_id is None:
-                    # Untagged = the v1 FIFO contract: served before the
-                    # next frame is read, so replies come in request order.
-                    await serving
-                    continue
-                # Tagged: the next frame is read before this reply is
-                # written; the reply echoes the id.
-                task = asyncio.ensure_future(serving)
-                conn.tasks.add(task)
-                task.add_done_callback(conn.tasks.discard)
-        except asyncio.CancelledError:
-            pass
-        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
+                self._active_requests += 1
+                self._idle.clear()
+                try:
+                    try:
+                        reply = await self.service.handle(message)
+                    except Exception:
+                        # handle() promises never to raise; a service
+                        # that breaks that contract (or a test that
+                        # injects a fault) loses its connection rather
+                        # than leaving the client waiting forever.
+                        break
+                    await self._send(conn, reply, request_id)
+                finally:
+                    self._active_requests -= 1
+                    self._requests_served += 1
+                    if not self._active_requests:
+                        self._idle.set()
+        except (asyncio.CancelledError, ConnectionResetError, BrokenPipeError):
             pass
         finally:
-            if conn.tasks:
-                # Let in-flight replies finish (the client may be
-                # half-closed but still reading).  Server stop can
-                # cancel this handler a second time while it drains
-                # here — swallow it and fall through to the close, or
-                # asyncio logs a spurious CancelledError at teardown.
-                try:
-                    await asyncio.gather(*conn.tasks, return_exceptions=True)
-                except asyncio.CancelledError:
-                    pass
             writer.close()
             try:
                 await writer.wait_closed()
@@ -559,11 +433,12 @@ class ServiceServer:
         """Bind and start accepting connections (idempotent)."""
         if self._server is not None:
             return
-        self._inflight = asyncio.Semaphore(self.max_inflight)
-        self._byte_budget = _ByteBudget(self.max_inflight_bytes)
+        self._idle = asyncio.Event()
+        if not self._active_requests:
+            self._idle.set()
         self._draining = False
         # Let the service's metrics verb see transport-level queue
-        # depth and byte budgets (docs/CLUSTER.md: operator surface).
+        # depth and evictions (docs/CLUSTER.md: operator surface).
         self.service.transport_stats = self.transport_stats
         if self.unix_path is not None:
             # A killed/crashed predecessor leaves its socket file behind
@@ -610,40 +485,37 @@ class ServiceServer:
             self._server = None
 
     async def drain(self) -> Dict[str, int]:
-        """Graceful shutdown: stop accepting, finish in-flight, flush streams.
+        """Graceful shutdown: stop accepting, finish the replies in
+        progress, flush streams.
 
         Three ordered steps: (1) close the listening socket so no new
-        connection can arrive; (2) acquire every in-flight slot, which
-        completes only once every request, tagged or untagged, has been
-        served *and its reply written*; (3) flush every open streaming window
-        through the cascade so no accepted record is lost.  Returns the
-        stream-flush summary (``sessions`` / ``windows_flushed`` /
-        ``records_flushed``).  ``repro serve`` runs this on SIGTERM.
+        connection can arrive, and stop serving open ones: a frame read
+        from here on closes its connection unserved; (2) wait until every
+        request already read has been served *and its reply written*;
+        (3) flush every open streaming window through the cascade so no
+        accepted record is lost.  Returns the stream-flush summary
+        (``sessions`` / ``windows_flushed`` / ``records_flushed``).
+        ``repro serve`` runs this on SIGTERM.
         """
         self._draining = True
         await self.stop()
-        if self._inflight is not None:
-            for _ in range(self.max_inflight):
-                await self._inflight.acquire()
+        if self._idle is not None:
+            await self._idle.wait()
         return self.service.drain_streams()
 
     def transport_stats(self) -> Dict[str, Any]:
-        """Transport-level counters (budgets, evictions, drain state).
+        """Transport-level counters (evictions, drain state).
 
-        ``inflight_requests`` is the live queue depth (requests being
-        handled right now) and ``requests_served`` the lifetime total —
-        the two numbers ``repro top`` leads with.
+        ``inflight_requests`` is the live queue depth (requests read and
+        not yet answered, at most one per connection) and
+        ``requests_served`` the lifetime total — the two numbers
+        ``repro top`` leads with.
         """
-        used = 0 if self._byte_budget is None else self._byte_budget.used
         return {
             "wire_versions": list(self.wire_versions),
-            "max_inflight": self.max_inflight,
             "inflight_requests": self._active_requests,
             "requests_served": self._requests_served,
             "connections_accepted": self._connections,
-            "max_inflight_bytes": self.max_inflight_bytes,
-            "inflight_bytes": used,
-            "max_conn_inflight_bytes": self.max_conn_inflight_bytes,
             "drain_timeout_s": self.drain_timeout_s,
             "slow_consumer_evictions": self._evictions,
             "draining": self._draining,
@@ -753,8 +625,11 @@ class Endpoint:
             )
         if tcp:
             _check_port(self.port)
-        elif not self.unix_path:
-            raise ConfigurationError("an endpoint's unix_path must not be empty")
+        name, value = ("host", self.host) if tcp else ("unix_path", self.unix_path)
+        if not isinstance(value, str) or not value:
+            raise ConfigurationError(
+                f"an endpoint's {name} must be a non-empty string, got {value!r}"
+            )
 
     def label(self) -> str:
         if self.unix_path is not None:
@@ -789,16 +664,16 @@ def parse_endpoint(spec: Any) -> Endpoint:
         return Endpoint(host=host, port=number)
     if isinstance(spec, Mapping):
         if "unix" in spec:
-            return Endpoint(unix_path=str(spec["unix"]))
+            return Endpoint(unix_path=spec["unix"])
         if "unix_path" in spec:
-            return Endpoint(unix_path=str(spec["unix_path"]))
+            return Endpoint(unix_path=spec["unix_path"])
         if "host" in spec and "port" in spec:
-            return Endpoint(host=str(spec["host"]), port=spec["port"])
+            return Endpoint(host=spec["host"], port=spec["port"])
         raise ConfigurationError(
             f"endpoint dict needs host+port or unix, got {dict(spec)!r}"
         )
     if isinstance(spec, (tuple, list)) and len(spec) == 2:
-        return Endpoint(host=str(spec[0]), port=spec[1])
+        return Endpoint(host=spec[0], port=spec[1])
     raise ConfigurationError(f"cannot parse endpoint {spec!r}")
 
 

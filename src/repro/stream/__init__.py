@@ -18,8 +18,8 @@ the online path:
 
 The wire vocabulary (``stream_open`` / ``stream_record`` /
 ``stream_flush`` / ``stream_close``) lives in :mod:`repro.service.api`;
-:mod:`repro.service.rpc` adds the transport-level byte budgets.  See
-``docs/STREAMING.md`` for the full contract.
+:mod:`repro.service.rpc` adds slow-consumer eviction and the graceful
+drain.  See ``docs/STREAMING.md`` for the full contract.
 """
 
 from repro.stream.hub import (

@@ -248,7 +248,7 @@ class ChaosProxy:
                     # A slow producer as the server sees it: the bytes
                     # arrive, but over many small writes with pauses —
                     # the server must hold a half-read line without
-                    # burning an in-flight slot or unbounded memory.
+                    # counting it as a request or buffering unboundedly.
                     for i in range(0, len(data), self.throttle_chunk_bytes):
                         dst.sendall(data[i : i + self.throttle_chunk_bytes])
                         time.sleep(self.throttle_sleep_s)

@@ -218,6 +218,11 @@ class TestTcpTransport:
         for bad in (True, 2.7, "7464", -1, 65536):
             with pytest.raises(ConfigurationError, match="port"):
                 ServiceServer(ProtectionService(stub_engine()), port=bad)
+        # Checked when built: "" used to fail start with an IndexError,
+        # 5 with a TypeError from os.unlink.
+        for bad in ("", 5):
+            with pytest.raises(ConfigurationError, match="unix_path"):
+                ServiceServer(ProtectionService(stub_engine()), unix_path=bad)
 
 
 class _GatedStats(ProtectionService):
@@ -464,10 +469,12 @@ class TestClientDesyncRecovery:
 
 
 class TestConcurrentRequests:
-    """Tentpole hardening: tagged requests are served concurrently and
-    replies are correlated by id, not by arrival order."""
+    """Pipelined requests on one connection are served one at a time:
+    replies come in request order and echo their request ids."""
 
-    def test_out_of_order_replies_keep_their_ids(self):
+    def test_replies_keep_request_order_even_when_handle_awaits(self):
+        """A fast query pipelined behind a stats whose ``handle`` awaits
+        is still answered second."""
         service = _SlowStats(stub_engine(), delay_s=0.5)
         with ServiceServer(service, port=0) as server:
             host, port = server.address
@@ -483,11 +490,11 @@ class TestConcurrentRequests:
                 fh.flush()
                 first_id, first = decode_frame(fh.readline())
                 second_id, second = decode_frame(fh.readline())
-        # The fast request overtakes the slow one...
-        assert (first_id, second_id) == (1, 0)
-        # ...and each reply still carries the right payload for its id.
-        assert isinstance(first, QueryResponse)
-        assert isinstance(second, StatsResponse)
+        # The fast request waits for the slow one...
+        assert (first_id, second_id) == (0, 1)
+        # ...and each reply carries the right payload for its id.
+        assert isinstance(first, StatsResponse)
+        assert isinstance(second, QueryResponse)
 
     def test_pipelined_uploads_pair_request_to_response(self):
         """Many tagged uploads on one connection: every receipt must match
@@ -588,26 +595,6 @@ class TestConcurrentRequests:
         assert beat_id == 2 and isinstance(beat, ClusterHeartbeatAck)
         assert beat.known is False  # "w:1" never joined
         assert protect_id == 1 and isinstance(protected, ProtectResponse)
-
-    def test_inflight_bound_still_serves_everything(self):
-        """max_inflight=1 serialises the work but loses no request."""
-        with ServiceServer(
-            ProtectionService(stub_engine()), port=0, max_inflight=1
-        ) as server:
-            host, port = server.address
-            with socket.create_connection((host, port), timeout=30) as sock:
-                fh = sock.makefile("rwb")
-                for i in range(5):
-                    fh.write(encode_message(StatsRequest(), request_id=i))
-                fh.flush()
-                seen = {decode_frame(fh.readline())[0] for _ in range(5)}
-        assert seen == set(range(5))
-
-    def test_invalid_max_inflight_rejected(self):
-        # 2.7 and True used to be coerced to 2 and 1.
-        for bad in (0, 2.7, True):
-            with pytest.raises(ConfigurationError, match="must be >= 1"):
-                ServiceServer(ProtectionService(stub_engine()), max_inflight=bad)
 
 
 class TestAsyncClient:
@@ -752,6 +739,13 @@ class TestEndpointParsing:
             "h:-1",
             ("h", "x"),
             "unix:",
+            # Checked, not coerced with str(): these named unix path
+            # 'None' and hosts 'None' and '5', or were accepted empty.
+            {"unix": None},
+            (None, 7464),
+            {"host": None, "port": 7464},
+            {"host": 5, "port": 7464},
+            ("", 7464),
         ):
             with pytest.raises(ConfigurationError):
                 parse_endpoint(bad)
@@ -884,74 +878,6 @@ class TestServeCommand:
             proc.wait(timeout=30)
 
 
-class TestByteBudget:
-    """The _ByteBudget primitive and its server wiring (PR 7)."""
-
-    def test_budget_blocks_then_releases(self):
-        from repro.service.rpc import _ByteBudget
-
-        async def scenario():
-            budget = _ByteBudget(100)
-            await budget.acquire(60)
-            grabbed = []
-
-            async def second():
-                await budget.acquire(60)
-                grabbed.append(True)
-
-            task = asyncio.ensure_future(second())
-            await asyncio.sleep(0.05)
-            assert not grabbed  # 60 + 60 > 100: must wait
-            await budget.release(60)
-            await asyncio.wait_for(task, 5.0)
-            assert grabbed and budget.used == 60
-
-        asyncio.run(scenario())
-
-    def test_oversized_frame_admitted_alone(self):
-        """A frame bigger than the whole budget must not deadlock: it is
-        admitted when nothing else is in flight (serial degradation)."""
-        from repro.service.rpc import _ByteBudget
-
-        async def scenario():
-            budget = _ByteBudget(10)
-            await asyncio.wait_for(budget.acquire(1000), 1.0)
-            assert budget.used == 1000
-            await budget.release(1000)
-
-        asyncio.run(scenario())
-
-    def test_invalid_budget_kwargs_rejected(self):
-        service = ProtectionService(stub_engine())
-        with pytest.raises(ConfigurationError):
-            ServiceServer(service, max_inflight_bytes=0)
-        with pytest.raises(ConfigurationError):
-            ServiceServer(service, max_conn_inflight_bytes=0)
-        with pytest.raises(ConfigurationError):
-            ServiceServer(service, drain_timeout_s=0.0)
-        with pytest.raises(ConfigurationError, match="must be positive"):
-            ServiceServer(service, drain_timeout_s="5")
-
-    def test_tiny_byte_budget_still_serves_everything(self):
-        """A budget smaller than any frame degrades to serial service —
-        every pipelined request is still answered."""
-        with ServiceServer(
-            ProtectionService(stub_engine()),
-            port=0,
-            max_inflight_bytes=64,
-            max_conn_inflight_bytes=64,
-        ) as server:
-            host, port = server.address
-            with socket.create_connection((host, port), timeout=30) as sock:
-                fh = sock.makefile("rwb")
-                for i in range(5):
-                    fh.write(encode_message(StatsRequest(), request_id=i))
-                fh.flush()
-                seen = {decode_frame(fh.readline())[0] for _ in range(5)}
-        assert seen == set(range(5))
-        assert server.transport_stats()["inflight_bytes"] == 0
-
-
 class TestSlowConsumerEviction:
     def test_unread_replies_evict_the_connection(self):
         """A client that stops reading must not pin server memory: after
@@ -979,20 +905,66 @@ class TestSlowConsumerEviction:
                 assert server.transport_stats()["slow_consumer_evictions"] >= 1
             finally:
                 sock.close()
-        # The budget was fully released by the unwind: nothing leaked.
-        assert server.transport_stats()["inflight_bytes"] == 0
+        # The unwind finished the request: nothing is left in flight.
+        assert server.transport_stats()["inflight_requests"] == 0
+
+    def test_unread_replies_stop_the_server_reading(self):
+        """A client that pipelines without reading holds one request on
+        the server: the reply it does not read stops the server reading
+        its next frame, and its other frames wait unread until it reads."""
+        with ServiceServer(ProtectionService(stub_engine()), port=0) as server:
+            host, port = server.address
+            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.settimeout(30.0)
+            sock.connect((host, port))
+            try:
+                trace = day_trace(period=10.0)  # a fat reply (~8640 records)
+                frames = [
+                    encode_message(ProtectRequest(trace=trace), request_id=i)
+                    for i in range(24)
+                ]
+                # The writer blocks once the server stops reading, so it
+                # runs beside the reads below; a daemon, so that a
+                # failing assertion cannot hang the run on it.
+                writer = threading.Thread(
+                    target=lambda: [sock.sendall(frame) for frame in frames],
+                    daemon=True,
+                )
+                writer.start()
+                time.sleep(1.0)
+                stats = server.transport_stats()
+                assert stats["inflight_requests"] == 1
+                assert stats["requests_served"] < 24
+                fh = sock.makefile("rb")
+                ids = [decode_frame(fh.readline())[0] for _ in range(24)]
+                assert ids == list(range(24))
+                writer.join(30.0)
+            finally:
+                sock.close()
 
     def test_transport_stats_shape(self):
-        with ServiceServer(
-            ProtectionService(stub_engine()), port=0, max_conn_inflight_bytes=1024
-        ) as server:
+        with ServiceServer(ProtectionService(stub_engine()), port=0) as server:
             stats = server.transport_stats()
-        assert stats["max_conn_inflight_bytes"] == 1024
+        assert stats["inflight_requests"] == 0
         assert stats["slow_consumer_evictions"] == 0
         assert stats["draining"] is False
-        for key in ("max_inflight", "max_inflight_bytes", "inflight_bytes",
-                    "drain_timeout_s"):
-            assert key in stats
+        assert set(stats) == {
+            "wire_versions",
+            "inflight_requests",
+            "requests_served",
+            "connections_accepted",
+            "drain_timeout_s",
+            "slow_consumer_evictions",
+            "draining",
+        }
+
+    def test_invalid_drain_timeout_rejected(self):
+        service = ProtectionService(stub_engine())
+        with pytest.raises(ConfigurationError):
+            ServiceServer(service, drain_timeout_s=0.0)
+        with pytest.raises(ConfigurationError, match="must be positive"):
+            ServiceServer(service, drain_timeout_s="5")
 
 
 class TestGracefulDrain:
@@ -1032,7 +1004,7 @@ class TestGracefulDrain:
         ids=["stats", "protect"],
     )
     def test_drain_waits_for_the_reply_in_progress(self, gated, request_, expected):
-        """An untagged request holds an in-flight slot like a tagged one,
+        """An untagged request counts as in flight like a tagged one,
         and its body parks the loop thread, so drain() returns only once
         its reply has been written."""
         service = gated(stub_engine())
@@ -1059,6 +1031,29 @@ class TestGracefulDrain:
         assert reply_id is None and isinstance(reply, expected)
         if expected is ProtectResponse:
             assert reply.user_id == "p"
+
+    def test_a_frame_read_after_drain_began_is_not_served(self):
+        """drain() stops serving open connections: a frame read after it
+        began closes its connection unanswered."""
+        server = ServiceServer(ProtectionService(stub_engine()), port=0)
+        host, port = server.start_background()
+        try:
+            with socket.create_connection((host, port), timeout=30) as sock:
+                fh = sock.makefile("rwb")
+                fh.write(encode_message(StatsRequest(), request_id=0))
+                fh.flush()
+                reply_id, reply = decode_frame(fh.readline())
+                assert reply_id == 0 and isinstance(reply, StatsResponse)
+                asyncio.run_coroutine_threadsafe(
+                    server.drain(), server._thread_loop
+                ).result(timeout=30.0)
+                fh.write(encode_message(StatsRequest(), request_id=1))
+                fh.flush()
+                sock.settimeout(5.0)
+                assert fh.readline() == b""
+            assert server.transport_stats()["requests_served"] == 1
+        finally:
+            server.stop_background()
 
 
 class TestServeSigtermDrain:

@@ -358,21 +358,6 @@ class TestPr3EraServerRegression:
             thread.join(timeout=5.0)
 
 
-class _StallingService(ProtectionService):
-    """Holds every protect_request until :attr:`gate` is set, so a test
-    can observe the in-flight byte accounting mid-request."""
-
-    def __init__(self, engine):
-        super().__init__(engine)
-        self.gate = threading.Event()
-
-    async def handle(self, message):
-        if isinstance(message, ProtectRequest):
-            while not self.gate.is_set():
-                await asyncio.sleep(0.01)
-        return await super().handle(message)
-
-
 def _negotiate_raw(fh):
     """Drive the hello exchange on a raw socket file; returns agreed."""
     fh.write(encode_hello_frame(HelloRequest(), request_id="hello"))
@@ -390,37 +375,9 @@ def _read_v2_frame(fh):
     return prefix + fh.read(header_len + blocks_len)
 
 
-class TestByteBudgetOnBinaryFrames:
-    """Satellite bugfix: ``_ByteBudget`` charges a binary frame its
-    actual wire bytes — prefix + header + columnar blocks — not a
-    stringified estimate, and enforces the cap from the prefix alone."""
-
-    def test_v2_frame_charged_its_actual_bytes(self):
-        service = _StallingService(stub_engine())
-        with ServiceServer(service, port=0) as server:
-            host, port = server.address
-            frame = encode_message_v2(
-                ProtectRequest(trace=day_trace("alice")), request_id=1
-            )
-            with socket.create_connection((host, port), timeout=30) as sock:
-                fh = sock.makefile("rwb")
-                assert _negotiate_raw(fh) == WIRE_VERSION_V2
-                fh.write(frame)
-                fh.flush()
-                # While the request is stalled in the handler, the global
-                # budget holds EXACTLY the frame's wire size.
-                deadline = time.monotonic() + 10.0
-                while time.monotonic() < deadline:
-                    if server.transport_stats()["inflight_bytes"] == len(frame):
-                        break
-                    time.sleep(0.01)
-                assert server.transport_stats()["inflight_bytes"] == len(frame)
-                service.gate.set()
-                reply = _read_v2_frame(fh)
-                reply_id, message = decode_frame_v2(reply)
-                assert reply_id == 1
-                assert [p.pseudonym for p in message.pieces] == ["alice#0"]
-        assert server.transport_stats()["inflight_bytes"] == 0
+class TestFrameCapOnBinaryFrames:
+    """The frame cap on binary frames is enforced from the 16-byte
+    prefix alone, before the payload is read."""
 
     def test_oversized_v2_frame_rejected_from_its_prefix(self):
         """The size cap fires off the declared lengths BEFORE the
@@ -444,23 +401,6 @@ class TestByteBudgetOnBinaryFrames:
                 # The connection is done: the server cannot resync a
                 # stream whose declared frame it refused to read.
                 assert fh.read(1) == b""
-
-    def test_tiny_budget_still_serves_v2_frames(self):
-        """The oversized-frame escape hatch (admit alone when idle)
-        applies to binary frames too — serial degradation, no deadlock."""
-        with ServiceServer(
-            ProtectionService(stub_engine()),
-            port=0,
-            max_inflight_bytes=64,
-            max_conn_inflight_bytes=64,
-        ) as server:
-            host, port = server.address
-            with ServiceClient(host=host, port=port) as client:
-                assert client._wire_version == WIRE_VERSION_V2
-                for _ in range(3):
-                    client.upload(day_trace("u"))
-                assert client.stats().server["uploads"] == 3
-        assert server.transport_stats()["inflight_bytes"] == 0
 
 
 class TestV2FramingFaults:

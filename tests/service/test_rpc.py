@@ -253,6 +253,23 @@ class _SlowStats(ProtectionService):
         return await super().handle(message)
 
 
+class _HeldStats(ProtectionService):
+    """Service whose ``handle`` awaits before each stats body until
+    :attr:`release` is set; the loop stays free meanwhile."""
+
+    def __init__(self, engine):
+        super().__init__(engine)
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    async def handle(self, message):
+        if isinstance(message, StatsRequest):
+            self.entered.set()
+            while not self.release.is_set():
+                await asyncio.sleep(0.01)
+        return await super().handle(message)
+
+
 class _GatedProtect(ProtectionService):
     """Parks every protect request before it runs the cascade."""
 
@@ -536,6 +553,81 @@ class TestConcurrentRequests:
         assert first[0] is None and second[0] is None
         assert isinstance(first[1], StatsResponse)
         assert isinstance(second[1], QueryResponse)
+
+    def test_a_held_request_holds_its_connections_next_frame(self):
+        """While ``handle`` awaits on one request, the loop is free, yet
+        the frames pipelined behind it stay unread until it is answered."""
+        service = _HeldStats(stub_engine())
+        with ServiceServer(service, port=0) as server:
+            host, port = server.address
+            try:
+                with socket.create_connection((host, port), timeout=30) as sock:
+                    fh = sock.makefile("rwb")
+                    for i in range(3):
+                        fh.write(encode_message(StatsRequest(), request_id=i))
+                    fh.flush()
+                    assert service.entered.wait(30.0)
+                    time.sleep(0.3)
+                    stats = server.transport_stats()
+                    assert stats["inflight_requests"] == 1
+                    assert stats["requests_served"] == 0
+                    service.release.set()
+                    replies = [decode_frame(fh.readline()) for _ in range(3)]
+            finally:
+                service.release.set()
+        assert [reply_id for reply_id, _ in replies] == [0, 1, 2]
+        assert all(isinstance(reply, StatsResponse) for _, reply in replies)
+
+    def test_a_held_request_does_not_hold_other_connections(self):
+        """One request at a time is per connection: a request whose
+        ``handle`` awaits leaves the server serving other connections."""
+        service = _HeldStats(stub_engine())
+        with ServiceServer(service, port=0) as server:
+            host, port = server.address
+            try:
+                with socket.create_connection((host, port), timeout=30) as held, \
+                        socket.create_connection((host, port), timeout=30) as other:
+                    held_fh = held.makefile("rwb")
+                    held_fh.write(encode_message(StatsRequest(), request_id=0))
+                    held_fh.flush()
+                    assert service.entered.wait(30.0)
+                    other_fh = other.makefile("rwb")
+                    other_fh.write(
+                        encode_message(
+                            QueryRequest(kind="top_cells", k=1), request_id=7
+                        )
+                    )
+                    other_fh.flush()
+                    other_id, other_reply = decode_frame(other_fh.readline())
+                    # ...while the held request is still unanswered.
+                    held.settimeout(0.2)
+                    with pytest.raises(socket.timeout):
+                        held.recv(1, socket.MSG_PEEK)
+                    held.settimeout(30.0)
+                    service.release.set()
+                    held_id, held_reply = decode_frame(held_fh.readline())
+            finally:
+                service.release.set()
+        assert other_id == 7 and isinstance(other_reply, QueryResponse)
+        assert held_id == 0 and isinstance(held_reply, StatsResponse)
+
+    def test_pipelined_requests_are_answered_in_order_and_counted(self):
+        """Every pipelined request is answered, in request order, and
+        counted once served; nothing is left in flight."""
+        with ServiceServer(ProtectionService(stub_engine()), port=0) as server:
+            host, port = server.address
+            with socket.create_connection((host, port), timeout=30) as sock:
+                fh = sock.makefile("rwb")
+                for i in range(5):
+                    fh.write(encode_message(StatsRequest(), request_id=i))
+                fh.flush()
+                ids = [decode_frame(fh.readline())[0] for _ in range(5)]
+        assert ids == list(range(5))
+        # Read once the server has stopped, so no reply is mid-count.
+        stats = server.transport_stats()
+        assert stats["requests_served"] == 5
+        assert stats["inflight_requests"] == 0
+        assert stats["connections_accepted"] == 1
 
     def test_every_body_runs_on_the_serving_loop_thread(self):
         """No body is handed to a thread pool: each runs on the thread

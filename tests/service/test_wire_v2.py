@@ -4,8 +4,9 @@ Covers the transport half of the codec PR — what the pure codec
 property suite (``test_codec_properties.py``) cannot: the hello
 negotiation against live and scripted servers, the per-connection
 downgrade matrix (a v1-only peer never sees a v2 frame), the
-PR-3-era-server fallback regression, byte-budget accounting on binary
-frames, and v2 framing faults (corrupt magic, truncated frames).
+PR-3-era-server fallback regression, the frame cap and one request at
+a time on binary frames, and v2 framing faults (corrupt magic,
+truncated frames).
 ChaosProxy cannot relay binary frames, so v2 fault injection is
 scripted directly here.
 """
@@ -358,6 +359,22 @@ class TestPr3EraServerRegression:
             thread.join(timeout=5.0)
 
 
+class _StallingService(ProtectionService):
+    """Holds every protect_request until :attr:`gate` is set, awaiting
+    so that the loop stays free, so a test can observe a connection
+    mid-request."""
+
+    def __init__(self, engine):
+        super().__init__(engine)
+        self.gate = threading.Event()
+
+    async def handle(self, message):
+        if isinstance(message, ProtectRequest):
+            while not self.gate.is_set():
+                await asyncio.sleep(0.01)
+        return await super().handle(message)
+
+
 def _negotiate_raw(fh):
     """Drive the hello exchange on a raw socket file; returns agreed."""
     fh.write(encode_hello_frame(HelloRequest(), request_id="hello"))
@@ -401,6 +418,68 @@ class TestFrameCapOnBinaryFrames:
                 # The connection is done: the server cannot resync a
                 # stream whose declared frame it refused to read.
                 assert fh.read(1) == b""
+
+
+class TestPipelinedBinaryFrames:
+    """A v2 connection is served one request at a time, like a v1 one:
+    replies come in request order and echo their request ids."""
+
+    def test_pipelined_v2_frames_are_answered_in_request_order(self):
+        users = ["a", "b", "c"]
+        with ServiceServer(ProtectionService(stub_engine()), port=0) as server:
+            host, port = server.address
+            with socket.create_connection((host, port), timeout=30) as sock:
+                fh = sock.makefile("rwb")
+                assert _negotiate_raw(fh) == WIRE_VERSION_V2
+                for i, user in enumerate(users):
+                    fh.write(
+                        encode_message_v2(
+                            ProtectRequest(trace=day_trace(user)), request_id=i
+                        )
+                    )
+                fh.flush()
+                replies = [decode_frame_v2(_read_v2_frame(fh)) for _ in users]
+        assert [reply_id for reply_id, _ in replies] == [0, 1, 2]
+        assert [
+            [piece.pseudonym for piece in message.pieces] for _, message in replies
+        ] == [["a#0"], ["b#0"], ["c#0"]]
+        assert server.transport_stats()["requests_served"] == 3
+
+    def test_a_stalled_v2_request_holds_the_next_frame(self):
+        """While the first request's ``handle`` awaits, the second frame
+        stays unread: one request in flight, none served."""
+        service = _StallingService(stub_engine())
+        with ServiceServer(service, port=0) as server:
+            host, port = server.address
+            try:
+                with socket.create_connection((host, port), timeout=30) as sock:
+                    fh = sock.makefile("rwb")
+                    assert _negotiate_raw(fh) == WIRE_VERSION_V2
+                    for i, user in enumerate(("x", "y")):
+                        fh.write(
+                            encode_message_v2(
+                                ProtectRequest(trace=day_trace(user)),
+                                request_id=i,
+                            )
+                        )
+                    fh.flush()
+                    deadline = time.monotonic() + 10.0
+                    while time.monotonic() < deadline:
+                        if server.transport_stats()["inflight_requests"]:
+                            break
+                        time.sleep(0.01)
+                    time.sleep(0.3)
+                    stats = server.transport_stats()
+                    assert stats["inflight_requests"] == 1
+                    assert stats["requests_served"] == 0
+                    service.gate.set()
+                    first_id, first = decode_frame_v2(_read_v2_frame(fh))
+                    second_id, second = decode_frame_v2(_read_v2_frame(fh))
+            finally:
+                service.gate.set()
+        assert first_id == 0 and second_id == 1
+        assert [p.pseudonym for p in first.pieces] == ["x#0"]
+        assert [p.pseudonym for p in second.pieces] == ["y#0"]
 
 
 class TestV2FramingFaults:

@@ -53,6 +53,15 @@ class TestParser:
         args = build_parser().parse_args(["serve", "--host", "0.0.0.0", "--port", "0"])
         assert args.port == 0
 
+    def test_serve_refuses_the_retired_inflight_flags(self):
+        # A connection is served one request at a time, so there is no
+        # server-side in-flight bound left to set; a stale command line
+        # fails in argparse instead of being silently accepted.
+        for retired in (["--workers", "4"], ["--max-inflight-mib", "64"]):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(["serve", *retired])
+            assert exc.value.code == 2
+
     def test_request_args(self):
         args = build_parser().parse_args(
             ["request", "upload", "--csv", "t.csv", "--day-index", "2"]
